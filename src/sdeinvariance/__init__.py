@@ -27,9 +27,8 @@ from .ensemble import (EnsembleStats, compare_interpretations,
 from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, NoiseSpec,
                              build_model, hh_metadata, hh_system, rate_alpha,
                              rate_beta, resting_state)
-from .integrators import (ClampPolicy, Scheme, SimConfig, simulate,
-                          simulate_deterministic, trajectory_csv_text,
-                          write_trajectory_csv)
+from .integrators import (Scheme, SimConfig, simulate, simulate_deterministic,
+                          trajectory_csv_text, write_trajectory_csv)
 from .invariance import (CheckConfig, CheckReport, FaceReport, Verdict,
                          Witness, check_box, check_comparison,
                          check_polyhedron, check_positivity)
@@ -39,7 +38,7 @@ from .wiener import WienerGrid, normal_stream, uniform_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "CheckConfig", "CheckReport", "ClampPolicy", "EnsembleStats",
+    "Box", "CheckConfig", "CheckReport", "EnsembleStats",
     "FaceReport", "HHParams", "Halfspace", "IntegrationError",
     "Interpretation", "JacobianMode", "JacobianPolicy", "MODEL_REGISTRY",
     "ModelEvaluationError", "ModelInfo", "NoiseKind", "NoiseSpec",

@@ -21,20 +21,21 @@ ModelInfo).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
 import sys as _sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .conversion import (JacobianMode, JacobianPolicy, correction,
                          stratonovich_to_ito)
 from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
-                   ModelInfo, SdeSystem, TimeGrid, UsageError)
-from .ensemble import run_ensemble
+                   ModelInfo, SdeSystem, TimeGrid, Trajectory, UsageError)
+from .ensemble import integrate_paths, run_ensemble
 from .hodgkin_huxley import MODEL_REGISTRY, build_model
 from .integrators import (Scheme, SimConfig, simulate, simulate_deterministic,
                           write_trajectory_csv)
@@ -45,6 +46,9 @@ from .wiener import WienerGrid
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
+
+# --dump-paths integrates this many paths at a time, bounding its memory
+_DUMP_CHUNK = 64
 
 _CONFIG_KEYS = {
     "model", "sigma", "interpretation", "scheme", "force_scheme", "seed",
@@ -71,8 +75,7 @@ class _Parser(argparse.ArgumentParser):
 class RunSpec:
     """Merged view of config file, flags and environment for one run."""
 
-    model: str
-    sigma: Optional[Tuple[float, ...]]
+    build: Callable[[Interpretation], Tuple[SdeSystem, ModelInfo]]
     interpretation: Interpretation
     scheme: Scheme
     force_scheme: bool
@@ -192,27 +195,35 @@ def _load_plugin(path: str):
     return build
 
 
-def _resolve_model(name: str, sigma, interpretation: Interpretation
-                   ) -> Tuple[SdeSystem, ModelInfo]:
+def _model_builder(name: str, sigma
+                   ) -> Callable[[Interpretation], Tuple[SdeSystem, ModelInfo]]:
+    """build(interpretation) -> (SdeSystem, ModelInfo) for a model name.
+
+    A plugin file is executed here, once, and each reading is built at
+    most once however often the subcommand asks for it.
+    """
+    sig = None
+    if sigma is not None:
+        sig = sigma[0] if len(sigma) == 1 else sigma
     if name in MODEL_REGISTRY:
-        sig = None
-        if sigma is not None:
-            sig = sigma[0] if len(sigma) == 1 else sigma
-        return build_model(name, sigma=sig, interpretation=interpretation)
-    if name.endswith(".py"):
-        build = _load_plugin(name)
-        sig = None
-        if sigma is not None:
-            sig = sigma[0] if len(sigma) == 1 else sigma
-        result = build(sigma=sig, interpretation=interpretation)
-        try:
-            system, info = result
-        except (TypeError, ValueError):
-            raise UsageError(
-                "model build() must return (SdeSystem, ModelInfo)")
-        return system, info
-    known = ", ".join(sorted(MODEL_REGISTRY))
-    raise UsageError(f"unknown model {name!r}; registered models: {known}")
+        def build(interpretation):
+            return build_model(name, sigma=sig, interpretation=interpretation)
+    elif name.endswith(".py"):
+        plugin = _load_plugin(name)
+
+        def build(interpretation):
+            result = plugin(sigma=sig, interpretation=interpretation)
+            try:
+                system, info = result
+            except (TypeError, ValueError):
+                raise UsageError(
+                    "model build() must return (SdeSystem, ModelInfo)")
+            return system, info
+    else:
+        known = ", ".join(sorted(MODEL_REGISTRY))
+        raise UsageError(
+            f"unknown model {name!r}; registered models: {known}")
+    return functools.cache(build)
 
 
 def _spec_from(ns: argparse.Namespace, need_grid: bool,
@@ -250,8 +261,7 @@ def _spec_from(ns: argparse.Namespace, need_grid: bool,
                                "sampler_seed", 0)),
     )
     spec = RunSpec(
-        model=str(model),
-        sigma=sigma,
+        build=_model_builder(str(model), sigma),
         interpretation=interpretation,
         scheme=_SCHEMES[scheme_name],
         force_scheme=bool(_pick(getattr(ns, "force_scheme", None) or None,
@@ -274,8 +284,7 @@ def _spec_from(ns: argparse.Namespace, need_grid: bool,
         interp_label=interp_name,
     )
     if need_grid:
-        sys0, info = _resolve_model(spec.model, spec.sigma,
-                                    spec.interpretation)
+        _, info = spec.build(spec.interpretation)
         spec.grid = _build_grid(
             _pick(getattr(ns, "t0", None), config, "t0", None),
             _pick(getattr(ns, "t_end", None), config, "t_end", None),
@@ -296,8 +305,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def cmd_check(ns: argparse.Namespace) -> int:
     spec = _spec_from(ns, need_grid=False)
-    system, info = _resolve_model(spec.model, spec.sigma,
-                                  spec.interpretation)
+    system, info = spec.build(spec.interpretation)
     box = spec.box if spec.box is not None else info.box
     if box is None:
         raise UsageError("model declares no region; pass --box")
@@ -316,8 +324,7 @@ def _panels(system: SdeSystem, box: Optional[Box]):
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     spec = _spec_from(ns, need_grid=True)
-    system, info = _resolve_model(spec.model, spec.sigma,
-                                  spec.interpretation)
+    system, info = spec.build(spec.interpretation)
     cfg = SimConfig(grid=spec.grid, x0=tuple(info.x0), scheme=spec.scheme,
                     seed=spec.seed, force_scheme=spec.force_scheme)
     if system.r == 0:
@@ -348,8 +355,7 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
              else (spec.interp_label,))
     results = {}
     for nm in names:
-        system, info = _resolve_model(spec.model, spec.sigma,
-                                      Interpretation(nm))
+        system, info = spec.build(Interpretation(nm))
         box = spec.box if spec.box is not None else info.box
         cfg = SimConfig(grid=spec.grid, x0=tuple(info.x0), scheme=spec.scheme,
                         seed=spec.seed, force_scheme=spec.force_scheme)
@@ -362,14 +368,16 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
                     f"warning: dumping {spec.n_paths} path files to "
                     f"{spec.dump_paths}\n")
             os.makedirs(spec.dump_paths, exist_ok=True)
-            for pid in range(spec.n_paths):
-                noise = WienerGrid.generate(spec.seed, pid, spec.grid,
-                                            system.r)
-                traj = simulate(system, cfg, noise)
-                write_trajectory_csv(
-                    traj, os.path.join(spec.dump_paths,
-                                       f"{system.name}-{nm}-{pid:05d}.csv"),
-                    system.labels())
+            # the ensemble's own paths: a failed path is frozen, not fatal
+            for lo in range(0, spec.n_paths, _DUMP_CHUNK):
+                ids = range(lo, min(lo + _DUMP_CHUNK, spec.n_paths))
+                states, _ = integrate_paths(system, cfg, ids)
+                for pid, path in zip(ids, states):
+                    write_trajectory_csv(
+                        Trajectory(spec.grid, path, path_id=pid),
+                        os.path.join(spec.dump_paths,
+                                     f"{system.name}-{nm}-{pid:05d}.csv"),
+                        system.labels())
     if len(results) == 1:
         text = next(iter(results.values())).to_json(indent=2) + "\n"
     else:
@@ -381,8 +389,7 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
 
 def cmd_convert(ns: argparse.Namespace) -> int:
     spec = _spec_from(ns, need_grid=False)
-    system, info = _resolve_model(spec.model, spec.sigma,
-                                  Interpretation.STRATONOVICH)
+    system, info = spec.build(Interpretation.STRATONOVICH)
     policy = (JacobianPolicy(JacobianMode.ANALYTIC)
               if system.diffusion_jacobian is not None
               else JacobianPolicy(JacobianMode.CENTRAL_DIFFERENCE))

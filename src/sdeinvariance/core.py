@@ -132,6 +132,34 @@ class SdeSystem:
         return tuple(f"x_{i + 1}" for i in range(self.m))
 
 
+def _shaped(out, what: str, shape: Tuple[int, ...]) -> Array:
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise UsageError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
+
+
+def _eval_point(sys: SdeSystem, what: str, fn, t: float, x,
+                shape: Tuple[int, ...]) -> Array:
+    """fn(t, x) at one validated point, shape- and finiteness-checked."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.m,):
+        raise UsageError(f"state must have shape ({sys.m},), got {x.shape}")
+    if t < 0:
+        raise UsageError("time must be >= 0")
+    out = _shaped(fn(t, x), what, shape)
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        index = tuple(int(v) for v in bad[0])
+        if len(index) == 1:
+            index, where = index[0], f"component {index[0]}"
+        else:
+            where = f"entry {index}"
+        raise ModelEvaluationError(f"{what} {where} is not finite at t={t}",
+                                   t=t, x=x, index=index)
+    return out
+
+
 def eval_drift(sys: SdeSystem, t: float, x) -> Array:
     """Evaluate f(t, x) with shape and finiteness checks.
 
@@ -140,21 +168,7 @@ def eval_drift(sys: SdeSystem, t: float, x) -> Array:
             the wrong shape.
         ModelEvaluationError: the drift returned a non-finite entry.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.m,):
-        raise UsageError(f"state must have shape ({sys.m},), got {x.shape}")
-    if t < 0:
-        raise UsageError("time must be >= 0")
-    out = np.asarray(sys.drift(t, x), dtype=float)
-    if out.shape != (sys.m,):
-        raise UsageError(
-            f"drift returned shape {out.shape}, expected ({sys.m},)")
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        i = int(bad[0])
-        raise ModelEvaluationError(
-            f"drift component {i} is not finite at t={t}", t=t, x=x, index=i)
-    return out
+    return _eval_point(sys, "drift", sys.drift, t, x, (sys.m,))
 
 
 def eval_diffusion(sys: SdeSystem, t: float, x) -> Array:
@@ -163,58 +177,37 @@ def eval_diffusion(sys: SdeSystem, t: float, x) -> Array:
     Same error contract as :func:`eval_drift`; the index attached to a
     non-finite entry is the (row, column) pair.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.m,):
-        raise UsageError(f"state must have shape ({sys.m},), got {x.shape}")
-    if t < 0:
-        raise UsageError("time must be >= 0")
-    out = np.asarray(sys.diffusion(t, x), dtype=float)
-    if out.shape != (sys.m, sys.r):
-        raise UsageError(
-            f"diffusion returned shape {out.shape}, expected ({sys.m}, {sys.r})")
-    if not np.all(np.isfinite(out)):
-        i, k = (int(v) for v in np.argwhere(~np.isfinite(out))[0])
-        raise ModelEvaluationError(
-            f"diffusion entry ({i}, {k}) is not finite at t={t}",
-            t=t, x=x, index=(i, k))
+    return _eval_point(sys, "diffusion", sys.diffusion, t, x,
+                       (sys.m, sys.r))
+
+
+def _eval_batch(sys: SdeSystem, what: str, fn, t: float, states,
+                shape: Tuple[int, ...]) -> Array:
+    """fn on a (n, m) batch of states, shape (n,) + shape.
+
+    Uses the system's vectorized path when available, otherwise loops;
+    either way a wrongly shaped return is a UsageError.  No finiteness
+    check; callers decide how to treat bad values.
+    """
+    states = np.asarray(states, dtype=float)
+    n = states.shape[0]
+    if sys.vectorized:
+        return _shaped(fn(t, states), f"vectorized {what}", (n,) + shape)
+    out = np.empty((n,) + shape)
+    for k in range(n):
+        out[k] = _shaped(fn(t, states[k]), what, shape)
     return out
 
 
 def drift_batch(sys: SdeSystem, t: float, states: Array) -> Array:
-    """Evaluate the drift on a (n, m) batch of states, shape (n, m).
-
-    Uses the system's vectorized path when available, otherwise loops.
-    No finiteness check; callers decide how to treat bad values.
-    """
-    states = np.asarray(states, dtype=float)
-    if sys.vectorized:
-        out = np.asarray(sys.drift(t, states), dtype=float)
-        if out.shape != states.shape:
-            raise UsageError(
-                f"vectorized drift returned shape {out.shape}, "
-                f"expected {states.shape}")
-        return out
-    out = np.empty_like(states)
-    for k in range(states.shape[0]):
-        out[k] = sys.drift(t, states[k])
-    return out
+    """Evaluate the drift on a (n, m) batch of states, shape (n, m)."""
+    return _eval_batch(sys, "drift", sys.drift, t, states, (sys.m,))
 
 
 def diffusion_batch(sys: SdeSystem, t: float, states: Array) -> Array:
     """Evaluate the diffusion on a (n, m) batch, shape (n, m, r)."""
-    states = np.asarray(states, dtype=float)
-    n = states.shape[0]
-    if sys.vectorized:
-        out = np.asarray(sys.diffusion(t, states), dtype=float)
-        if out.shape != (n, sys.m, sys.r):
-            raise UsageError(
-                f"vectorized diffusion returned shape {out.shape}, "
-                f"expected {(n, sys.m, sys.r)}")
-        return out
-    out = np.empty((n, sys.m, sys.r), dtype=float)
-    for k in range(n):
-        out[k] = sys.diffusion(t, states[k])
-    return out
+    return _eval_batch(sys, "diffusion", sys.diffusion, t, states,
+                       (sys.m, sys.r))
 
 
 def jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
@@ -223,19 +216,8 @@ def jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
         raise UsageError(
             f"system {sys.name!r} does not provide an analytic diffusion "
             "jacobian")
-    states = np.asarray(states, dtype=float)
-    n = states.shape[0]
-    if sys.vectorized:
-        out = np.asarray(sys.diffusion_jacobian(t, states), dtype=float)
-        if out.shape != (n, sys.m, sys.r, sys.m):
-            raise UsageError(
-                f"vectorized diffusion jacobian returned shape {out.shape}, "
-                f"expected {(n, sys.m, sys.r, sys.m)}")
-        return out
-    out = np.empty((n, sys.m, sys.r, sys.m), dtype=float)
-    for k in range(n):
-        out[k] = sys.diffusion_jacobian(t, states[k])
-    return out
+    return _eval_batch(sys, "diffusion jacobian", sys.diffusion_jacobian, t,
+                       states, (sys.m, sys.r, sys.m))
 
 
 @dataclass(frozen=True)

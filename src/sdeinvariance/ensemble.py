@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
-from .integrators import ClampPolicy, Scheme, SimConfig, integrate_batch, resolve_scheme
+from .integrators import Scheme, SimConfig, integrate_batch, resolve_scheme
 from .wiener import increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
@@ -155,8 +155,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     Violations are judged against the box with the per-coordinate slack
     tol; a path also counts as violating if it ever produced a non-finite
     state (it is then frozen at its last finite state for the remaining
-    steps).  With clamp policy None in the config, box bookkeeping is
-    skipped and only extrema/summaries are reported.
+    steps).  With box None, box bookkeeping is skipped and only
+    extrema/summaries are reported.
     """
     if n_paths < 1:
         raise UsageError("n_paths must be >= 1")
@@ -166,11 +166,9 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     states, dead = integrate_paths(sys, cfg, range(n_paths), n_workers)
     times = cfg.grid.times()
     n_grid = times.size
-    track_box = (box is not None
-                 and cfg.clamp_policy is ClampPolicy.REPORT_ONLY)
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
-    if track_box:
+    if box is not None:
         outside = np.zeros((n_paths, n_grid), dtype=bool)
         for i, a, b in zip(box.indices, box.lower, box.upper):
             coord = states[:, :, i]
@@ -187,8 +185,9 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     nonfinite = tuple((int(p), int(dead[p])) for p in np.flatnonzero(died))
     mean = states.mean(axis=0)
     order = np.sort(states, axis=0)
+    # copies: a row view would keep the whole sorted ensemble alive
     quantiles = {
-        f"q{pct:02d}": order[_nearest_rank_index(pct, n_paths)]
+        f"q{pct:02d}": order[_nearest_rank_index(pct, n_paths)].copy()
         for pct in _QUANTILE_PCTS
     }
     return EnsembleStats(
@@ -206,7 +205,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         grid_n_steps=cfg.grid.n_steps,
         seed=cfg.seed,
         scheme=scheme.value,
-        box=box if track_box else None,
+        box=box,
         tol=tol,
     )
 

@@ -19,9 +19,8 @@ Explicitly requesting the mismatched scheme is refused unless the
 configuration sets force_scheme, because the mismatched pairing silently
 solves a different equation.
 
-Integrators never clamp states to a region; the clamp policy only decides
-whether downstream ensemble statistics record violations (ReportOnly, the
-default) or ignore them.
+Integrators never clamp states to a region; leaving it is only recorded,
+by the ensemble statistics.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ class Scheme(enum.Enum):
     EULER_HEUN = "euler-heun"
 
 
-class ClampPolicy(enum.Enum):
-    NONE = "none"
-    REPORT_ONLY = "report-only"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Grid, start state and scheme selection for one integration run."""
@@ -59,7 +53,6 @@ class SimConfig:
     x0: Tuple[float, ...]
     scheme: Scheme = Scheme.AUTO
     seed: int = 0
-    clamp_policy: ClampPolicy = ClampPolicy.REPORT_ONLY
     force_scheme: bool = False
 
     def __post_init__(self):

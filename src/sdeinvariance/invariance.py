@@ -17,6 +17,8 @@ deterministic low-discrepancy (or hit-and-run) scheme, apply the
 conditions within configured tolerances and return margins plus concrete
 witness points for every violation found.  A Violated verdict is
 constructive; a Satisfied verdict certifies the sampled points only.
+Each face lists its witnesses per check time, drift witnesses before
+diffusion witnesses, each in sample order, up to max_witnesses_per_face.
 
 A related pairwise test orders two systems: solutions started below stay
 below when, whenever x_i = y_i and x_k >= y_k on the coupled coordinates,
@@ -202,6 +204,49 @@ def _require_finite(values: Array, what: str, t: float, points: Array):
             t=t, x=points[k], index=k)
 
 
+def _scan_face(index: int, side: str, pts: Array, cfg: CheckConfig,
+               evaluate, partner: Optional[Array] = None) -> FaceReport:
+    """Apply the face conditions to the sampled points at every check time.
+
+    evaluate(t) returns (margin, value, dev) on the points: the inward
+    drift margin (n,), the number a drift witness reports (n,) and the
+    diffusion deviation that must vanish (n, r).  Witnesses come in the
+    order the module docstring states; the cap is at least 1, so a face
+    is violated exactly when it has a witness.
+    """
+    min_margin = math.inf
+    max_dev = 0.0
+    wit: list[Witness] = []
+
+    def witness(t, k, kind, v):
+        other = None if partner is None else tuple(partner[k])
+        return Witness(index, side, float(t), tuple(pts[k]), kind, float(v),
+                       partner=other)
+
+    for t in _check_times(cfg):
+        margin, value, dev = evaluate(t)
+        min_margin = min(min_margin, float(margin.min()))
+        dev_abs = np.abs(dev)
+        if dev_abs.size:
+            max_dev = max(max_dev, float(dev_abs.max()))
+        bad_drift = np.flatnonzero(margin < -cfg.eps_drift)
+        bad_diff = np.argwhere(dev_abs > cfg.eps_diff)
+        room = cfg.max_witnesses_per_face - len(wit)
+        wit += [witness(t, k, "drift_sign", value[k])
+                for k in bad_drift[:room]]
+        room = cfg.max_witnesses_per_face - len(wit)
+        wit += [witness(t, k, "diffusion_nonzero", dev[k, j])
+                for k, j in bad_diff[:room]]
+    return FaceReport(index, side, pts.shape[0], float(min_margin), max_dev,
+                      tuple(wit))
+
+
+def _report(faces: Sequence[FaceReport], cfg: CheckConfig) -> CheckReport:
+    violated = any(f.witnesses for f in faces)
+    return CheckReport(Verdict.VIOLATED if violated else Verdict.SATISFIED,
+                       tuple(faces), cfg)
+
+
 def _box_face_points(sys: SdeSystem, box: Box, cfg: CheckConfig,
                      coord: int, pin: float, ordinal: int) -> Array:
     m = sys.m
@@ -233,42 +278,21 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
     """
     if max(box.indices) >= sys.m:
         raise UsageError("box constrains a coordinate outside the state")
-    times = _check_times(cfg)
     faces = []
-    violated = False
     for ordinal, (i, side, pin) in enumerate(box.faces()):
         pts = _box_face_points(sys, box, cfg, i, pin, ordinal)
-        n = pts.shape[0]
-        min_margin = math.inf
-        max_gabs = 0.0
-        wit: list[Witness] = []
-        for t in times:
+
+        def evaluate(t):
             f_row = drift_batch(sys, t, pts)[:, i]
             _require_finite(f_row, f"drift component {i} on face "
                             f"({i}, {side})", t, pts)
-            margin = f_row if side == "lower" else -f_row
-            min_margin = min(min_margin, float(margin.min()))
             g_row = diffusion_batch(sys, t, pts)[:, i, :]
             _require_finite(g_row, f"diffusion row {i} on face "
                             f"({i}, {side})", t, pts)
-            g_abs = np.abs(g_row)
-            if g_abs.size:
-                max_gabs = max(max_gabs, float(g_abs.max()))
-            for k in np.flatnonzero(margin < -cfg.eps_drift):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(i, side, float(t), tuple(pts[k]),
-                                       "drift_sign", float(f_row[k])))
-            for k, j in np.argwhere(g_abs > cfg.eps_diff):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(i, side, float(t), tuple(pts[k]),
-                                       "diffusion_nonzero",
-                                       float(g_row[k, j])))
-        faces.append(FaceReport(i, side, n, float(min_margin), max_gabs,
-                                tuple(wit)))
-    verdict = Verdict.VIOLATED if violated else Verdict.SATISFIED
-    return CheckReport(verdict, tuple(faces), cfg)
+            return (f_row if side == "lower" else -f_row), f_row, g_row
+
+        faces.append(_scan_face(i, side, pts, cfg, evaluate))
+    return _report(faces, cfg)
 
 
 def check_positivity(sys: SdeSystem, indices: Sequence[int],
@@ -302,9 +326,7 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= m:
         raise UsageError("comparison indices must be distinct and in range")
     windows = _coord_windows(sys_a, cfg)
-    times = _check_times(cfg)
     faces = []
-    violated = False
     for ordinal, i in enumerate(idx):
         u = _halton(cfg, 2 * m - 1, 2, ordinal)
         n = u.shape[0]
@@ -326,41 +348,21 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
             lo, hi = windows[j]
             x[:, j] = lo + u[:, col] * (hi - lo)
             col += 1
-        min_margin = math.inf
-        max_dev = 0.0
-        wit: list[Witness] = []
-        for t in times:
+
+        def evaluate(t):
             fa = drift_batch(sys_a, t, x)[:, i]
             fb = drift_batch(sys_b, t, y)[:, i]
             _require_finite(fa, f"first drift component {i}", t, x)
             _require_finite(fb, f"second drift component {i}", t, y)
-            margin = fa - fb
-            min_margin = min(min_margin, float(margin.min()))
             ga = diffusion_batch(sys_a, t, x)[:, i, :]
             gb = diffusion_batch(sys_b, t, y)[:, i, :]
             _require_finite(ga, f"first diffusion row {i}", t, x)
             _require_finite(gb, f"second diffusion row {i}", t, y)
-            dev = ga - gb
-            dev_abs = np.abs(dev)
-            if dev_abs.size:
-                max_dev = max(max_dev, float(dev_abs.max()))
-            for k in np.flatnonzero(margin < -cfg.eps_drift):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(i, "pair", float(t), tuple(x[k]),
-                                       "drift_sign", float(margin[k]),
-                                       partner=tuple(y[k])))
-            for k, j in np.argwhere(dev_abs > cfg.eps_diff):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(i, "pair", float(t), tuple(x[k]),
-                                       "diffusion_nonzero",
-                                       float(dev[k, j]),
-                                       partner=tuple(y[k])))
-        faces.append(FaceReport(i, "pair", n, float(min_margin), max_dev,
-                                tuple(wit)))
-    verdict = Verdict.VIOLATED if violated else Verdict.SATISFIED
-    return CheckReport(verdict, tuple(faces), cfg)
+            margin = fa - fb
+            return margin, margin, ga - gb
+
+        faces.append(_scan_face(i, "pair", x, cfg, evaluate, partner=y))
+    return _report(faces, cfg)
 
 
 # -- polyhedron support ------------------------------------------------------
@@ -509,7 +511,7 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     samples and is reported with n_samples = 0.
     """
     if not poly.halfspaces:
-        return CheckReport(Verdict.SATISFIED, (), cfg)
+        return _report((), cfg)
     if poly.dim != sys.m:
         raise UsageError(
             f"polyhedron lives in dimension {poly.dim}, system in {sys.m}")
@@ -525,9 +527,7 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
             raise UsageError("interior_point is not strictly interior")
     else:
         x0 = _find_interior(anchors, normals, lo, hi, cfg)
-    times = _check_times(cfg)
     faces = []
-    violated = False
     for nu in range(anchors.shape[0]):
         rng = _child_rng(cfg, 4, nu)
         q0 = _face_anchor(x0, anchors, normals, lo, hi, nu, rng)
@@ -536,35 +536,15 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
             continue
         pts = _hit_and_run(q0, anchors, normals, lo, hi, nu,
                            cfg.n_face_samples, rng)
-        nrm = normals[nu]
-        min_margin = math.inf
-        max_gabs = 0.0
-        wit: list[Witness] = []
-        for t in times:
-            f_all = drift_batch(sys, t, pts)
-            f_n = f_all @ nrm
+
+        def evaluate(t):
+            f_n = drift_batch(sys, t, pts) @ normals[nu]
             _require_finite(f_n, f"drift projection on face {nu}", t, pts)
-            min_margin = min(min_margin, float(f_n.min()))
-            g_all = diffusion_batch(sys, t, pts)
-            g_n = np.einsum("kmr,m->kr", g_all, nrm)
+            g_n = np.einsum("kmr,m->kr", diffusion_batch(sys, t, pts),
+                            normals[nu])
             _require_finite(g_n, f"diffusion projection on face {nu}",
                             t, pts)
-            g_abs = np.abs(g_n)
-            if g_abs.size:
-                max_gabs = max(max_gabs, float(g_abs.max()))
-            for k in np.flatnonzero(f_n < -cfg.eps_drift):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(nu, "hyperplane", float(t),
-                                       tuple(pts[k]), "drift_sign",
-                                       float(f_n[k])))
-            for k, j in np.argwhere(g_abs > cfg.eps_diff):
-                violated = True
-                if len(wit) < cfg.max_witnesses_per_face:
-                    wit.append(Witness(nu, "hyperplane", float(t),
-                                       tuple(pts[k]), "diffusion_nonzero",
-                                       float(g_n[k, j])))
-        faces.append(FaceReport(nu, "hyperplane", pts.shape[0],
-                                float(min_margin), max_gabs, tuple(wit)))
-    verdict = Verdict.VIOLATED if violated else Verdict.SATISFIED
-    return CheckReport(verdict, tuple(faces), cfg)
+            return f_n, f_n, g_n
+
+        faces.append(_scan_face(nu, "hyperplane", pts, cfg, evaluate))
+    return _report(faces, cfg)

@@ -166,6 +166,19 @@ class TestEnsemble:
         first = (target / names[0]).read_text().split("\n")[0]
         assert first == "t,x_1,x_2,x_3,V"
 
+    def test_dump_survives_a_path_that_blows_up(self, capsys, tmp_path):
+        # an additive-noise path turns non-finite mid-run; the dump writes
+        # it frozen, as the ensemble counts it, and the stats still land
+        target = tmp_path / "paths"
+        stats_file = tmp_path / "stats.json"
+        code, out, err = run_cli(capsys, "ensemble", "--model",
+                                 "hh-additive", "--n-paths", "5",
+                                 "--dump-paths", str(target),
+                                 "--out", str(stats_file))
+        assert code == 0, err
+        assert json.loads(stats_file.read_text())["nonfinite_paths"]
+        assert len(list(target.iterdir())) == 5
+
     def test_large_dump_warns_on_stderr(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "ensemble", "--model",
                                  "hh-logistic", "--sigma", "0.2",
@@ -268,6 +281,14 @@ def build(sigma=None, interpretation=None):
 '''
 
 
+COUNTING_PREFIX = '''\
+import pathlib
+
+with open(pathlib.Path(__file__).with_name("executions.log"), "a") as fh:
+    fh.write("run\\n")
+'''
+
+
 class TestPluginModels:
     @pytest.fixture
     def plugin(self, tmp_path):
@@ -288,6 +309,22 @@ class TestPluginModels:
         lines = out.strip().split("\n")
         assert lines[0] == "t,x_1"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ("check", *QUICK_CHECK),
+        ("simulate", "--t-end", "1.0", "--dt", "0.25"),
+        ("ensemble", "--interpretation", "both", "--t-end", "1.0",
+         "--dt", "0.25", "--n-paths", "2"),
+    ])
+    def test_plugin_file_runs_once_per_command(self, capsys, tmp_path,
+                                               argv):
+        path = tmp_path / "counted_model.py"
+        path.write_text(COUNTING_PREFIX + PLUGIN_SOURCE)
+        code, out, err = run_cli(capsys, argv[0], "--model", str(path),
+                                 *argv[1:])
+        assert code == 0, err
+        runs = (tmp_path / "executions.log").read_text()
+        assert runs.count("run") == 1
 
     def test_plugin_without_build_function(self, capsys, tmp_path):
         path = tmp_path / "empty_model.py"

@@ -5,7 +5,7 @@ import pytest
 
 from sdeinvariance import (Box, Halfspace, ModelEvaluationError, ModelInfo,
                            Polyhedron, SdeSystem, TimeGrid, Trajectory,
-                           UsageError, eval_diffusion, eval_drift)
+                           UsageError, check_box, eval_diffusion, eval_drift)
 from sdeinvariance.core import diffusion_batch, drift_batch, jacobian_batch
 
 
@@ -111,6 +111,23 @@ class TestBatchAdapters:
                               drift_batch(ss, 0.0, pts))
         assert np.array_equal(diffusion_batch(sv, 0.0, pts),
                               diffusion_batch(ss, 0.0, pts))
+
+    @pytest.mark.parametrize("wrong", [lambda t, x: 1.0,
+                                       lambda t, x: np.zeros(3)])
+    def test_loop_fallback_checks_each_row_shape(self, wrong):
+        # a scalar must not broadcast into a row, nor a (3,) raise a bare
+        # numpy error: both are the UsageError eval_drift raises
+        pts = np.zeros((3, 2))
+        bad_drift = SdeSystem(m=2, r=1, drift=wrong,
+                              diffusion=lambda t, x: np.zeros((2, 1)))
+        bad_diffusion = SdeSystem(m=2, r=1, drift=lambda t, x: np.zeros(2),
+                                  diffusion=wrong)
+        with pytest.raises(UsageError, match="drift returned shape"):
+            drift_batch(bad_drift, 0.0, pts)
+        with pytest.raises(UsageError, match="diffusion returned shape"):
+            diffusion_batch(bad_diffusion, 0.0, pts)
+        with pytest.raises(UsageError, match="drift returned shape"):
+            check_box(bad_drift, Box.unit((0,)))
 
     def test_jacobian_batch_requires_callable(self):
         with pytest.raises(UsageError):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdeinvariance import (ClampPolicy, IntegrationError, Interpretation,
-                           Scheme, SdeSystem, SimConfig, TimeGrid,
-                           Trajectory, UsageError, WienerGrid, build_model,
+from sdeinvariance import (IntegrationError, Interpretation, Scheme,
+                           SdeSystem, SimConfig, TimeGrid, Trajectory,
+                           UsageError, WienerGrid, build_model,
                            ito_to_stratonovich, simulate,
                            simulate_deterministic, stratonovich_to_ito,
                            trajectory_csv_text, write_trajectory_csv)
@@ -315,18 +315,3 @@ def test_csv_round_trip_recovers_exact_floats(values):
     parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     assert np.array_equal(parsed, states)
 
-
-class TestClampPolicy:
-    def test_report_only_never_alters_states(self):
-        # identical runs with both policies; the policy is bookkeeping
-        # for the ensemble layer, not a state filter
-        system, info = build_model("hh-additive", sigma=0.5)
-        grid = TimeGrid(0.0, 2.0, 200)
-        noise = WienerGrid.generate(4, 2, grid, 3)
-        a = simulate(system, SimConfig(grid=grid, x0=tuple(info.x0),
-                                       clamp_policy=ClampPolicy.REPORT_ONLY),
-                     noise)
-        b = simulate(system, SimConfig(grid=grid, x0=tuple(info.x0),
-                                       clamp_policy=ClampPolicy.NONE),
-                     noise)
-        assert np.array_equal(a.states, b.states)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -473,6 +474,63 @@ class TestReportSerialization:
         data = report.to_dict()
         wit = data["faces"][0]["witnesses"][0]
         assert "y" in wit and len(wit["y"]) == 2
+
+
+def _mixed_drift(t, x):
+    return np.array([x[1] - 0.1 - 0.001 * t, 0.0])
+
+
+def _mixed_diffusion(t, x):
+    return np.array([[x[1] if x[1] > 0.9 else 0.0], [0.0]])
+
+
+class TestPinnedReports:
+    """sha256 of CheckReport.to_json() for each checker, pinned.
+
+    The caps bind part-way through a time slice: after some drift and some
+    diffusion witnesses on the mixed box faces, and across several times
+    on the mixed polyhedron.  The mixed system is not vectorized, so its
+    rows go through the loop fallback of the batch evaluator.
+    """
+
+    DIGESTS = {
+        "box-hh-additive": "1b18ca56b60859312048a61ea88f2692"
+                           "072260ca01a67257694024035301c266",
+        "box-mixed": "7658d3d43601a2ff4af37383800d562c"
+                     "ec3ef1d765295369ec77b9a34d6b8f18",
+        "comparison-hh-logistic": "8d7ec872dea8269f32448908daf1d53e"
+                                  "15c2e743fe6134f951505a620ef3dbd7",
+        "polyhedron-hh-additive": "7e69f1805fcc4f9cd142b5d269cf57f1"
+                                  "eea970d2121e92e4ccf8ee11ee1b1b09",
+        "polyhedron-mixed": "27c295007f018152e62778ed25fadcb5"
+                            "677ff3cf58afce0a27b67719a6f7e75e",
+    }
+
+    def reports(self):
+        cap3 = CheckConfig(n_face_samples=32, n_time_samples=3,
+                           max_witnesses_per_face=3)
+        cap5 = CheckConfig(n_face_samples=32, n_time_samples=3,
+                           max_witnesses_per_face=5)
+        mixed = SdeSystem(m=2, r=1, drift=_mixed_drift,
+                          diffusion=_mixed_diffusion,
+                          coord_ranges=((0.0, 1.0), (0.0, 1.0)))
+        additive, info = build_model("hh-additive", sigma=0.5)
+        logistic, _ = build_model("hh-logistic", sigma=0.5)
+        return {
+            "box-hh-additive": check_box(additive, info.box, cap3),
+            "box-mixed": check_box(mixed, Box.unit((0,)), cap5),
+            "comparison-hh-logistic": check_comparison(
+                logistic, logistic, (0, 1, 2), cap3),
+            "polyhedron-hh-additive": check_polyhedron(
+                additive, info.box.as_polyhedron(4), cap3),
+            "polyhedron-mixed": check_polyhedron(
+                mixed, Box.unit((0,)).as_polyhedron(2), cap5),
+        }
+
+    def test_report_json_digests(self):
+        digests = {name: hashlib.sha256(r.to_json().encode()).hexdigest()
+                   for name, r in self.reports().items()}
+        assert digests == self.DIGESTS
 
 
 @given(c=st.floats(min_value=-5.0, max_value=5.0,
