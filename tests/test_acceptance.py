@@ -5,6 +5,7 @@ asserts.  The ensemble runs are shared through module-scoped fixtures so
 the expensive 1000-path integrations happen once.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -33,6 +34,15 @@ GOLDEN_ADDITIVE_FRACTION = 1.0
 GOLDEN_ADDITIVE_NONFINITE = 976
 GOLDEN_LOGISTIC_ITO_FRACTION = 0.0
 GOLDEN_LOGISTIC_STRAT_FRACTION = 0.0
+# sha256 of each ensemble's to_json(); the benchmark pins the same bytes
+GOLDEN_STATS_SHA256 = {
+    "additive":
+        "a894af3258b9305fc487af785145ec1bda58451f52e65004c320895e10f577d8",
+    "logistic_ito":
+        "175c4a47b6f38a47cf187015294465473803259f576a42d00d80d57bb5a78130",
+    "logistic_strat":
+        "60bed219be0de4cb37a3112a2b958a9937d269db98e35b8f5bf08a1bae3d741d",
+}
 
 
 def announce(num, ok, detail):
@@ -223,11 +233,18 @@ def test_criterion_7_ensemble_phenomenology(additive_run, logistic_ito_run,
                and log_ito.violation_fraction == GOLDEN_LOGISTIC_ITO_FRACTION
                and log_strat.violation_fraction
                == GOLDEN_LOGISTIC_STRAT_FRACTION)
-    ok = bands and goldens and total < 120.0
+    digests = {name: hashlib.sha256(stats.to_json().encode()).hexdigest()
+               for name, stats in (("additive", additive),
+                                   ("logistic_ito", log_ito),
+                                   ("logistic_strat", log_strat))}
+    ok = (bands and goldens and digests == GOLDEN_STATS_SHA256
+          and total < 120.0)
     announce(7, ok, f"fractions {additive.violation_fraction:.3f} / "
              f"{log_ito.violation_fraction:.3f} / "
              f"{log_strat.violation_fraction:.3f}, "
              f"{len(additive.nonfinite_paths)} additive paths non-finite, "
+             f"stats digests "
+             f"{'match' if digests == GOLDEN_STATS_SHA256 else 'differ'}, "
              f"{total:.0f}s")
     assert ok
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -120,6 +121,17 @@ class TestRunEnsemble:
 
 
 class TestDeterminism:
+    def test_stats_digest_with_exits_and_blow_ups(self):
+        # 64 paths: 10 leave the box and stay finite, 54 turn non-finite
+        system, info = build_model("hh-additive", sigma=0.5)
+        grid = TimeGrid(0.0, 30.0, 3000)
+        cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=3)
+        stats = run_ensemble(system, cfg, 64, info.box)
+        assert stats.n_violating == 64
+        assert len(stats.nonfinite_paths) == 54
+        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == (
+            "eaf4332c7857519c932784bfcacc84687a9cf2d15b443d61833b44a77fc53f59")
+
     def test_worker_count_does_not_change_stats(self):
         system, info = build_model("hh-additive", sigma=0.5)
         grid = TimeGrid(0.0, 2.0, 200)
