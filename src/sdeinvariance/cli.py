@@ -52,7 +52,7 @@ _DUMP_CHUNK = 64
 
 _CONFIG_KEYS = {
     "model", "sigma", "interpretation", "scheme", "force_scheme", "seed",
-    "t0", "t_end", "n_steps", "dt", "n_paths", "workers", "tol", "box",
+    "t0", "t_end", "n_steps", "dt", "n_paths", "tol", "box",
     "out", "plot", "path_id", "samples", "time_samples", "t_max_check",
     "eps_drift", "eps_diff", "sampler_seed", "dump_paths",
 }
@@ -82,7 +82,6 @@ class RunSpec:
     seed: int
     grid: Optional[TimeGrid]
     n_paths: int
-    workers: int
     tol: float
     box: Optional[Box]
     out: Optional[str]
@@ -270,8 +269,6 @@ def _spec_from(ns: argparse.Namespace, need_grid: bool,
         grid=None,
         n_paths=int(_pick(getattr(ns, "n_paths", None), config, "n_paths",
                           100)),
-        workers=int(_pick(getattr(ns, "workers", None), config, "workers",
-                          1)),
         tol=float(_pick(getattr(ns, "tol", None), config, "tol", 0.0)),
         box=_parse_box(_pick(getattr(ns, "box", None), config, "box", None)),
         out=_pick(getattr(ns, "out", None), config, "out", None),
@@ -359,8 +356,7 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
         box = spec.box if spec.box is not None else info.box
         cfg = SimConfig(grid=spec.grid, x0=tuple(info.x0), scheme=spec.scheme,
                         seed=spec.seed, force_scheme=spec.force_scheme)
-        stats = run_ensemble(system, cfg, spec.n_paths, box, tol=spec.tol,
-                             n_workers=spec.workers)
+        stats = run_ensemble(system, cfg, spec.n_paths, box, tol=spec.tol)
         results[nm] = stats
         if spec.dump_paths is not None:
             if spec.n_paths > 64:
@@ -498,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ens)
     _add_grid(p_ens)
     p_ens.add_argument("--n-paths", dest="n_paths", type=int)
-    p_ens.add_argument("--workers", type=int)
     p_ens.add_argument("--tol", type=float,
                        help="violation slack per coordinate (default 0)")
     p_ens.add_argument("--box", help="region override, JSON object")
@@ -530,3 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def app() -> None:
     raise SystemExit(main(_sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

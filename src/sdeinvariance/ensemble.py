@@ -2,9 +2,12 @@
 
 Paths are identified by consecutive path ids and driven by the keyed
 noise stream, so the ensemble is a pure function of (system, config,
-n_paths): splitting the work across workers, rerunning a subset, or
-changing the chunking cannot change a single bit of the result.  All
-reductions happen in fixed path-id order on the assembled state array.
+n_paths): rerunning a subset or changing the batch cannot change a single
+bit of the result.  All paths advance in lockstep, and the reductions run
+on blocks of consecutive steps, always over the paths in path-id order,
+so the block width cannot change a bit either.  Only one block of states
+is held at a time: memory is O(P * m * width + N * m) for P paths, N
+steps and m coordinates, with the width set by a fixed byte budget.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -14,17 +17,19 @@ nearest-rank convention (the ceil(q * n)-th smallest value).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
-from .integrators import Scheme, SimConfig, integrate_batch, resolve_scheme
+from .integrators import (Scheme, SimConfig, integrate_batch, march,
+                          resolve_scheme)
 from .wiener import increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
+# bytes of states run_ensemble holds at once; sets the block width
+_BLOCK_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,64 +86,46 @@ class EnsembleStats:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _chunk_ranges(n_paths: int, n_workers: int) -> list[tuple[int, int]]:
-    n_workers = max(1, min(n_workers, n_paths))
-    base, extra = divmod(n_paths, n_workers)
-    ranges = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            ranges.append((start, start + size))
-        start += size
-    return ranges
+def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
+                 ) -> Tuple[Array, Callable[[int], Array]]:
+    """(x0, increments_for) that start the keyed paths ids at cfg.x0."""
+    if len(cfg.x0) != sys.m:
+        raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
+    seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
+
+    def for_step(step: int) -> Array:
+        return increments_for_step(seed, ids, step, r, dt)
+
+    return np.tile(np.asarray(cfg.x0), (ids.size, 1)), for_step
 
 
 def integrate_paths(sys: SdeSystem, cfg: SimConfig,
-                    path_ids: Sequence[int],
-                    n_workers: int = 1) -> Tuple[Array, Array]:
+                    path_ids: Sequence[int]) -> Tuple[Array, Array]:
     """Integrate many keyed paths; (states, dead_step) like integrate_batch.
 
-    states[k] is the path for path_ids[k].  Identical output for any
-    n_workers because each path's arithmetic never mixes with its
-    neighbours'.
+    states[k] is the path for path_ids[k], the same in any batch because
+    each path's arithmetic never mixes with its neighbours'.  A path that
+    turns non-finite is frozen at its last finite state.
     """
-    if len(cfg.x0) != sys.m:
-        raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
     ids = np.asarray(list(path_ids), dtype=np.uint64)
     if ids.size and ids.ndim != 1:
         raise UsageError("path_ids must be a flat sequence")
+    x0, increments = _keyed_start(sys, cfg, ids)
     scheme = resolve_scheme(sys, cfg)
-    n = int(ids.size)
-    grid = cfg.grid
-    states = np.empty((n, grid.n_steps + 1, sys.m))
-    dead = np.full(n, -1, dtype=int)
-    if n == 0:
-        return states, dead
-    x0 = np.tile(np.asarray(cfg.x0), (n, 1))
-    dt = grid.dt
-    seed = cfg.seed
+    if ids.size == 0:
+        return (np.empty((0, cfg.grid.n_steps + 1, sys.m)),
+                np.full(0, -1, dtype=int))
+    return integrate_batch(sys, cfg.grid, x0, scheme, increments,
+                           on_nonfinite="freeze")
 
-    def run_chunk(lo: int, hi: int) -> None:
-        chunk_ids = ids[lo:hi]
 
-        def incr(step: int) -> Array:
-            return increments_for_step(seed, chunk_ids, step, sys.r, dt)
-
-        s, d = integrate_batch(sys, grid, x0[lo:hi], scheme, incr,
-                               on_nonfinite="freeze")
-        states[lo:hi] = s
-        dead[lo:hi] = d
-
-    ranges = _chunk_ranges(n, n_workers)
-    if len(ranges) == 1:
-        run_chunk(*ranges[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(run_chunk, lo, hi) for lo, hi in ranges]
-            for fut in futures:
-                fut.result()
-    return states, dead
+def _march_paths(sys: SdeSystem, cfg: SimConfig, scheme: Scheme,
+                 n_paths: int) -> Iterator[Tuple[int, Array, Array]]:
+    """march over the keyed paths 0..n_paths-1, failed paths frozen."""
+    x0, increments = _keyed_start(sys, cfg,
+                                  np.arange(n_paths, dtype=np.uint64))
+    return march(sys, cfg.grid, x0, scheme, increments,
+                 on_nonfinite="freeze")
 
 
 def _nearest_rank_index(pct: int, n: int) -> int:
@@ -156,26 +143,47 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     tol; a path also counts as violating if it ever produced a non-finite
     state (it is then frozen at its last finite state for the remaining
     steps).  With box None, box bookkeeping is skipped and only
-    extrema/summaries are reported.
+    extrema/summaries are reported.  n_workers is accepted for old
+    callers and has no effect: all paths run in one lockstep batch.
     """
     if n_paths < 1:
         raise UsageError("n_paths must be >= 1")
     if tol < 0:
         raise UsageError("tol must be >= 0")
     scheme = resolve_scheme(sys, cfg)
-    states, dead = integrate_paths(sys, cfg, range(n_paths), n_workers)
     times = cfg.grid.times()
     n_grid = times.size
+    m = sys.m
+    width = max(1, min(n_grid, _BLOCK_BYTES // (8 * n_paths * m)))
+    block = np.empty((n_paths, width, m))
+    mean = np.empty((n_grid, m))
+    ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)
+             for pct in _QUANTILE_PCTS}
+    quantiles = {key: np.empty((n_grid, m)) for key in ranks}
+    lo = np.full(m, np.inf)
+    hi = np.full(m, -np.inf)
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
-    if box is not None:
-        outside = np.zeros((n_paths, n_grid), dtype=bool)
-        for i, a, b in zip(box.indices, box.lower, box.upper):
-            coord = states[:, :, i]
-            outside |= (coord < a - tol) | (coord > b + tol)
-        has_exit = outside.any(axis=1)
-        exit_idx = np.argmax(outside, axis=1)
-        first_bad[has_exit] = exit_idx[has_exit]
+
+    steps = _march_paths(sys, cfg, scheme, n_paths)
+    for start in range(0, n_grid, width):
+        stop = min(start + width, n_grid)
+        for k, (_, x, dead) in zip(range(stop - start), steps):
+            block[:, k] = x
+        states = block[:, :stop - start]
+        mean[start:stop] = states.mean(axis=0)
+        if box is not None:
+            outside = np.zeros(states.shape[:2], dtype=bool)
+            for i, a, b in zip(box.indices, box.lower, box.upper):
+                coord = states[:, :, i]
+                outside |= (coord < a - tol) | (coord > b + tol)
+            new = outside.any(axis=1) & (first_bad == sentinel)
+            first_bad[new] = start + np.argmax(outside[new], axis=1)
+        states.sort(axis=0)  # in place: the block is refilled next
+        for key, rank in ranks.items():
+            quantiles[key][start:stop] = states[rank]
+        np.minimum(lo, states[0].min(axis=0), out=lo)
+        np.maximum(hi, states[-1].max(axis=0), out=hi)
     died = dead >= 0
     first_bad[died] = np.minimum(first_bad[died], dead[died])
     violating = first_bad < sentinel
@@ -183,21 +191,14 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     exits = tuple((int(p), float(times[first_bad[p]]))
                   for p in np.flatnonzero(violating))
     nonfinite = tuple((int(p), int(dead[p])) for p in np.flatnonzero(died))
-    mean = states.mean(axis=0)
-    order = np.sort(states, axis=0)
-    # copies: a row view would keep the whole sorted ensemble alive
-    quantiles = {
-        f"q{pct:02d}": order[_nearest_rank_index(pct, n_paths)].copy()
-        for pct in _QUANTILE_PCTS
-    }
     return EnsembleStats(
         n_paths=n_paths,
         n_violating=n_violating,
         violation_fraction=n_violating / n_paths,
         first_exit_times=exits,
         nonfinite_paths=nonfinite,
-        coord_min=tuple(float(v) for v in states.min(axis=(0, 1))),
-        coord_max=tuple(float(v) for v in states.max(axis=(0, 1))),
+        coord_min=tuple(float(v) for v in lo),
+        coord_max=tuple(float(v) for v in hi),
         mean=mean,
         quantiles=quantiles,
         grid_t0=cfg.grid.t0,
@@ -210,8 +211,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     )
 
 
-def compare_interpretations(sys: SdeSystem, cfg: SimConfig, n_paths: int,
-                            n_workers: int = 1) -> Array:
+def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
+                            n_paths: int) -> Array:
     """Endpoint gap between the Ito and Stratonovich readings of (f, g).
 
     Runs Euler-Maruyama on the Ito reading and Euler-Heun on the
@@ -219,14 +220,15 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     over paths of the per-coordinate endpoint difference, shape (m,).
     For state-independent diffusion the two readings agree and the gap is
     zero up to rounding; for multiplicative noise it grows with the
-    square of the noise amplitude.
+    square of the noise amplitude.  Only the endpoints are kept.
     """
-    ito_sys = replace(sys, interpretation=Interpretation.ITO)
-    strat_sys = replace(sys, interpretation=Interpretation.STRATONOVICH)
-    em_cfg = replace(cfg, scheme=Scheme.EULER_MARUYAMA, force_scheme=False)
-    heun_cfg = replace(cfg, scheme=Scheme.EULER_HEUN, force_scheme=False)
-    ids = range(n_paths)
-    em_states, _ = integrate_paths(ito_sys, em_cfg, ids, n_workers)
-    heun_states, _ = integrate_paths(strat_sys, heun_cfg, ids, n_workers)
-    gap = em_states[:, -1, :] - heun_states[:, -1, :]
+    endpoints = []
+    for interpretation, scheme in (
+            (Interpretation.ITO, Scheme.EULER_MARUYAMA),
+            (Interpretation.STRATONOVICH, Scheme.EULER_HEUN)):
+        reading = replace(sys, interpretation=interpretation)
+        for _, x, _ in _march_paths(reading, cfg, scheme, n_paths):
+            pass
+        endpoints.append(x)
+    gap = endpoints[0] - endpoints[1]
     return np.sqrt(np.mean(gap * gap, axis=0))

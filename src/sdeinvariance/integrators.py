@@ -28,8 +28,8 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,35 +79,33 @@ def resolve_scheme(sys: SdeSystem, cfg: SimConfig) -> Scheme:
     return cfg.scheme
 
 
-def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
-                    scheme: Scheme,
-                    increments_for: Callable[[int], Array],
-                    on_nonfinite: str = "raise"
-                    ) -> Tuple[Array, Array]:
-    """March a batch of paths in lockstep over the grid.
+def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
+          increments_for: Callable[[int], Array],
+          on_nonfinite: str = "raise"
+          ) -> Iterator[Tuple[int, Array, Array]]:
+    """Advance a batch of paths in lockstep, one grid step at a time.
 
     x0 has shape (n_paths, m); increments_for(n) must return the (n_paths,
-    r) Wiener increments of step n.  Returns (states, dead_step) where
-    states has shape (n_paths, n_steps + 1, m) and dead_step[p] is the
-    first step index at which path p produced a non-finite state (-1 if it
-    never did).  With on_nonfinite="freeze" a failed path keeps its last
-    finite state from there on; with "raise" the first failure aborts.
+    r) Wiener increments of step n.  Yields (n, x, dead) for every grid
+    index n, starting with (0, x0): x is the (n_paths, m) state at time n,
+    a fresh array each step, and dead[p] is the first step index at which
+    path p produced a non-finite state (-1 so far), updated in place.
+    With on_nonfinite="freeze" a failed path keeps its last finite state
+    from there on; with "raise" the first failure aborts.
     """
     if scheme is Scheme.AUTO:
-        raise UsageError("integrate_batch needs a concrete scheme")
-    x0 = np.asarray(x0, dtype=float)
-    n_paths, m = x0.shape
+        raise UsageError("integration needs a concrete scheme")
+    x = np.array(x0, dtype=float)
+    n_paths, m = x.shape
     times = grid.times()
     dt = grid.dt
-    states = np.empty((n_paths, grid.n_steps + 1, m))
-    states[:, 0] = x0
     dead = np.full(n_paths, -1, dtype=int)
     alive = np.ones(n_paths, dtype=bool)
-    x = x0.copy()
     heun = scheme is Scheme.EULER_HEUN
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(grid.n_steps):
-            t = times[n]
+    yield 0, x, dead
+    for n in range(grid.n_steps):
+        t = times[n]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = drift_batch(sys, t, x)
             euler = x + f * dt
             dw = increments_for(n)
@@ -119,29 +117,37 @@ def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
                 x_new = euler + np.einsum("pmr,pr->pm", gbar, dw)
             else:
                 x_new = euler + np.einsum("pmr,pr->pm", g0, dw)
-            bad = ~np.isfinite(x_new).all(axis=1) & alive
-            if bad.any():
-                if on_nonfinite == "raise":
-                    p = int(np.flatnonzero(bad)[0])
-                    raise IntegrationError(
-                        f"state became non-finite at step {n + 1} "
-                        f"(t={times[n + 1]:.6g})",
-                        step=n + 1, t=float(times[n + 1]), last_state=x[p])
-                dead[bad] = n + 1
-                alive &= ~bad
-            x_new[~alive] = x[~alive]
-            x = x_new
-            states[:, n + 1] = x
+        bad = ~np.isfinite(x_new).all(axis=1) & alive
+        if bad.any():
+            if on_nonfinite == "raise":
+                p = int(np.flatnonzero(bad)[0])
+                raise IntegrationError(
+                    f"state became non-finite at step {n + 1} "
+                    f"(t={times[n + 1]:.6g})",
+                    step=n + 1, t=float(times[n + 1]), last_state=x[p])
+            dead[bad] = n + 1
+            alive &= ~bad
+        x_new[~alive] = x[~alive]
+        x = x_new
+        yield n + 1, x, dead
+
+
+def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
+                    scheme: Scheme,
+                    increments_for: Callable[[int], Array],
+                    on_nonfinite: str = "raise"
+                    ) -> Tuple[Array, Array]:
+    """Collect every state of a march; returns (states, dead_step).
+
+    states has shape (n_paths, n_steps + 1, m) and dead_step is the final
+    dead array of march, whose arguments this takes.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    states = np.empty((x0.shape[0], grid.n_steps + 1) + x0.shape[1:])
+    for n, x, dead in march(sys, grid, x0, scheme, increments_for,
+                            on_nonfinite):
+        states[:, n] = x
     return states, dead
-
-
-def _single_path_increments(noise: WienerGrid) -> Callable[[int], Array]:
-    increments = noise.increments
-
-    def for_step(n: int) -> Array:
-        return increments[n][None, :]
-
-    return for_step
 
 
 def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
@@ -160,33 +166,23 @@ def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
             f"noise has {noise.r} components, system needs {sys.r}")
     scheme = resolve_scheme(sys, cfg)
     x0 = np.asarray(cfg.x0)[None, :]
+    increments = noise.increments
     states, _ = integrate_batch(sys, cfg.grid, x0, scheme,
-                                _single_path_increments(noise),
+                                lambda n: increments[n][None, :],
                                 on_nonfinite="raise")
     return Trajectory(cfg.grid, states[0], path_id=noise.path_id)
 
 
 def simulate_deterministic(sys: SdeSystem, cfg: SimConfig) -> Trajectory:
-    """Integrate the drift alone (g treated as zero) by forward Euler."""
-    if len(cfg.x0) != sys.m:
-        raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
-    grid = cfg.grid
-    times = grid.times()
-    dt = grid.dt
-    x = np.asarray(cfg.x0, dtype=float)[None, :]
-    states = np.empty((grid.n_steps + 1, sys.m))
-    states[0] = x[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(grid.n_steps):
-            x = x + drift_batch(sys, times[n], x) * dt
-            if not np.isfinite(x).all():
-                raise IntegrationError(
-                    f"state became non-finite at step {n + 1} "
-                    f"(t={times[n + 1]:.6g})",
-                    step=n + 1, t=float(times[n + 1]),
-                    last_state=states[n])
-            states[n + 1] = x[0]
-    return Trajectory(grid, states, path_id=0)
+    """Integrate the drift alone by forward Euler.
+
+    This is simulate by Euler-Maruyama with every Wiener increment zero,
+    so the diffusion drops out wherever it is finite.
+    """
+    noise = WienerGrid(seed=cfg.seed, path_id=0, grid=cfg.grid,
+                       increments=np.zeros((cfg.grid.n_steps, sys.r)))
+    return simulate(sys, replace(cfg, scheme=Scheme.EULER_MARUYAMA,
+                                 force_scheme=True), noise)
 
 
 def write_trajectory_csv(traj: Trajectory, target,

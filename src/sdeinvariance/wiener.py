@@ -2,9 +2,8 @@
 
 Every normal increment is addressed by the tuple (seed, path_id, step,
 component) and computed as a pure function of that tuple, so regeneration
-is bit-identical no matter how paths are batched, chunked across workers,
-or revisited later.  Distinct path ids therefore get disjoint streams by
-construction.
+is bit-identical no matter how paths are batched or revisited later.
+Distinct path ids therefore get disjoint streams by construction.
 
 The mapping is a chained 64-bit hash: each tuple element is folded in with
 an xor and passed through the splitmix64 finalizer (a bijective mixer with

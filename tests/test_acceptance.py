@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sdeinvariance.ensemble as ensemble
 from sdeinvariance import (CheckConfig, Interpretation, JacobianMode,
                            JacobianPolicy, MODEL_REGISTRY, Scheme, SdeSystem,
                            SimConfig, TimeGrid, Verdict, WienerGrid,
@@ -49,14 +50,13 @@ def announce(num, ok, detail):
     print(f"criterion {num}: {'pass' if ok else 'FAIL'} ({detail})")
 
 
-def timed_ensemble(model, interpretation, n_workers=1):
+def timed_ensemble(model, interpretation):
     system, info = build_model(model, sigma=0.5,
                                interpretation=interpretation)
     cfg = SimConfig(grid=ENSEMBLE_GRID, x0=tuple(info.x0),
                     seed=ENSEMBLE_SEED)
     start = time.perf_counter()
-    stats = run_ensemble(system, cfg, N_PATHS, info.box,
-                         n_workers=n_workers)
+    stats = run_ensemble(system, cfg, N_PATHS, info.box)
     return stats, time.perf_counter() - start
 
 
@@ -249,12 +249,14 @@ def test_criterion_7_ensemble_phenomenology(additive_run, logistic_ito_run,
     assert ok
 
 
-def test_criterion_8_worker_count_is_invisible_in_the_stats(additive_run):
-    serial, _ = additive_run
-    parallel, _ = timed_ensemble("hh-additive", Interpretation.ITO,
-                                 n_workers=8)
-    ok = serial.to_json() == parallel.to_json()
-    announce(8, ok, "1-worker and 8-worker stats JSON bitwise equal")
+def test_criterion_8_block_width_is_invisible_in_the_stats(additive_run,
+                                                           monkeypatch):
+    default, _ = additive_run
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 0)
+    one_step, _ = timed_ensemble("hh-additive", Interpretation.ITO)
+    ok = default.to_json() == one_step.to_json()
+    announce(8, ok, "default-block and 1-step-block stats JSON bitwise "
+             "equal")
     assert ok
 
 

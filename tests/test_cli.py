@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sdeinvariance
 from sdeinvariance.cli import main
 
 
@@ -91,6 +95,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    def test_module_entry_point_runs_main(self):
+        # python -m sdeinvariance.cli must run the CLI, not only import it
+        src = os.path.dirname(os.path.dirname(sdeinvariance.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "sdeinvariance.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+
+        helped = run("--help")
+        assert helped.returncode == 0
+        assert helped.stdout.startswith("usage: sdeinv")
+        unknown = run("frobnicate")
+        assert unknown.returncode == 1
+        assert unknown.stderr.startswith("error:")
 
 
 class TestSimulate:

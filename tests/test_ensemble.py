@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,22 +10,9 @@ from sdeinvariance import (Box, Interpretation, Scheme, SdeSystem,
                            SimConfig, TimeGrid, UsageError,
                            WienerGrid, build_model, compare_interpretations,
                            integrate_paths, run_ensemble, simulate)
-from sdeinvariance.ensemble import _chunk_ranges, _nearest_rank_index
+import sdeinvariance.ensemble as ensemble
+from sdeinvariance.ensemble import _nearest_rank_index
 from helpers import constant_drift_system, gbm_system
-
-
-class TestChunking:
-    def test_ranges_cover_exactly(self):
-        for n, w in ((10, 3), (7, 7), (5, 8), (1, 1), (100, 4)):
-            ranges = _chunk_ranges(n, w)
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == n
-            for (a, b), (c, d) in zip(ranges, ranges[1:]):
-                assert b == c
-                assert b > a
-
-    def test_worker_count_capped_by_paths(self):
-        assert len(_chunk_ranges(3, 16)) == 3
 
 
 class TestNearestRank:
@@ -121,24 +109,33 @@ class TestRunEnsemble:
 
 
 class TestDeterminism:
-    def test_stats_digest_with_exits_and_blow_ups(self):
+    ADDITIVE_64_SHA256 = (
+        "eaf4332c7857519c932784bfcacc84687a9cf2d15b443d61833b44a77fc53f59")
+
+    @staticmethod
+    def additive_64():
         # 64 paths: 10 leave the box and stay finite, 54 turn non-finite
         system, info = build_model("hh-additive", sigma=0.5)
         grid = TimeGrid(0.0, 30.0, 3000)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=3)
-        stats = run_ensemble(system, cfg, 64, info.box)
+        return run_ensemble(system, cfg, 64, info.box)
+
+    def test_stats_digest_with_exits_and_blow_ups(self):
+        stats = self.additive_64()
         assert stats.n_violating == 64
         assert len(stats.nonfinite_paths) == 54
-        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == (
-            "eaf4332c7857519c932784bfcacc84687a9cf2d15b443d61833b44a77fc53f59")
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == self.ADDITIVE_64_SHA256)
 
-    def test_worker_count_does_not_change_stats(self):
-        system, info = build_model("hh-additive", sigma=0.5)
-        grid = TimeGrid(0.0, 2.0, 200)
-        cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=3)
-        lone = run_ensemble(system, cfg, 25, info.box, n_workers=1)
-        pooled = run_ensemble(system, cfg, 25, info.box, n_workers=4)
-        assert lone.to_json() == pooled.to_json()
+    def test_block_width_does_not_change_stats(self, monkeypatch):
+        # one step per block, 7 steps (which do not divide the 3001 grid
+        # points), and the whole grid in one block
+        row = 8 * 64 * 4
+        for budget in (0, 7 * row, 3001 * row):
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", budget)
+            stats = self.additive_64()
+            assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                    == self.ADDITIVE_64_SHA256)
 
     def test_single_path_matches_simulate(self):
         system, info = build_model("hh-logistic", sigma=0.5)
@@ -166,6 +163,41 @@ class TestDeterminism:
         a = run_ensemble(system, cfg, 10, info.box)
         b = run_ensemble(system, cfg, 10, info.box)
         assert a.to_json() == b.to_json()
+
+
+class TestMemory:
+    # Doubling the grid may raise the traced peak only by about the
+    # (N+1, m) arrays a call returns, not by the P * N * m states.
+
+    @staticmethod
+    def peak_growth(call, n_steps):
+        system, info = build_model("hh-logistic", sigma=0.5)
+        peaks = []
+        for n in (n_steps, 2 * n_steps):
+            cfg = SimConfig(grid=TimeGrid(0.0, 0.01 * n, n),
+                            x0=tuple(info.x0))
+            tracemalloc.start()
+            try:
+                call(system, cfg, info.box)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    def test_run_ensemble_holds_one_block_of_states(self):
+        # at 200 paths, 800 steps already span more than one block
+        growth = self.peak_growth(
+            lambda system, cfg, box: run_ensemble(system, cfg, 200, box),
+            800)
+        outputs = 4 * 800 * 4 * 8  # growth of the mean and three quantiles
+        assert growth <= 2 * outputs
+
+    def test_compare_interpretations_keeps_only_endpoints(self):
+        growth = self.peak_growth(
+            lambda system, cfg, box: compare_interpretations(system, cfg,
+                                                             200),
+            100)
+        assert growth <= 4 * 100 * 4 * 8
 
 
 class TestStatisticalBehaviour:
