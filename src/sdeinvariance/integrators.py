@@ -143,7 +143,8 @@ def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
     dead array of march, whose arguments this takes.
     """
     x0 = np.asarray(x0, dtype=float)
-    states = np.empty((x0.shape[0], grid.n_steps + 1) + x0.shape[1:])
+    n_paths, m = x0.shape
+    states = np.empty((n_paths, grid.n_steps + 1, m))
     for n, x, dead in march(sys, grid, x0, scheme, increments_for,
                             on_nonfinite):
         states[:, n] = x

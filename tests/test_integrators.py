@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sdeinvariance import (IntegrationError, Interpretation, Scheme,
                            simulate_deterministic, stratonovich_to_ito,
                            trajectory_csv_text, write_trajectory_csv)
 from sdeinvariance.conversion import JacobianMode, JacobianPolicy
-from sdeinvariance.integrators import integrate_batch, resolve_scheme
+from sdeinvariance.integrators import integrate_batch, march, resolve_scheme
 from sdeinvariance.wiener import increments_for_step
 from helpers import gbm_exact_ito, gbm_exact_strat, gbm_system
 
@@ -259,6 +260,21 @@ class TestFailureHandling:
                                    Scheme.EULER_MARUYAMA,
                                    zero_increments(1, 1))
         assert np.array_equal(states[0], alone[0])
+
+    def test_march_scopes_error_state_to_each_step(self):
+        # the blow-up overflows inside the steps, yet the caller's
+        # floating-point error settings hold while march is suspended
+        grid = TimeGrid(0.0, 10.0, 100)
+        callers = np.geterr()
+        steps = march(self.cubic(), grid, np.array([[10.0]]),
+                      Scheme.EULER_MARUYAMA, zero_increments(1, 1),
+                      on_nonfinite="freeze")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, x, dead in steps:
+                assert np.geterr() == callers
+        assert n == grid.n_steps
+        assert dead[0] >= 1
 
     def test_deterministic_blow_up(self):
         grid = TimeGrid(0.0, 10.0, 100)
