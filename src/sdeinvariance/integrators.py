@@ -101,6 +101,7 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     dt = grid.dt
     dead = np.full(n_paths, -1, dtype=int)
     alive = np.ones(n_paths, dtype=bool)
+    any_dead = False
     heun = scheme is Scheme.EULER_HEUN
     yield 0, x, dead
     for n in range(grid.n_steps):
@@ -127,7 +128,9 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
                     step=n + 1, t=float(times[n + 1]), last_state=x[p])
             dead[bad] = n + 1
             alive &= ~bad
-        x_new[~alive] = x[~alive]
+            any_dead = True
+        if any_dead:  # freeze; skipped while every path is alive
+            x_new[~alive] = x[~alive]
         x = x_new
         yield n + 1, x, dead
 
