@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -282,6 +283,79 @@ class TestConfigAndEnvironment:
                                  "--t-end", "0.1", "--n-paths", "2")
         assert code == 1
         assert "SDE_SEED" in err
+
+
+def _as_flags(options):
+    """The flags that say what a config object says: --long-name value."""
+    argv = []
+    for key, value in options.items():
+        argv.append("--" + key.replace("_", "-"))
+        argv.append(json.dumps(value) if isinstance(value, dict)
+                    else str(value))
+    return argv
+
+
+PINNED_BOX = {"indices": [0, 1, 2], "lower": [0.051, 0.05, 0.05],
+              "upper": [0.95, 0.95, 0.95]}
+
+# (subcommand, options, files written, sha256 of stdout and each file)
+PINNED_RUNS = {
+    "check": (
+        "check", {"model": "hh-logistic", "samples": 128, "time_samples": 4},
+        (),
+        {"stdout": "9de1909bde823ee99e87c98ae2127351"
+                   "fb7d25c1dcffce7a29adaf075eafbada"}),
+    "simulate": (
+        "simulate", {"model": "hh-additive", "sigma": 0.2, "t_end": 0.5,
+                     "seed": 9, "out": "path.csv", "plot": "run"},
+        ("path.csv", "run-gating.svg", "run-voltage.svg"),
+        {"stdout": hashlib.sha256(b"").hexdigest(),
+         "path.csv": "12e735ca713f320a727cfa199cae0324"
+                     "8102b56ad7cf49498aa596bc5e66812a",
+         "run-gating.svg": "c5b224cd39ac605d9965290b9639d194"
+                           "37dfcd9dc6dac561bb5ff63fba13a472",
+         "run-voltage.svg": "49af3af43d77ec0193ade7b2ef7ee870"
+                            "de9568766d96bd1e6e48e769c3ba5b4a"}),
+    "ensemble": (
+        "ensemble", {"model": "hh-logistic", "sigma": 0.3,
+                     "interpretation": "both", "t_end": 0.5, "n_paths": 4,
+                     "seed": 3, "box": PINNED_BOX, "tol": 0.001},
+        (),
+        {"stdout": "6d096dc685c28c4630801645769e0392"
+                   "64e681159866dfb819a425374cc472f7"}),
+    "convert": (
+        "convert", {"model": "hh-additive", "samples": 128,
+                    "time_samples": 4, "out": "conv.json"},
+        ("conv.json",),
+        {"stdout": "51ea186d94e1641834bf0cb4739f28f2"
+                   "355587b4964950dd7f866adfed08314e",
+         "conv.json": "4370d7c03e7fb1d89c7379d6d0186852"
+                      "9b80c5ce0deed0b8a26eb3de488b90b8"}),
+}
+
+
+class TestPinnedBytes:
+    """Each subcommand's output bytes, reached through flags and through
+    an equivalent config file."""
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+    def test_output_digests(self, capsys, tmp_path, monkeypatch, run,
+                            source):
+        command, options, files, digests = PINNED_RUNS[run]
+        monkeypatch.chdir(tmp_path)
+        if source == "flags":
+            argv = [command, *_as_flags(options)]
+        else:
+            (tmp_path / "run.json").write_text(json.dumps(options))
+            argv = [command, "--config", "run.json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        for name in files:
+            got[name] = hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest()
+        assert got == digests
 
 
 PLUGIN_SOURCE = '''\
