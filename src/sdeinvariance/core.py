@@ -421,11 +421,17 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class ModelInfo:
-    """Bundled defaults for a named model: region, start state, horizon."""
+    """Bundled defaults for a named model: region, start state, horizon.
+
+    ``panels`` names the charts a plotted path is split into, as
+    ``(suffix, coordinate indices)`` pairs; left empty, it becomes one
+    ``"state"`` chart over every coordinate.
+    """
 
     box: Optional[Box]
     x0: Array
     horizon: float
+    panels: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float).copy()
@@ -433,3 +439,10 @@ class ModelInfo:
         object.__setattr__(self, "x0", x0)
         if not self.horizon > 0:
             raise UsageError("model horizon must be positive")
+        panels = tuple((str(name), tuple(int(i) for i in cols))
+                       for name, cols in self.panels)
+        panels = panels or (("state", tuple(range(x0.size))),)
+        if any(not cols or not all(0 <= i < x0.size for i in cols)
+               for _, cols in panels):
+            raise UsageError("each panel needs coordinates of x0")
+        object.__setattr__(self, "panels", panels)

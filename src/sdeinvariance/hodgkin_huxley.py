@@ -286,10 +286,12 @@ def hh_metadata() -> ModelInfo:
 
     The region is the unit box on the three gating coordinates; the voltage
     is left free.  The start state holds the gates at their equilibria for
-    V = -60 mV, and the default horizon is 100 ms.
+    V = -60 mV, and the default horizon is 100 ms.  Plots chart the gates
+    and the voltage apart, since their scales differ a hundredfold.
     """
     return ModelInfo(box=Box.unit((0, 1, 2)), x0=resting_state(-60.0),
-                     horizon=100.0)
+                     horizon=100.0,
+                     panels=(("gating", (0, 1, 2)), ("voltage", (3,))))
 
 
 def _build_det(params: Optional[HHParams], sigma,

@@ -92,6 +92,22 @@ class TestErrors:
         assert code == 1
         assert "not both" in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (("check", "--model", "hh-logistic", "--sigma", "abc"), None),
+        (("check", "--model", "hh-logistic", "--box",
+          '{"indices": [0], "lower": ["a"], "upper": [1]}'), None),
+        (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
+    ])
+    def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
+                                               config):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -276,6 +292,42 @@ class TestConfigAndEnvironment:
                                  "--seed", "7")
         assert json.loads(out)["seed"] == 7
 
+    @pytest.mark.parametrize("config, flags, expected", [
+        ({"seed": 5}, (), {"seed": 5}),  # the config seed beats SDE_SEED
+        ({"seed": 5}, ("--seed", "7"), {"seed": 7}),
+        ({"n_paths": 3}, ("--n-paths", "2"), {"n_paths": 2}),
+        ({"n_paths": 2.0}, (), {"n_paths": 2}),  # an integral JSON float
+    ])
+    def test_precedence_flag_config_env(self, capsys, tmp_path, monkeypatch,
+                                        config, flags, expected):
+        monkeypatch.setenv("SDE_SEED", "123")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "hh-logistic", "sigma": 0.2,
+                                   "t_end": 0.1, "n_paths": 4, **config}))
+        code, out, err = run_cli(capsys, "ensemble", "--config", str(cfg),
+                                 *flags)
+        assert code == 0, err
+        stats = json.loads(out)
+        assert {key: stats[key] for key in expected} == expected
+
+    def test_one_file_serves_every_command(self, capsys, tmp_path):
+        # every accepted key; those of other subcommands, such as n_paths
+        # and dump_paths, are accepted by check and ignored
+        keys = ("model", "sigma", "interpretation", "scheme", "force_scheme",
+                "seed", "t0", "t_end", "n_steps", "dt", "n_paths", "tol",
+                "box", "out", "plot", "path_id", "samples", "time_samples",
+                "t_max_check", "eps_drift", "eps_diff", "sampler_seed",
+                "dump_paths")
+        config = dict.fromkeys(keys)
+        config.update(model="hh-logistic", samples=128, time_samples=4,
+                      n_paths=5, dump_paths=str(tmp_path / "unused"))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "check", "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads(out)["config_echo"]["n_face_samples"] == 128
+        assert not (tmp_path / "unused").exists()
+
     def test_unparseable_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDE_SEED", "lots")
         code, out, err = run_cli(capsys, "ensemble", "--model",
@@ -377,6 +429,19 @@ def build(sigma=None, interpretation=None):
 '''
 
 
+# four coordinates and a box on the first three, as the HH models have
+GATES_PLUGIN_SOURCE = '''\
+from sdeinvariance import Box, ModelInfo, SdeSystem
+
+
+def build(sigma=None, interpretation=None):
+    system = SdeSystem(m=4, r=0, drift=lambda t, x: [-v for v in x],
+                       diffusion=lambda t, x: [[]] * 4, name="decay")
+    info = ModelInfo(box=Box.unit((0, 1, 2)), x0=(0.5,) * 4, horizon=1.0)
+    return system, info
+'''
+
+
 COUNTING_PREFIX = '''\
 import pathlib
 
@@ -405,6 +470,15 @@ class TestPluginModels:
         lines = out.strip().split("\n")
         assert lines[0] == "t,x_1"
         assert len(lines) == 6
+
+    def test_plot_of_a_plugin_is_one_state_panel(self, capsys, tmp_path):
+        path = tmp_path / "gates_model.py"
+        path.write_text(GATES_PLUGIN_SOURCE)
+        code, out, err = run_cli(capsys, "simulate", "--model", str(path),
+                                 "--dt", "0.25", "--plot",
+                                 str(tmp_path / "run"))
+        assert code == 0, err
+        assert [p.name for p in tmp_path.glob("run-*")] == ["run-state.svg"]
 
     @pytest.mark.parametrize("argv", [
         ("check", *QUICK_CHECK),

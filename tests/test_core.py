@@ -250,3 +250,9 @@ class TestModelInfo:
             info.x0[0] = 0.0
         with pytest.raises(UsageError):
             ModelInfo(box=None, x0=[0.0], horizon=0.0)
+
+    def test_panels_default_to_one_state_chart(self):
+        info = ModelInfo(box=None, x0=[1.0, 2.0], horizon=3.0)
+        assert info.panels == (("state", (0, 1)),)
+        with pytest.raises(UsageError):
+            ModelInfo(box=None, x0=[1.0], horizon=1.0, panels=(("v", (1,)),))
