@@ -484,6 +484,28 @@ def _mixed_diffusion(t, x):
     return np.array([[x[1] if x[1] > 0.9 else 0.0], [0.0]])
 
 
+def _away_from_centroid(t, x):
+    return np.asarray(x, dtype=float) - np.array([1.0 / 3.0, 1.0 / 3.0])
+
+
+def _skewed_drift(t, x):
+    return np.asarray(x, dtype=float) - np.array([0.2, 0.15, 0.25])
+
+
+def _skewed_diffusion(t, x):
+    x = np.asarray(x, dtype=float)
+    return 0.1 * x[..., [1, 2, 0], None]
+
+
+def skewed_tetrahedron() -> Polyhedron:
+    return Polyhedron((
+        Halfspace((0.0, 0.0, 0.0), (1.0, 0.2, 0.1)),
+        Halfspace((0.0, 0.0, 0.0), (0.3, 1.0, -0.2)),
+        Halfspace((0.0, 0.0, 0.0), (-0.1, 0.4, 1.0)),
+        Halfspace((1.0, 1.0, 1.0), (-1.0, -0.7, -0.9)),
+    ))
+
+
 class TestPinnedReports:
     """sha256 of CheckReport.to_json() for each checker, pinned.
 
@@ -491,6 +513,11 @@ class TestPinnedReports:
     diffusion witnesses on the mixed box faces, and across several times
     on the mixed polyhedron.  The mixed system is not vectorized, so its
     rows go through the loop fallback of the batch evaluator.
+
+    The triangle, the skewed tetrahedron and the interval have normals
+    off the coordinate axes (or a face with no tangent space), and every
+    one of their sampled points is a witness, so their digests pin each
+    hit-and-run point bit for bit, not just the verdicts.
     """
 
     DIGESTS = {
@@ -504,6 +531,12 @@ class TestPinnedReports:
                                   "eea970d2121e92e4ccf8ee11ee1b1b09",
         "polyhedron-mixed": "27c295007f018152e62778ed25fadcb5"
                             "677ff3cf58afce0a27b67719a6f7e75e",
+        "polyhedron-triangle": "d04ec22a73a6d254976713c5f444727f"
+                               "f2c5dd96ba222c22f186e0270061765b",
+        "polyhedron-skewed-3d": "c7181a90e6dfa821cd9e88707a9892bc"
+                                "35a46dd131f32d30b3baa4304c6e0f9a",
+        "polyhedron-interval": "76310952237daba299ce89d81ef8a474"
+                               "547203be0faf916bbfdf61c445a39093",
     }
 
     def reports(self):
@@ -511,9 +544,16 @@ class TestPinnedReports:
                            max_witnesses_per_face=3)
         cap5 = CheckConfig(n_face_samples=32, n_time_samples=3,
                            max_witnesses_per_face=5)
+        every_point = CheckConfig(n_face_samples=32, n_time_samples=1,
+                                  max_witnesses_per_face=32)
         mixed = SdeSystem(m=2, r=1, drift=_mixed_drift,
                           diffusion=_mixed_diffusion,
                           coord_ranges=((0.0, 1.0), (0.0, 1.0)))
+        skewed = SdeSystem(m=3, r=1, drift=_skewed_drift,
+                           diffusion=_skewed_diffusion, vectorized=True,
+                           coord_ranges=((-1.0, 2.0),) * 3)
+        interval = Polyhedron((Halfspace((-1.0,), (1.0,)),
+                               Halfspace((2.0,), (-1.0,))))
         additive, info = build_model("hh-additive", sigma=0.5)
         logistic, _ = build_model("hh-logistic", sigma=0.5)
         return {
@@ -525,6 +565,13 @@ class TestPinnedReports:
                 additive, info.box.as_polyhedron(4), cap3),
             "polyhedron-mixed": check_polyhedron(
                 mixed, Box.unit((0,)).as_polyhedron(2), cap5),
+            "polyhedron-triangle": check_polyhedron(
+                drift_only(2, _away_from_centroid), triangle(), every_point),
+            "polyhedron-skewed-3d": check_polyhedron(
+                skewed, skewed_tetrahedron(), every_point),
+            "polyhedron-interval": check_polyhedron(
+                drift_only(1, lambda t, x: np.asarray(x, dtype=float)),
+                interval, every_point),
         }
 
     def test_report_json_digests(self):
