@@ -380,25 +380,25 @@ def _face_margins(x: Array, anchors: Array, normals: Array) -> Array:
 
 def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
                    cfg: CheckConfig) -> Array:
-    """Best strictly-interior point from deterministic candidates."""
+    """Best strictly-interior point from deterministic candidates.
+
+    The pick is the first candidate with the largest minimum face margin;
+    a NaN margin never wins.
+    """
     m = lo.size
-    candidates = [np.clip(anchors.mean(axis=0), lo, hi), 0.5 * (lo + hi)]
     eng = qmc.Halton(d=m, scramble=True, seed=_child_rng(cfg, 3))
-    u = eng.random(_INTERIOR_BUDGET)
-    sampled = lo + u * (hi - lo)
-    best = None
-    best_margin = -math.inf
-    for cand in candidates + list(sampled):
-        margin = float(_face_margins(np.asarray(cand), anchors,
-                                     normals).min())
-        if margin > best_margin:
-            best_margin = margin
-            best = np.asarray(cand, dtype=float)
-    if best is None or best_margin <= 0.0:
+    cands = np.vstack([np.clip(anchors.mean(axis=0), lo, hi),
+                       0.5 * (lo + hi),
+                       lo + eng.random(_INTERIOR_BUDGET) * (hi - lo)])
+    worst = np.einsum("kfm,fm->kf", cands[:, None] - anchors,
+                      normals).min(axis=1)
+    worst[np.isnan(worst)] = -math.inf
+    k = int(np.argmax(worst))
+    if not worst[k] > 0.0:
         raise UsageError(
             "could not find a strictly interior point of the polyhedron "
             "within the sampling window; pass interior_point= explicitly")
-    return best
+    return cands[k].copy()
 
 
 def _first_hit(x0: Array, d: Array, anchors: Array, normals: Array,
@@ -445,52 +445,88 @@ def _face_anchor(x0: Array, anchors: Array, normals: Array, lo: Array,
     return None
 
 
-def _hit_and_run(q0: Array, anchors: Array, normals: Array, lo: Array,
-                 hi: Array, target: int, n: int,
-                 rng: np.random.Generator) -> Array:
-    """Sample n points on {<x - a, n> = 0} cap K cap window via a
-    hit-and-run walk in the face's tangent space."""
-    m = q0.size
-    nrm = normals[target]
-    pts = np.empty((n, m))
-    q = q0.copy()
-    for it in range(n):
-        direction = None
-        for _ in range(8):
-            d = rng.standard_normal(m)
-            d = d - (d @ nrm) * nrm
-            dn = np.linalg.norm(d)
-            if dn > 1e-12:
-                direction = d / dn
-                break
-        if direction is not None:
-            margins = _face_margins(q, anchors, normals)
-            rate = normals @ direction
-            s_lo, s_hi = -math.inf, math.inf
-            for nu in range(anchors.shape[0]):
-                if nu == target:
-                    continue
-                if rate[nu] > 1e-14:
-                    s_lo = max(s_lo, -margins[nu] / rate[nu])
-                elif rate[nu] < -1e-14:
-                    s_hi = min(s_hi, margins[nu] / -rate[nu])
-            for j in range(m):
-                if direction[j] > 1e-14:
-                    s_hi = min(s_hi, (hi[j] - q[j]) / direction[j])
-                    s_lo = max(s_lo, (lo[j] - q[j]) / direction[j])
-                elif direction[j] < -1e-14:
-                    s_hi = min(s_hi, (lo[j] - q[j]) / direction[j])
-                    s_lo = max(s_lo, (hi[j] - q[j]) / direction[j])
-            if not math.isfinite(s_lo):
-                s_lo = 0.0
-            if not math.isfinite(s_hi):
-                s_hi = 0.0
-            s_lo = min(s_lo, 0.0)
-            s_hi = max(s_hi, 0.0)
-            step = s_lo + rng.random() * (s_hi - s_lo)
-            q = q + step * direction
-            q = q - _face_margins(q, anchors, normals)[target] * nrm
-        pts[it] = q
+def _tangent_directions(nrm: Array, rngs: Sequence[np.random.Generator]
+                        ) -> Tuple[Array, Array]:
+    """One unit direction per chain in the tangent space of its normal.
+
+    Chain c draws standard normals from rngs[c] until the part of the draw
+    orthogonal to nrm[c] is not tiny, at most 8 times; found[c] says
+    whether it succeeded.  The stacked matmuls give each chain the bits of
+    its own dot products.
+    """
+    d = np.empty_like(nrm)
+    todo = range(len(rngs))
+    for _ in range(8):
+        for c in todo:
+            rngs[c].standard_normal(out=d[c])
+        t = d - np.matmul(d[:, None], nrm[:, :, None])[:, 0] * nrm
+        dn = np.sqrt(np.matmul(t[:, None], t[:, :, None])[:, 0])
+        found = dn[:, 0] > 1e-12
+        if found.all():
+            break
+        todo = np.flatnonzero(~found)
+    return t / dn, found
+
+
+def _walk_faces(starts: Array, targets: Array, anchors: Array,
+                normals: Array, lo: Array, hi: Array, n: int,
+                rngs: Sequence[np.random.Generator]) -> Array:
+    """Hit-and-run walks on several faces at once, shape (chains, n, m).
+
+    Chain c starts at starts[c] on face targets[c] and samples n points on
+    {<x - a, n> = 0} cap K cap window: each step moves along a random
+    tangent direction to a uniform point of the chord that the other
+    faces and the window leave.  It draws from rngs[c] only, in the order
+    a walk of its face alone would, so no chain's points depend on
+    another's.
+    """
+    n_chains, m = starts.shape
+    pts = np.empty((n_chains, n, m))
+    if m == 1 or not n_chains:
+        # a point face has no tangent directions: the walk never moves
+        pts[:] = starts[:, None]
+        return pts
+    n_faces = anchors.shape[0]
+    chains = np.arange(n_chains)
+    nrm = normals[targets]
+    # The step s is limited by every other face, then by the window's
+    # upper and lower bound on each coordinate, whose margins grow at rates
+    # -d_j and d_j along the direction d.  A limit whose margin grows with
+    # s bounds s from below, one whose margin shrinks bounds it from above.
+    # Row 0 of the candidates holds the lower limits, row 1 the negated
+    # upper ones, so one argmax takes the first largest lower and the first
+    # smallest upper limit, in the order a scalar scan would meet them.
+    coord = np.repeat(np.arange(m), 2)
+    bounds = np.column_stack((hi, lo)).ravel()
+    rate_sign = np.ones((2, n_chains, n_faces + 2 * m))
+    rate_sign[:, chains, targets] = 0.0  # the own face never limits
+    rate_sign[:, :, n_faces::2] = -1.0  # the upper bounds
+    rate_sign[1] *= -1.0
+    limit_sign = np.array([1.0, -1.0])[:, None, None]
+    rows = np.arange(2)[:, None]
+    no_room = np.array([[0.0], [-0.0]])  # s_lo = s_hi = +0.0
+    q = starts.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(n):
+            direction, found = _tangent_directions(nrm, rngs)
+            u = np.array([rng.random() if ok else 0.0
+                          for rng, ok in zip(rngs, found)])
+            margins = np.einsum("cfm,fm->cf", q[:, None] - anchors, normals)
+            rate = np.matmul(normals[None], direction[:, :, None])[..., 0]
+            d_coord = direction[:, coord]
+            limit = np.concatenate((-margins / rate,
+                                    (bounds - q[:, coord]) / d_coord), 1)
+            rate = np.concatenate((rate, d_coord), 1) * rate_sign
+            cand = np.where(rate > 1e-14, limit * limit_sign, -math.inf)
+            ext = cand[rows, chains, cand.argmax(axis=2)]
+            ext = np.where((ext <= 0.0) & (ext > -math.inf), ext, no_room)
+            s_lo, s_hi = ext[0], -ext[1]
+            moved = q + (s_lo + u * (s_hi - s_lo))[:, None] * direction
+            # snap back onto each chain's own hyperplane
+            snap = np.einsum("cfm,fm->cf", moved[:, None] - anchors,
+                             normals)[chains, targets]
+            q = np.where(found[:, None], moved - snap[:, None] * nrm, q)
+            pts[:, it] = q
     return pts
 
 
@@ -503,8 +539,11 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     hyperplane that also satisfy the remaining constraints.  It finds a
     strictly interior point (sampled deterministically, or supplied via
     interior_point), walks it onto each face, then explores the face with
-    a seeded hit-and-run walk confined to the plausibility window.  On
-    the sampled points it requires <f, n> >= -eps_drift and
+    a seeded hit-and-run walk confined to the plausibility window.  Each
+    face's walk draws from its own stream, keyed by (sampler_seed, 4,
+    face); all faces walk together but never share a draw, so a face's
+    points do not depend on the other faces being reachable.  On the
+    sampled points it requires <f, n> >= -eps_drift and
     |<g_j, n>| <= eps_diff per noise column, with unit-normalized n.
 
     A face that cannot be reached inside the window contributes no
@@ -527,15 +566,24 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
             raise UsageError("interior_point is not strictly interior")
     else:
         x0 = _find_interior(anchors, normals, lo, hi, cfg)
-    faces = []
+    reached, starts, rngs = [], [], []
     for nu in range(anchors.shape[0]):
         rng = _child_rng(cfg, 4, nu)
         q0 = _face_anchor(x0, anchors, normals, lo, hi, nu, rng)
-        if q0 is None:
+        if q0 is not None:
+            reached.append(nu)
+            starts.append(q0)
+            rngs.append(rng)
+    walks = _walk_faces(np.reshape(starts, (len(reached), sys.m)),
+                        np.array(reached, dtype=int), anchors, normals, lo,
+                        hi, cfg.n_face_samples, rngs)
+    walked = dict(zip(reached, walks))
+    faces = []
+    for nu in range(anchors.shape[0]):
+        if nu not in walked:
             faces.append(FaceReport(nu, "hyperplane", 0, None, None, ()))
             continue
-        pts = _hit_and_run(q0, anchors, normals, lo, hi, nu,
-                           cfg.n_face_samples, rng)
+        pts = walked[nu]
 
         def evaluate(t):
             f_n = drift_batch(sys, t, pts) @ normals[nu]

@@ -12,6 +12,7 @@ from sdeinvariance import (Box, CheckConfig, Halfspace, Interpretation,
                            build_model, check_box, check_comparison,
                            check_polyhedron, check_positivity, eval_diffusion,
                            eval_drift)
+from sdeinvariance import invariance as inv
 from helpers import constant_drift_system
 
 QUICK = CheckConfig(n_face_samples=256, n_time_samples=4)
@@ -202,6 +203,33 @@ class TestMonotoneSampling:
         r_large = check_box(system, info.box, large)
         for f_small, f_large in zip(r_small.faces, r_large.faces):
             assert f_large.min_drift_margin <= f_small.min_drift_margin
+
+
+    @pytest.mark.parametrize("checker", ["box", "comparison", "polyhedron"])
+    def test_witnesses_at_a_smaller_budget_are_a_prefix(self, checker):
+        # one check time and no witness cap, so each face lists every
+        # failing sample point in sample order
+        small, large = (
+            _budget_report(checker, CheckConfig(
+                n_face_samples=n, n_time_samples=1,
+                max_witnesses_per_face=10 ** 6))
+            for n in (64, 128))
+        for f_small, f_large in zip(small.faces, large.faces, strict=True):
+            n_small = len(f_small.witnesses)
+            assert 0 < n_small < len(f_large.witnesses)
+            assert f_large.witnesses[:n_small] == f_small.witnesses
+            assert f_large.min_drift_margin <= f_small.min_drift_margin
+
+
+def _budget_report(checker, cfg):
+    if checker == "box":
+        system, info = build_model("hh-additive", sigma=0.5)
+        return check_box(system, info.box, cfg)
+    if checker == "comparison":
+        system, _ = build_model("hh-logistic", sigma=0.5)
+        return check_comparison(system, system, (0, 1, 2), cfg)
+    return check_polyhedron(drift_only(2, _away_from_centroid), triangle(),
+                            cfg)
 
 
 class TestPositivity:
@@ -439,6 +467,98 @@ class TestPolyhedron:
         report = check_polyhedron(sys1, Polyhedron(()), QUICK)
         assert report.verdict is Verdict.SATISFIED
         assert report.faces == ()
+
+
+def _one_face_walk(q0, anchors, normals, lo, hi, target, n, rng):
+    """Scalar hit-and-run on one face: the reference for _walk_faces."""
+    m = q0.size
+    nrm = normals[target]
+    pts = np.empty((n, m))
+    q = q0.copy()
+    for it in range(n):
+        direction = None
+        for _ in range(8):
+            d = rng.standard_normal(m)
+            d = d - (d @ nrm) * nrm
+            dn = np.linalg.norm(d)
+            if dn > 1e-12:
+                direction = d / dn
+                break
+        if direction is not None:
+            margins = np.einsum("fm,fm->f", q[None, :] - anchors, normals)
+            rate = normals @ direction
+            s_lo, s_hi = -math.inf, math.inf
+            for nu in range(anchors.shape[0]):
+                if nu == target:
+                    continue
+                if rate[nu] > 1e-14:
+                    s_lo = max(s_lo, -margins[nu] / rate[nu])
+                elif rate[nu] < -1e-14:
+                    s_hi = min(s_hi, margins[nu] / -rate[nu])
+            for j in range(m):
+                if direction[j] > 1e-14:
+                    s_hi = min(s_hi, (hi[j] - q[j]) / direction[j])
+                    s_lo = max(s_lo, (lo[j] - q[j]) / direction[j])
+                elif direction[j] < -1e-14:
+                    s_hi = min(s_hi, (lo[j] - q[j]) / direction[j])
+                    s_lo = max(s_lo, (hi[j] - q[j]) / direction[j])
+            s_lo = min(s_lo if math.isfinite(s_lo) else 0.0, 0.0)
+            s_hi = max(s_hi if math.isfinite(s_hi) else 0.0, 0.0)
+            q = q + (s_lo + rng.random() * (s_hi - s_lo)) * direction
+            q = q - np.einsum("fm,fm->f", q[None, :] - anchors,
+                              normals)[target] * nrm
+        pts[it] = q
+    return pts
+
+
+class TestLockstepWalk:
+    """All faces walk at once, each bit for bit as if walked alone."""
+
+    @staticmethod
+    def region(seed):
+        g = np.random.default_rng(seed)
+        n_faces, m = int(g.integers(2, 8)), int(g.integers(2, 6))
+        normals = g.standard_normal((n_faces, m))
+        if seed % 3 == 0:  # some exactly zero components
+            normals[g.random((n_faces, m)) < 0.4] = 0.0
+            normals[~normals.any(axis=1), 0] = 1.0
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        anchors = -g.uniform(0.2, 2.0, (n_faces, 1)) * normals
+        lo, hi = np.full(m, -3.0), np.full(m, 3.0)
+        return anchors, normals, lo, hi
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_one_face_at_a_time(self, seed):
+        anchors, normals, lo, hi = self.region(seed)
+        cfg = CheckConfig(n_face_samples=50, sampler_seed=seed)
+        x0 = inv._find_interior(anchors, normals, lo, hi, cfg)
+
+        def anchored(nu):
+            rng = inv._child_rng(cfg, 4, nu)
+            return inv._face_anchor(x0, anchors, normals, lo, hi, nu,
+                                    rng), rng
+
+        faces = [(nu, *anchored(nu)) for nu in range(anchors.shape[0])]
+        faces = [face for face in faces if face[1] is not None]
+        assert faces
+        walks = inv._walk_faces(np.array([q0 for _, q0, _ in faces]),
+                                np.array([nu for nu, _, _ in faces]),
+                                anchors, normals, lo, hi, 50,
+                                [rng for _, _, rng in faces])
+        for walk, (nu, q0, _) in zip(walks, faces):
+            expected = _one_face_walk(q0, anchors, normals, lo, hi, nu, 50,
+                                      anchored(nu)[1])
+            assert walk.tobytes() == expected.tobytes()
+
+    def test_point_faces_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        walks = inv._walk_faces(np.array([[2.0]]), np.array([1]),
+                                np.array([[-1.0], [2.0]]),
+                                np.array([[1.0], [-1.0]]), np.array([-5.0]),
+                                np.array([5.0]), 7, [rng])
+        assert walks.tolist() == [[[2.0]] * 7]
+        assert rng.bit_generator.state == before
 
 
 class TestReportSerialization:
