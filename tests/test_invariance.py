@@ -204,7 +204,6 @@ class TestMonotoneSampling:
         for f_small, f_large in zip(r_small.faces, r_large.faces):
             assert f_large.min_drift_margin <= f_small.min_drift_margin
 
-
     @pytest.mark.parametrize("checker", ["box", "comparison", "polyhedron"])
     def test_witnesses_at_a_smaller_budget_are_a_prefix(self, checker):
         # one check time and no witness cap, so each face lists every
