@@ -410,6 +410,74 @@ class TestPinnedBytes:
         assert got == digests
 
 
+# (ensemble options, sha256 of each file --dump-paths writes); the
+# additive run has non-finite paths, which the files hold frozen
+PINNED_DUMPS = {
+    "additive-blow-ups": (
+        ("--model", "hh-additive", "--n-paths", "5"),
+        {"hh-additive-ito-00000.csv": "bd3db6225ffa86b33e9b70cc9dbddae3"
+                                      "0bd17e09ea5d24987233c450a8e4b8e5",
+         "hh-additive-ito-00001.csv": "73d4176f7bd69169c8d5144dfacc19a8"
+                                      "644cd7acef2ea299c49c1c971ffc639f",
+         "hh-additive-ito-00002.csv": "4d17cb59e1234399cf431276355143c1"
+                                      "695ad24bc139fce9bab5a70061f3373a",
+         "hh-additive-ito-00003.csv": "05d3981f75fc261afcb0444475f5b808"
+                                      "a7742b9260c6a6e7e6c13842a98e98c7",
+         "hh-additive-ito-00004.csv": "245749e9a42f7fcdb99b7d13f98354ce"
+                                      "c86377ce47fac63310e516f6c5148d85"}),
+    "logistic-both": (
+        ("--model", "hh-logistic", "--sigma", "0.3", "--interpretation",
+         "both", "--t-end", "0.5", "--n-paths", "5", "--seed", "3"),
+        {"hh-logistic-ito-00000.csv": "e70665a7ce6f278e8387d5a02ca44702"
+                                      "d4124ca951e15e213f9ac9e2f40b3f09",
+         "hh-logistic-ito-00001.csv": "07e2f71fe69a0653bbd708d1996910c9"
+                                      "a6b8d0f9545c47535e928ec750cce80a",
+         "hh-logistic-ito-00002.csv": "edc1548b2835b1cb92c0a8fa6c15f8c1"
+                                      "e57b8efb2b0dc06013923f24e8010f09",
+         "hh-logistic-ito-00003.csv": "6609c9edd80e361f1e5b9368d2a9be1c"
+                                      "64fb7b1fc4215f9b6e7ab17db7063b35",
+         "hh-logistic-ito-00004.csv": "11be7234031e088d0af88b9c17b9788c"
+                                      "52f758c2e6a44d6d94f9d3bcfc0a8e3a",
+         "hh-logistic-stratonovich-00000.csv":
+             "40741567a967b3280556a24cafd927f6"
+             "8896ea1c48aed1680bf7296559f32eb7",
+         "hh-logistic-stratonovich-00001.csv":
+             "ce902a14f4f78d8f2e7bd9567be93723"
+             "9758a1b98825e2c6e6312a1a62f0f2fd",
+         "hh-logistic-stratonovich-00002.csv":
+             "f6eeeb54fa03726a2f7041a6447ee143"
+             "75737954273e86f3857bb0fc3fe38355",
+         "hh-logistic-stratonovich-00003.csv":
+             "3381e9df1e742881112a099664d5a2fa"
+             "2d268fceb299f43f5b204927428f7cc7",
+         "hh-logistic-stratonovich-00004.csv":
+             "c4113cbb493be4fa0ec28b8f933cf41e"
+             "84bd5e932d2e200653eed2f4f26b1318"}),
+}
+
+
+class TestPinnedDumps:
+    """The bytes of every --dump-paths file, at any ensemble block width."""
+
+    # 5 paths x 4 coordinates x 8 bytes: 160 bytes is a 1-step block and
+    # 1120 a 7-step one, which divides neither grid
+    @pytest.mark.parametrize("block_bytes", [None, 160, 1120])
+    @pytest.mark.parametrize("run", sorted(PINNED_DUMPS))
+    def test_dump_digests(self, capsys, tmp_path, monkeypatch, run,
+                          block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(sdeinvariance.ensemble, "_BLOCK_BYTES",
+                                block_bytes)
+        options, digests = PINNED_DUMPS[run]
+        target = tmp_path / "paths"
+        code, out, err = run_cli(capsys, "ensemble", *options,
+                                 "--dump-paths", str(target))
+        assert code == 0, err
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in target.iterdir()}
+        assert got == digests
+
+
 PLUGIN_SOURCE = '''\
 from sdeinvariance import Box, ModelInfo, SdeSystem
 
