@@ -36,11 +36,11 @@ import numpy as np
 from .conversion import (JacobianMode, JacobianPolicy, correction,
                          stratonovich_to_ito)
 from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
-                   ModelInfo, SdeSystem, TimeGrid, Trajectory, UsageError)
-from .ensemble import integrate_paths, run_ensemble
+                   ModelInfo, SdeSystem, TimeGrid, UsageError)
+from .ensemble import run_ensemble
 from .hodgkin_huxley import MODEL_REGISTRY, build_model
 from .integrators import (Scheme, SimConfig, simulate, simulate_deterministic,
-                          write_trajectory_csv)
+                          write_csv_rows, write_trajectory_csv)
 from .invariance import CheckConfig, Verdict, check_box
 from .svgplot import line_chart
 from .wiener import WienerGrid
@@ -48,9 +48,6 @@ from .wiener import WienerGrid
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
-
-# --dump-paths integrates this many paths at a time, bounding its memory
-_DUMP_CHUNK = 64
 
 _INTERPRETATIONS = ("ito", "stratonovich")
 
@@ -277,6 +274,26 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _path_tee(directory: str, stem: str, times: np.ndarray,
+              labels: Sequence[str]) -> Callable[[int, np.ndarray], None]:
+    """run_ensemble's on_block hook for --dump-paths.
+
+    Appends each block's rows for path p to directory/stem-<p:05d>.csv,
+    which the first block creates with its header; one file is open at a
+    time however many paths run.
+    """
+    def tee(start: int, states: np.ndarray) -> None:
+        first = start == 0
+        if first:
+            os.makedirs(directory, exist_ok=True)
+        rows = times[start:start + states.shape[1]]
+        for pid, path in enumerate(states):
+            name = os.path.join(directory, f"{stem}-{pid:05d}.csv")
+            with open(name, "w" if first else "a", newline="") as fh:
+                write_csv_rows(fh, rows, path, labels if first else None)
+    return tee
+
+
 def cmd_ensemble(ns: argparse.Namespace) -> int:
     names = (_INTERPRETATIONS if ns.interpretation == "both"
              else (ns.interpretation,))
@@ -284,23 +301,17 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
     for nm in names:
         system, info, box = _reading(ns, Interpretation(nm))
         cfg = _sim_config(ns, info)
-        results[nm] = run_ensemble(system, cfg, ns.n_paths, box, tol=ns.tol)
+        tee = None
         if ns.dump_paths is not None:
             if ns.n_paths > 64:
                 _sys.stderr.write(
                     f"warning: dumping {ns.n_paths} path files to "
                     f"{ns.dump_paths}\n")
-            os.makedirs(ns.dump_paths, exist_ok=True)
             # the ensemble's own paths: a failed path is frozen, not fatal
-            for lo in range(0, ns.n_paths, _DUMP_CHUNK):
-                ids = range(lo, min(lo + _DUMP_CHUNK, ns.n_paths))
-                states, _ = integrate_paths(system, cfg, ids)
-                for pid, path in zip(ids, states):
-                    write_trajectory_csv(
-                        Trajectory(cfg.grid, path, path_id=pid),
-                        os.path.join(ns.dump_paths,
-                                     f"{system.name}-{nm}-{pid:05d}.csv"),
-                        system.labels())
+            tee = _path_tee(ns.dump_paths, f"{system.name}-{nm}",
+                            cfg.grid.times(), system.labels())
+        results[nm] = run_ensemble(system, cfg, ns.n_paths, box, tol=ns.tol,
+                                   on_block=tee)
     if len(results) == 1:
         text = next(iter(results.values())).to_json(indent=2) + "\n"
     else:

@@ -136,15 +136,26 @@ def _nearest_rank_index(pct: int, n: int) -> int:
 
 def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
                  box: Optional[Box], *, tol: float = 0.0,
-                 n_workers: int = 1) -> EnsembleStats:
+                 n_workers: int = 1,
+                 on_block: Optional[Callable[[int, Array], None]] = None
+                 ) -> EnsembleStats:
     """Run paths 0..n_paths-1 and reduce them to summary statistics.
 
     Violations are judged against the box with the per-coordinate slack
     tol; a path also counts as violating if it ever produced a non-finite
     state (it is then frozen at its last finite state for the remaining
     steps).  With box None, box bookkeeping is skipped and only
-    extrema/summaries are reported.  n_workers is accepted for old
-    callers and has no effect: all paths run in one lockstep batch.
+    extrema/summaries are reported.
+
+    on_block(start, states), when given, sees every block of steps once,
+    in grid order, before the reductions sort it in place: states has
+    shape (n_paths, k, m), row p is path p at the grid indices
+    start..start+k-1, and frozen paths hold their last finite state.  It
+    is a view into a buffer that the next block overwrites, so the hook
+    must copy what it keeps and must not write to it.
+
+    n_workers has no effect (all paths run in one lockstep batch); it
+    stays only because the perfbench workloads pass it.
     """
     if n_paths < 1:
         raise UsageError("n_paths must be >= 1")
@@ -171,6 +182,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         for k, (_, x, dead) in zip(range(stop - start), steps):
             block[:, k] = x
         states = block[:, :stop - start]
+        if on_block is not None:
+            on_block(start, states)
         mean[start:stop] = states.mean(axis=0)
         if box is not None:
             outside = np.zeros(states.shape[:2], dtype=bool)

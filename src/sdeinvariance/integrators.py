@@ -204,13 +204,26 @@ def write_trajectory_csv(traj: Trajectory, target,
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="") if own else target
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + list(names))
-        for t, row in zip(traj.t, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        write_csv_rows(fh, traj.t, traj.states, names)
     finally:
         if own:
             fh.close()
+
+
+def write_csv_rows(fh, times: Array, states: Array,
+                   header: Optional[Sequence[str]] = None) -> None:
+    """Write the CSV rows t,x_1,...,x_m of states[k] at times[k] to fh.
+
+    With a header (the coordinate names), the line t,name_1,...,name_m
+    comes first.  Floats are written with repr, the round-trip precision
+    of write_trajectory_csv, so appending the rows of consecutive grid
+    slices gives the same bytes as writing the whole trajectory at once.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    if header is not None:
+        writer.writerow(["t"] + list(header))
+    for t, row in zip(times, states):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
 def trajectory_csv_text(traj: Trajectory,

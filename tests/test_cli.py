@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import sdeinvariance
 from sdeinvariance.cli import main
+from sdeinvariance.hodgkin_huxley import build_model
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +227,31 @@ class TestEnsemble:
                                  "--dump-paths", str(tmp_path / "many"))
         assert code == 0
         assert "warning" in err
+
+    def test_dump_evaluates_the_drift_no_more_often(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # the path files come from the ensemble's own integration
+        calls = []
+
+        def counted_model(*args, **kwargs):
+            system, info = build_model(*args, **kwargs)
+
+            def drift(t, x):
+                calls.append(t)
+                return system.drift(t, x)
+
+            return replace(system, drift=drift), info
+
+        monkeypatch.setattr(sdeinvariance.cli, "build_model", counted_model)
+        argv = ("ensemble", "--model", "hh-logistic", "--sigma", "0.3",
+                "--interpretation", "both", "--t-end", "0.5",
+                "--n-paths", "3")
+        assert run_cli(capsys, *argv)[0] == 0
+        plain = len(calls)
+        assert run_cli(capsys, *argv, "--dump-paths",
+                       str(tmp_path / "paths"))[0] == 0
+        assert plain > 0
+        assert len(calls) == 2 * plain
 
 
 class TestConvert:
