@@ -57,7 +57,11 @@ class CheckConfig:
     margin exactly at the tolerance still counts as satisfied.  eps_diff
     bounds |diffusion| on faces two-sidedly.  Coordinates that the region
     leaves free are sampled from the system's declared coord_ranges, or
-    from fallback_range when the system declares none.
+    from fallback_range when the system declares none.  Sampling windows
+    are always finite: a coord_ranges entry infinite on one side becomes
+    its finite end plus or minus the span of fallback_range, (lo, inf)
+    becoming (lo, lo + span), and one infinite on both sides becomes
+    fallback_range.
     """
 
     n_face_samples: int = 4096
@@ -161,9 +165,21 @@ def _check_times(cfg: CheckConfig) -> Array:
 
 
 def _coord_windows(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Tuple[float, float], ...]:
-    if sys.coord_ranges is not None:
-        return sys.coord_ranges
-    return (cfg.fallback_range,) * sys.m
+    """The finite sampling window of every coordinate (see CheckConfig)."""
+    if sys.coord_ranges is None:
+        return (cfg.fallback_range,) * sys.m
+    span = cfg.fallback_range[1] - cfg.fallback_range[0]
+    windows = []
+    for lo, hi in sys.coord_ranges:  # lo < hi: lo is never +inf
+        if math.isinf(lo) and math.isinf(hi):
+            windows.append(cfg.fallback_range)
+        elif math.isinf(lo):
+            windows.append((hi - span, hi))
+        elif math.isinf(hi):
+            windows.append((lo, lo + span))
+        else:
+            windows.append((lo, hi))
+    return tuple(windows)
 
 
 def _face_interval(a: float, b: float,

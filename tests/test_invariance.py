@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from helpers import constant_drift_system
 QUICK = CheckConfig(n_face_samples=256, n_time_samples=4)
 
 
-def drift_only(m, fn):
+def drift_only(m, fn, **kwargs):
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (m, 0))
 
     return SdeSystem(m=m, r=0, drift=fn, diffusion=diffusion,
-                     vectorized=True)
+                     vectorized=True, **kwargs)
 
 
 def brute_force_box_verdict(sys, box, n_mesh=33) -> Verdict:
@@ -94,6 +95,29 @@ class TestCheckBoxAgainstBruteForce:
         report = check_box(sys1, box, QUICK)
         assert report.verdict is Verdict.SATISFIED
         assert len(report.faces) == 1  # no upper face to sample
+
+    @pytest.mark.parametrize("free_range, window", [
+        ((-math.inf, math.inf), (-10.0, 10.0)),
+        ((2.0, math.inf), (2.0, 22.0)),
+        ((-math.inf, -3.0), (-23.0, -3.0)),
+    ])
+    def test_free_coordinate_with_infinite_range_is_windowed(
+            self, free_range, window):
+        # x_1 is free on the faces of x_0 in [0, 1]; an infinite side of
+        # its range is sampled over the span of fallback_range (-10, 10)
+        seen = []
+
+        def fn(t, x):
+            x = np.asarray(x, dtype=float)
+            seen.append(x.copy())
+            return 0.5 - x
+
+        sys2 = drift_only(2, fn, coord_ranges=((0.0, 1.0), free_range))
+        assert check_box(sys2, Box.unit((0,)),
+                         QUICK).verdict is Verdict.SATISFIED
+        free = np.concatenate(seen)[:, 1]
+        assert np.isfinite(free).all()
+        assert ((window[0] <= free) & (free <= window[1])).all()
 
 
 class TestWitnesses:
@@ -460,6 +484,22 @@ class TestPolyhedron:
         assert near_face.n_samples > 0
         assert far_face.n_samples == 0
         assert far_face.min_drift_margin is None
+
+    @pytest.mark.parametrize("ranges", [
+        ((0.0, math.inf), (-5.0, 5.0)),
+        ((-math.inf, math.inf),) * 2,
+    ])
+    def test_infinite_coord_ranges_are_windowed(self, ranges):
+        # the half-plane x + 0.3 y >= 0 is anchored and walked inside
+        # finite windows, with no inf or NaN arithmetic on the way
+        sys2 = drift_only(2, lambda t, x: np.ones_like(x),
+                          coord_ranges=ranges)
+        half_plane = Polyhedron((Halfspace((0.0, 0.0), (1.0, 0.3)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_polyhedron(sys2, half_plane, QUICK)
+        assert report.face(0, "hyperplane").n_samples == QUICK.n_face_samples
+        assert report.verdict is Verdict.SATISFIED
 
     def test_empty_polyhedron_is_vacuously_invariant(self):
         sys1 = constant_drift_system(1, [5.0], r=0)
