@@ -172,13 +172,12 @@ def _coord_windows(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Tuple[float, float
     windows = []
     for lo, hi in sys.coord_ranges:  # lo < hi: lo is never +inf
         if math.isinf(lo) and math.isinf(hi):
-            windows.append(cfg.fallback_range)
+            lo, hi = cfg.fallback_range
         elif math.isinf(lo):
-            windows.append((hi - span, hi))
+            lo = hi - span
         elif math.isinf(hi):
-            windows.append((lo, lo + span))
-        else:
-            windows.append((lo, hi))
+            hi = lo + span
+        windows.append((lo, hi))
     return tuple(windows)
 
 
