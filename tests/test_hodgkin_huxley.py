@@ -9,6 +9,99 @@ from sdeinvariance import (HHParams, Interpretation, MODEL_REGISTRY,
                            resting_state)
 from sdeinvariance.core import diffusion_batch, drift_batch
 
+_W = 1e-7  # the singular window of the frozen reference below
+
+
+# -- Frozen reference: the rate, drift, diffusion and Jacobian code of the
+# package before its single rate kernel, kept verbatim to pin the kernel's
+# outputs bit for bit.
+
+def _frozen_alpha1(v):
+    u = v + 35.0
+    safe = np.where(np.abs(u) < _W, 1.0, u)
+    direct = 0.1 * safe / (1.0 - np.exp(-safe / 10.0))
+    series = 1.0 + u / 20.0
+    return np.where(np.abs(u) < _W, series, direct)
+
+
+def _frozen_alpha2(v):
+    u = v + 50.0
+    safe = np.where(np.abs(u) < _W, 1.0, u)
+    direct = 0.01 * safe / (1.0 - np.exp(-safe / 10.0))
+    series = 0.1 + u / 200.0
+    return np.where(np.abs(u) < _W, series, direct)
+
+
+def _frozen_alpha3(v):
+    return 0.07 * np.exp(-0.05 * (v + 60.0))
+
+
+def _frozen_beta1(v):
+    return 4.0 * np.exp(-0.0556 * (v + 60.0))
+
+
+def _frozen_beta2(v):
+    return 0.125 * np.exp(-(v + 60.0) / 80.0)
+
+
+def _frozen_beta3(v):
+    return 1.0 / (1.0 + np.exp(-0.1 * (v + 30.0)))
+
+
+_FROZEN_ALPHAS = (_frozen_alpha1, _frozen_alpha2, _frozen_alpha3)
+_FROZEN_BETAS = (_frozen_beta1, _frozen_beta2, _frozen_beta3)
+
+
+def _frozen_drift(params):
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        gates = x[..., :3]
+        v = x[..., 3]
+        a = np.stack([fn(v) for fn in _FROZEN_ALPHAS], axis=-1)
+        b = np.stack([fn(v) for fn in _FROZEN_BETAS], axis=-1)
+        dgates = a * (1.0 - gates) - b * gates
+        ionic = (params.i_app
+                 - params.g_na * gates[..., 0] ** 3 * gates[..., 2]
+                 * (v - params.e_na)
+                 - params.g_k * gates[..., 1] ** 4 * (v - params.e_k)
+                 - params.g_l * (v - params.e_l))
+        dv = ionic / params.c_m
+        return np.concatenate([dgates, dv[..., None]], axis=-1)
+    return drift
+
+
+def _frozen_diffusion(noise):
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4, 3))
+        if noise.kind is NoiseKind.NONE:
+            return out
+        sigma = np.asarray(noise.sigma)
+        if noise.kind is NoiseKind.ADDITIVE:
+            for i in range(3):
+                out[..., i, i] = sigma[i]
+        else:
+            gates = x[..., :3]
+            amp = sigma * gates * (1.0 - gates)
+            for i in range(3):
+                out[..., i, i] = amp[..., i]
+        return out
+    return diffusion
+
+
+def _frozen_jacobian(noise):
+    def jacobian(t, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4, 3, 4))
+        if noise.kind is NoiseKind.MULTIPLICATIVE:
+            sigma = np.asarray(noise.sigma)
+            gates = x[..., :3]
+            slope = sigma * (1.0 - 2.0 * gates)
+            for i in range(3):
+                out[..., i, i, i] = slope[..., i]
+        return out
+    return jacobian
+
 
 def ref_rates(v: float):
     """Independent scalar reference for all six rate functions.
@@ -70,6 +163,66 @@ class TestRates:
         assert isinstance(out, float)
         arr = rate_alpha(1, np.array([-40.0, -20.0]))
         assert isinstance(arr, np.ndarray)
+
+
+def _pin_voltages():
+    """Ordinary, singular, near-singular and non-finite voltages (72)."""
+    rng = np.random.default_rng(20121)
+    special = [-35.0, -50.0, np.nan, np.inf, -np.inf]
+    for v_star in (-35.0, -50.0):
+        special += [v_star - 5e-8, v_star + 5e-8]
+    return np.concatenate([rng.uniform(-120.0, 80.0, 63), special])
+
+
+def _pin_states():
+    """Every pin state alone, shape (4,), then all as (n, 4) and (k, n, 4)."""
+    rng = np.random.default_rng(7)
+    v = _pin_voltages()
+    rows = np.column_stack([rng.uniform(-0.5, 1.5, (v.size, 3)), v])
+    return list(rows) + [rows, rows.reshape(3, -1, 4)]
+
+
+_PIN_NOISES = (NoiseSpec.none(), NoiseSpec.additive((0.1, 0.2, 0.3)),
+               NoiseSpec.multiplicative((0.5, 0.25, 4.0)))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+class TestKernelBits:
+    """The model callables reproduce the frozen reference bit for bit."""
+
+    def test_drift(self):
+        params = HHParams()
+        drift, frozen = hh_system(params).drift, _frozen_drift(params)
+        for x in _pin_states():
+            with np.errstate(all="ignore"):
+                assert _same_bits(drift(0.0, x), frozen(0.0, x)), x
+
+    @pytest.mark.parametrize("noise", _PIN_NOISES, ids=lambda n: n.kind.value)
+    def test_diffusion_and_jacobian(self, noise):
+        system = hh_system(noise=noise)
+        frozen_g, frozen_jac = _frozen_diffusion(noise), _frozen_jacobian(noise)
+        for x in _pin_states():
+            with np.errstate(all="ignore"):
+                assert _same_bits(system.diffusion(0.0, x), frozen_g(0.0, x))
+                assert _same_bits(system.diffusion_jacobian(0.0, x),
+                                  frozen_jac(0.0, x))
+
+    @pytest.mark.parametrize("i", (1, 2, 3))
+    def test_rates(self, i):
+        v = _pin_voltages()
+        alpha, beta = _FROZEN_ALPHAS[i - 1], _FROZEN_BETAS[i - 1]
+        with np.errstate(all="ignore"):
+            for shaped in (v, v.reshape(-1, 6), v.reshape(2, 3, -1)):
+                assert _same_bits(rate_alpha(i, shaped), alpha(shaped))
+                assert _same_bits(rate_beta(i, shaped), beta(shaped))
+            for scalar in v.tolist():
+                assert _same_bits(rate_alpha(i, scalar), float(alpha(scalar)))
+                assert _same_bits(rate_beta(i, scalar), float(beta(scalar)))
 
 
 class TestDriftStructure:

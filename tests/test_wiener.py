@@ -85,6 +85,43 @@ def test_increments_scale_with_sqrt_dt():
     assert np.array_equal(dw4, 2.0 * dw1)
 
 
+_PIN_SEEDS = (0, 2 ** 63 + 11, 2 ** 64 - 1)
+_PIN_IDS = np.array([0, 1, 2, 999, 2 ** 20 + 3, 2 ** 32 - 1, 2 ** 40],
+                    dtype=np.uint64)
+
+
+def _reference_uniform(seed: int, path: int, step: int, comp: int) -> float:
+    # the documented chain in plain Python integers
+    h = _reference_finalize(seed + _GAMMA)
+    for index in (path, step, comp):
+        h = _reference_finalize(h ^ index)
+    return ((h >> 11) + 0.5) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("seed", _PIN_SEEDS)
+def test_increments_match_normal_stream_bit_for_bit(seed):
+    comps = np.arange(3, dtype=np.uint64)
+    for step, dt in ((0, 0.05), (17, 0.01), (2 ** 33 + 5, 1.0 / 3.0)):
+        got = increments_for_step(seed, _PIN_IDS, step, 3, dt)
+        want = normal_stream(seed, _PIN_IDS[:, None], np.uint64(step),
+                             comps) * np.sqrt(dt)
+        assert got.shape == want.shape == (_PIN_IDS.size, 3)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", _PIN_SEEDS)
+def test_uniform_stream_matches_integer_reference(seed):
+    ids = _PIN_IDS[:, None, None]
+    steps = np.array([0, 5, 2 ** 33 + 5], dtype=np.uint64)[None, :, None]
+    comps = np.arange(3, dtype=np.uint64)[None, None, :]
+    u = uniform_stream(seed, ids, steps, comps)
+    want = np.array([[[_reference_uniform(seed, int(p), int(s), int(c))
+                       for c in comps.ravel()] for s in steps.ravel()]
+                     for p in ids.ravel()])
+    assert u.tobytes() == want.tobytes()
+
+
 class TestWienerGrid:
     def test_generation_is_reproducible(self):
         grid = TimeGrid(0.0, 1.0, 50)
