@@ -21,6 +21,10 @@ diffusion matrix is identically zero.  Three variants are registered:
 The additive variant leaks probability mass out of [0, 1] because its
 noise does not vanish on the gating faces; the logistic variant switches
 off exactly at x_i = 0 and x_i = 1 and keeps the box invariant.
+
+All six rates come from one kernel, _rates, with one np.exp call; near
+the removable singularities of alpha_1 (V = -35) and alpha_2 (V = -50)
+it substitutes their series branches.
 """
 
 from __future__ import annotations
@@ -69,71 +73,71 @@ class HHParams:
             raise UsageError("conductances must be >= 0")
 
 
-def _alpha1(v: Array) -> Array:
-    # 0.1 (V + 35) / (1 - exp(-(V + 35) / 10)); removable singularity at -35
-    u = v + 35.0
-    safe = np.where(np.abs(u) < _SINGULAR_WINDOW, 1.0, u)
-    direct = 0.1 * safe / (1.0 - np.exp(-safe / 10.0))
-    series = 1.0 + u / 20.0
-    return np.where(np.abs(u) < _SINGULAR_WINDOW, series, direct)
+# Rows of the rate kernel _rates, with u = V + 35 and w = V + 50:
+#   alpha_1 = 0.1 u / (1 - exp(-u / 10)),  1 + u / 20 near u = 0
+#   alpha_2 = 0.01 w / (1 - exp(-w / 10)),  0.1 + w / 200 near w = 0
+#   alpha_3 = 0.07 exp(-0.05 (V + 60)),  beta_1 = 4 exp(-0.0556 (V + 60)),
+#   beta_2 = 0.125 exp(-(V + 60) / 80),  beta_3 = 1 / (1 + exp(-0.1 (V + 30)))
+_SHIFTS = np.array([[35.0], [50.0], [60.0], [60.0], [60.0], [30.0]])
+_QUOTIENT_GAINS = np.array([[0.1], [0.01]])
+_SERIES_AT, _SERIES_SLOPE = np.array([[1.0], [0.1]]), np.array([[20.0], [200.0]])
+_EXP_SLOPES, _EXP_GAINS = np.array([[-0.05], [-0.0556]]), np.array(
+    [[0.07], [4.0], [0.125]])
 
 
-def _alpha2(v: Array) -> Array:
-    # 0.01 (V + 50) / (1 - exp(-(V + 50) / 10)); removable singularity at -50
-    u = v + 50.0
-    safe = np.where(np.abs(u) < _SINGULAR_WINDOW, 1.0, u)
-    direct = 0.01 * safe / (1.0 - np.exp(-safe / 10.0))
-    series = 0.1 + u / 200.0
-    return np.where(np.abs(u) < _SINGULAR_WINDOW, series, direct)
+def _rates(v) -> Array:
+    """The six rates at voltages v, in the rows above; (6,) + v.shape.
+
+    Near u = 0 or w = 0 the quotient is taken at 1 instead, so nothing
+    divides by zero, and then replaced by the series branch.
+    """
+    v = np.asarray(v, dtype=float)
+    r = v.reshape(1, -1) + _SHIFTS
+    u = r[:2]  # u and w
+    near = np.abs(u) < _SINGULAR_WINDOW
+    singular = near.any()
+    if singular:
+        series = _SERIES_AT + u / _SERIES_SLOPE
+        u[near] = 1.0
+    quotient = _QUOTIENT_GAINS * u
+    np.negative(u, out=u)
+    u /= 10.0
+    r[2:4] *= _EXP_SLOPES
+    np.negative(r[4], out=r[4])
+    r[4] /= 80.0
+    r[5] *= -0.1
+    np.exp(r, out=r)
+    np.subtract(1.0, u, out=u)
+    np.divide(quotient, u, out=u)
+    if singular:
+        np.copyto(u, series, where=near)
+    r[2:5] *= _EXP_GAINS
+    r[5] += 1.0
+    np.divide(1.0, r[5], out=r[5])
+    return r.reshape((6,) + v.shape)
 
 
-def _alpha3(v: Array) -> Array:
-    return 0.07 * np.exp(-0.05 * (v + 60.0))
-
-
-def _beta1(v: Array) -> Array:
-    return 4.0 * np.exp(-0.0556 * (v + 60.0))
-
-
-def _beta2(v: Array) -> Array:
-    return 0.125 * np.exp(-(v + 60.0) / 80.0)
-
-
-def _beta3(v: Array) -> Array:
-    return 1.0 / (1.0 + np.exp(-0.1 * (v + 30.0)))
-
-
-_ALPHAS = (_alpha1, _alpha2, _alpha3)
-_BETAS = (_beta1, _beta2, _beta3)
+def _rate(i: int, v, row: int):
+    if i not in (1, 2, 3):
+        raise UsageError("gating channel must be 1, 2 or 3")
+    out = _rates(v)[row]
+    return float(out) if np.isscalar(v) else np.asarray(out)
 
 
 def rate_alpha(i: int, v):
     """Opening rate alpha_i(V) for gating channel i in {1, 2, 3}.
 
-    Accepts scalars or arrays; scalars come back as plain floats.  Total on
-    finite inputs: the two removable singularities (V = -35 for channel 1,
-    V = -50 for channel 2) are filled in by their series limits.
+    Accepts scalars or array-likes; scalars come back as plain floats,
+    anything else as an ndarray.  Total on finite inputs: the two
+    removable singularities (V = -35 for channel 1, V = -50 for channel 2)
+    are filled in by their series limits.
     """
-    if i not in (1, 2, 3):
-        raise UsageError("gating channel must be 1, 2 or 3")
-    out = _ALPHAS[i - 1](np.asarray(v, dtype=float))
-    return out if isinstance(v, np.ndarray) else float(out)
+    return _rate(i, v, i - 1)
 
 
 def rate_beta(i: int, v):
     """Closing rate beta_i(V) for gating channel i in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise UsageError("gating channel must be 1, 2 or 3")
-    out = _BETAS[i - 1](np.asarray(v, dtype=float))
-    return out if isinstance(v, np.ndarray) else float(out)
-
-
-def _all_alphas(v: Array) -> Array:
-    return np.stack([fn(v) for fn in _ALPHAS], axis=-1)
-
-
-def _all_betas(v: Array) -> Array:
-    return np.stack([fn(v) for fn in _BETAS], axis=-1)
+    return _rate(i, v, i + 2)
 
 
 class NoiseKind(enum.Enum):
@@ -146,8 +150,8 @@ class NoiseKind(enum.Enum):
 class NoiseSpec:
     """How noise enters the gating equations.
 
-    sigma holds one positive amplitude per gating component; it is None
-    for the noiseless kind.
+    sigma holds one positive amplitude per gating component (a number
+    stands for all three); it is None for the noiseless kind.
     """
 
     kind: NoiseKind
@@ -160,7 +164,8 @@ class NoiseSpec:
             return
         if self.sigma is None:
             raise UsageError(f"{self.kind.value} noise needs sigma")
-        sig = tuple(float(s) for s in self.sigma)
+        sig = ((float(self.sigma),) * 3 if np.isscalar(self.sigma)
+               else tuple(float(s) for s in self.sigma))
         if len(sig) != 3:
             raise UsageError("sigma must have one entry per gating variable")
         if any(not s > 0 for s in sig):
@@ -173,18 +178,11 @@ class NoiseSpec:
 
     @classmethod
     def additive(cls, sigma: Union[float, Sequence[float]]) -> "NoiseSpec":
-        return cls(NoiseKind.ADDITIVE, _sigma_triple(sigma))
+        return cls(NoiseKind.ADDITIVE, sigma)
 
     @classmethod
     def multiplicative(cls, sigma: Union[float, Sequence[float]]) -> "NoiseSpec":
-        return cls(NoiseKind.MULTIPLICATIVE, _sigma_triple(sigma))
-
-
-def _sigma_triple(sigma) -> Tuple[float, float, float]:
-    if np.isscalar(sigma):
-        s = float(sigma)
-        return (s, s, s)
-    return tuple(float(v) for v in sigma)
+        return cls(NoiseKind.MULTIPLICATIVE, sigma)
 
 
 def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
@@ -192,39 +190,40 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
 
     def drift(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        gates = x[..., :3]
-        v = x[..., 3]
-        a = _all_alphas(v)
-        b = _all_betas(v)
-        dgates = a * (1.0 - gates) - b * gates
+        out = np.empty(x.shape)
+        # axes reversed: row i is coordinate i, in step with the rate rows
+        xt, ft = x.T, out.T
+        gates, v = xt[:3], xt[3, ...]
+        rates = _rates(v)
+        np.subtract(1.0, gates, out=ft[:3])  # alpha (1 - x) - beta x
+        ft[:3] *= rates[:3]
+        ft[:3] -= np.multiply(rates[3:], gates, out=rates[3:])
         ionic = (params.i_app
-                 - params.g_na * gates[..., 0] ** 3 * gates[..., 2]
-                 * (v - params.e_na)
-                 - params.g_k * gates[..., 1] ** 4 * (v - params.e_k)
+                 - params.g_na * gates[0] ** 3 * gates[2] * (v - params.e_na)
+                 - params.g_k * gates[1] ** 4 * (v - params.e_k)
                  - params.g_l * (v - params.e_l))
-        dv = ionic / params.c_m
-        return np.concatenate([dgates, dv[..., None]], axis=-1)
+        np.divide(ionic, params.c_m, out=ft[3, ...])
+        return out
 
     return drift
 
 
 def hh_diffusion(noise: NoiseSpec) -> Callable[[float, Array], Array]:
     """Diffusion field, shape (..., 4, 3); the voltage row is zero."""
+    sigma = None if noise.sigma is None else np.asarray(noise.sigma)
 
     def diffusion(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3))
         if noise.kind is NoiseKind.NONE:
             return out
-        sigma = np.asarray(noise.sigma)
+        # entries (i, i), i < 3, sit 4 apart in each flat 12-entry block
+        diagonal = out.reshape(x.shape[:-1] + (12,))[..., ::4]
         if noise.kind is NoiseKind.ADDITIVE:
-            for i in range(3):
-                out[..., i, i] = sigma[i]
+            diagonal[...] = sigma
         else:
             gates = x[..., :3]
-            amp = sigma * gates * (1.0 - gates)
-            for i in range(3):
-                out[..., i, i] = amp[..., i]
+            np.multiply(sigma * gates, 1.0 - gates, out=diagonal)
         return out
 
     return diffusion
@@ -232,16 +231,15 @@ def hh_diffusion(noise: NoiseSpec) -> Callable[[float, Array], Array]:
 
 def hh_diffusion_jacobian(noise: NoiseSpec) -> Callable[[float, Array], Array]:
     """Analytic d g[i, k] / d x[j], shape (..., 4, 3, 4)."""
+    sigma = None if noise.sigma is None else np.asarray(noise.sigma)
 
     def jacobian(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3, 4))
         if noise.kind is NoiseKind.MULTIPLICATIVE:
-            sigma = np.asarray(noise.sigma)
-            gates = x[..., :3]
-            slope = sigma * (1.0 - 2.0 * gates)
-            for i in range(3):
-                out[..., i, i, i] = slope[..., i]
+            # entries (i, i, i), i < 3, sit 17 apart in each 48-entry block
+            diagonal = out.reshape(x.shape[:-1] + (48,))[..., ::17]
+            np.multiply(sigma, 1.0 - 2.0 * x[..., :3], out=diagonal)
         return out
 
     return jacobian
@@ -276,9 +274,8 @@ def hh_system(params: Optional[HHParams] = None,
 
 def resting_state(v: float = -60.0) -> Array:
     """Gating equilibria alpha/(alpha+beta) at a held voltage, plus V."""
-    gates = [rate_alpha(i, v) / (rate_alpha(i, v) + rate_beta(i, v))
-             for i in (1, 2, 3)]
-    return np.array(gates + [v])
+    rates = _rates(v)
+    return np.append(rates[:3] / (rates[:3] + rates[3:]), v)
 
 
 def hh_metadata() -> ModelInfo:
@@ -294,27 +291,18 @@ def hh_metadata() -> ModelInfo:
                      panels=(("gating", (0, 1, 2)), ("voltage", (3,))))
 
 
-def _build_det(params: Optional[HHParams], sigma,
-               interpretation: Interpretation) -> SdeSystem:
-    return hh_system(params, NoiseSpec.none(), interpretation)
-
-
-def _build_additive(params: Optional[HHParams], sigma,
-                    interpretation: Interpretation) -> SdeSystem:
-    return hh_system(params, NoiseSpec.additive(sigma), interpretation)
-
-
-def _build_multiplicative(params: Optional[HHParams], sigma,
-                          interpretation: Interpretation) -> SdeSystem:
-    return hh_system(params, NoiseSpec.multiplicative(sigma), interpretation)
+def _builder(noise: Callable[..., NoiseSpec]) -> Callable[..., SdeSystem]:
+    """build(params, sigma, interpretation) for the noise spec noise(sigma)."""
+    return lambda params, sigma, interpretation: hh_system(
+        params, noise(sigma), interpretation)
 
 
 _DEFAULT_SIGMA = 0.5
 
 MODEL_REGISTRY: Dict[str, Callable[..., SdeSystem]] = {
-    "hh-det": _build_det,
-    "hh-additive": _build_additive,
-    "hh-logistic": _build_multiplicative,
+    "hh-det": _builder(lambda sigma: NoiseSpec.none()),
+    "hh-additive": _builder(NoiseSpec.additive),
+    "hh-logistic": _builder(NoiseSpec.multiplicative),
 }
 
 

@@ -91,7 +91,8 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     a fresh array each step, and dead[p] is the first step index at which
     path p produced a non-finite state (-1 so far), updated in place.
     With on_nonfinite="freeze" a failed path keeps its last finite state
-    from there on; with "raise" the first failure aborts.
+    from there on; with "raise" the first failure aborts.  A step looks
+    for failed paths only when its batch as a whole is not finite.
     """
     if scheme is Scheme.AUTO:
         raise UsageError("integration needs a concrete scheme")
@@ -118,17 +119,18 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
                 x_new = euler + np.einsum("pmr,pr->pm", gbar, dw)
             else:
                 x_new = euler + np.einsum("pmr,pr->pm", g0, dw)
-        bad = ~np.isfinite(x_new).all(axis=1) & alive
-        if bad.any():
-            if on_nonfinite == "raise":
-                p = int(np.flatnonzero(bad)[0])
-                raise IntegrationError(
-                    f"state became non-finite at step {n + 1} "
-                    f"(t={times[n + 1]:.6g})",
-                    step=n + 1, t=float(times[n + 1]), last_state=x[p])
-            dead[bad] = n + 1
-            alive &= ~bad
-            any_dead = True
+        if not np.isfinite(x_new).all():
+            bad = ~np.isfinite(x_new).all(axis=1) & alive
+            if bad.any():
+                if on_nonfinite == "raise":
+                    p = int(np.flatnonzero(bad)[0])
+                    raise IntegrationError(
+                        f"state became non-finite at step {n + 1} "
+                        f"(t={times[n + 1]:.6g})",
+                        step=n + 1, t=float(times[n + 1]), last_state=x[p])
+                dead[bad] = n + 1
+                alive &= ~bad
+                any_dead = True
         if any_dead:  # freeze; skipped while every path is alive
             x_new[~alive] = x[~alive]
         x = x_new

@@ -13,10 +13,14 @@ in the open interval (0, 1) using its top 53 bits, and the increment is
     dW = sqrt(dt) * ndtri(u)
 
 with ndtri the inverse of the standard normal CDF (scipy.special).
+The finalizer mixes in place, and increments_for_step finishes the
+uniform, ndtri and the sqrt(dt) scaling in one buffer; neither changes
+the mapping from (seed, path_id, step, component) to the increment.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +29,27 @@ from scipy.special import ndtri
 from .core import Array, TimeGrid, UsageError
 
 _MASK = (1 << 64) - 1
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
 
 
-def _mix64(z: Array) -> Array:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2^64 by design
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))
-        z = z * _MULT1
-        z = z ^ (z >> np.uint64(27))
-        z = z * _MULT2
-        z = z ^ (z >> np.uint64(31))
+def _mix64(z) -> Array:
+    # splitmix64 finalizer, in place on a uint64 array (a copy of anything
+    # else); uint64 array arithmetic wraps mod 2^64 without a warning
+    z = np.asarray(z, dtype=np.uint64)
+    z ^= z >> _SHIFTS[0]
+    z *= _MULT1
+    z ^= z >> _SHIFTS[1]
+    z *= _MULT2
+    z ^= z >> _SHIFTS[2]
     return z
 
 
-def _as_u64(value) -> Array:
-    return np.asarray(value, dtype=np.uint64)
+@functools.lru_cache(maxsize=64)
+def _seed_word(seed: int) -> Array:
+    return _mix64((int(seed) + _GAMMA) & _MASK)[()]
 
 
 def uniform_stream(seed: int, path_ids, steps, components) -> Array:
@@ -52,13 +59,14 @@ def uniform_stream(seed: int, path_ids, steps, components) -> Array:
     the broadcast shape.  Each output element depends only on the tuple
     (seed, path_id, step, component).
     """
-    with np.errstate(over="ignore"):
-        h = _mix64(_as_u64(int(seed) & _MASK) + _GAMMA)
-    h = _mix64(h ^ _as_u64(path_ids))
-    h = _mix64(h ^ _as_u64(steps))
-    h = _mix64(h ^ _as_u64(components))
-    top53 = (h >> np.uint64(11)).astype(np.float64)
-    return (top53 + 0.5) * 2.0 ** -53
+    h = _seed_word(seed)
+    for index in (path_ids, steps, components):
+        h = _mix64(h ^ np.asarray(index, dtype=np.uint64))
+    h >>= _SHIFTS[3]
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u[()]  # a scalar for scalar indices
 
 
 def normal_stream(seed: int, path_ids, steps, components) -> Array:
@@ -70,9 +78,11 @@ def increments_for_step(seed: int, path_ids: Array, step: int, r: int,
                         dt: float) -> Array:
     """Wiener increments over one step for many paths, shape (n_paths, r)."""
     ids = np.asarray(path_ids, dtype=np.uint64).reshape(-1, 1)
-    comps = np.arange(r, dtype=np.uint64).reshape(1, -1)
-    z = normal_stream(seed, ids, np.uint64(step), comps)
-    return z * np.sqrt(dt)
+    z = uniform_stream(seed, ids, np.uint64(step),
+                       np.arange(r, dtype=np.uint64))
+    ndtri(z, out=z)
+    z *= np.sqrt(dt)
+    return z
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,8 +162,30 @@ class TestRates:
     def test_scalar_in_scalar_out(self):
         out = rate_alpha(1, -40.0)
         assert isinstance(out, float)
+        assert isinstance(rate_beta(2, np.float64(-40.0)), float)
         arr = rate_alpha(1, np.array([-40.0, -20.0]))
         assert isinstance(arr, np.ndarray)
+        for seq in ([-40.0, -20.0], (-40.0, -20.0)):
+            for rate in (rate_alpha, rate_beta):
+                got = rate(1, seq)
+                assert isinstance(got, np.ndarray) and got.shape == (2,)
+                assert np.array_equal(got, rate(1, np.array(seq)))
+
+    def test_singular_points_stay_silent(self):
+        x = np.array([[0.2, 0.4, 0.6, -35.0],
+                      [0.3, 0.5, 0.7, -50.0],
+                      [0.1, 0.2, 0.3, -60.0],
+                      [0.5, 0.5, 0.5, 10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = hh_system().drift(0.0, x)
+            assert rate_alpha(1, -35.0) == 1.0
+            assert rate_alpha(2, -50.0) == 0.1
+            b1, b2 = rate_beta(1, -35.0), rate_beta(2, -50.0)
+        # the series values 1 and 0.1 stand in for alpha_1 and alpha_2
+        assert f[0, 0] == 1.0 * (1.0 - 0.2) - b1 * 0.2
+        assert f[1, 1] == 0.1 * (1.0 - 0.5) - b2 * 0.5
+        assert np.isfinite(f).all()
 
 
 def _pin_voltages():
