@@ -80,9 +80,10 @@ class HHParams:
 #   beta_2 = 0.125 exp(-(V + 60) / 80),  beta_3 = 1 / (1 + exp(-0.1 (V + 30)))
 _SHIFTS = np.array([[35.0], [50.0], [60.0], [60.0], [60.0], [30.0]])
 _QUOTIENT_GAINS = np.array([[0.1], [0.01]])
-_SERIES_AT, _SERIES_SLOPE = np.array([[1.0], [0.1]]), np.array([[20.0], [200.0]])
-_EXP_SLOPES, _EXP_GAINS = np.array([[-0.05], [-0.0556]]), np.array(
-    [[0.07], [4.0], [0.125]])
+_SERIES_AT = np.array([[1.0], [0.1]])
+_SERIES_SLOPE = np.array([[20.0], [200.0]])
+_EXP_SLOPES = np.array([[-0.05], [-0.0556]])  # alpha_3, beta_1
+_EXP_GAINS = np.array([[0.07], [4.0], [0.125]])  # alpha_3, beta_1, beta_2
 
 
 def _rates(v) -> Array:

@@ -28,7 +28,6 @@ from scipy.special import ndtri
 
 from .core import Array, TimeGrid, UsageError
 
-_MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
@@ -49,7 +48,7 @@ def _mix64(z) -> Array:
 
 @functools.lru_cache(maxsize=64)
 def _seed_word(seed: int) -> Array:
-    return _mix64((int(seed) + _GAMMA) & _MASK)[()]
+    return _mix64((int(seed) + _GAMMA) % 2 ** 64)[()]
 
 
 def uniform_stream(seed: int, path_ids, steps, components) -> Array:
