@@ -591,6 +591,19 @@ class TestPluginModels:
         runs = (tmp_path / "executions.log").read_text()
         assert runs.count("run") == 1
 
+    def test_nan_drift_on_a_face_is_an_error(self, capsys, tmp_path):
+        source = PLUGIN_SOURCE.replace(
+            "return [1.0 - x[0]]",
+            "return [float('nan') if x[0] <= 0.0 else 1.0 - x[0]]")
+        assert source != PLUGIN_SOURCE
+        path = tmp_path / "nan_face_model.py"
+        path.write_text(source)
+        code, out, err = run_cli(capsys, "check", "--model", str(path),
+                                 *QUICK_CHECK)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_plugin_without_build_function(self, capsys, tmp_path):
         path = tmp_path / "empty_model.py"
         path.write_text("VALUE = 3\n")

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdeinvariance import (Box, CheckConfig, Halfspace, Interpretation,
-                           Polyhedron, SdeSystem, UsageError, Verdict,
-                           build_model, check_box, check_comparison,
-                           check_polyhedron, check_positivity, eval_diffusion,
-                           eval_drift)
+                           ModelEvaluationError, Polyhedron, SdeSystem,
+                           UsageError, Verdict, build_model, check_box,
+                           check_comparison, check_polyhedron,
+                           check_positivity, eval_diffusion, eval_drift)
 from sdeinvariance import invariance as inv
 from helpers import constant_drift_system
 
@@ -191,6 +191,48 @@ class TestTolerances:
         sys1 = constant_drift_system(1, [0.0])
         with pytest.raises(UsageError):
             check_box(sys1, Box.unit((2,)), QUICK)
+
+
+def nan_on_lower_x0_face(part):
+    """Unit drift, zero noise; `part` ("drift" or "diffusion") has a NaN
+    in its x_0 component wherever x_0 <= 0."""
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        f = np.ones_like(x)
+        if part == "drift":
+            f[..., 0] = np.where(x[..., 0] <= 0.0, np.nan, 1.0)
+        return f
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2, 1))
+        if part == "diffusion":
+            g[..., 0, 0] = np.where(x[..., 0] <= 0.0, np.nan, 0.0)
+        return g
+
+    return SdeSystem(m=2, r=1, drift=drift, diffusion=diffusion,
+                     vectorized=True)
+
+
+class TestNonFiniteModel:
+    """A non-finite model value on a face stops every checker with the
+    sample point where it appeared."""
+
+    @pytest.mark.parametrize("part", ["drift", "diffusion"])
+    @pytest.mark.parametrize("checker", [
+        lambda s: check_box(s, Box.unit((0,)), QUICK),
+        lambda s: check_comparison(s, s, (0, 1), QUICK),
+        lambda s: check_polyhedron(s, Box.unit((0,)).as_polyhedron(2),
+                                   QUICK),
+    ], ids=["box", "comparison", "polyhedron"])
+    def test_error_carries_the_sample_point(self, checker, part):
+        system = nan_on_lower_x0_face(part)
+        with pytest.raises(ModelEvaluationError, match=part) as err:
+            checker(system)
+        x = np.array(err.value.x)
+        assert x.shape == (2,) and x[0] <= 0.0
+        value = getattr(system, part)(err.value.t, x)
+        assert not np.isfinite(value).all()
 
 
 class TestInterpretationInvariance:
@@ -550,6 +592,88 @@ def _one_face_walk(q0, anchors, normals, lo, hi, target, n, rng):
     return pts
 
 
+def _scalar_first_hit(x0, d, anchors, normals, lo, hi, target):
+    """Scalar first-hit scan over faces, then window coordinates: the
+    reference for the chord limits that _first_hit shares with the walk."""
+    margins = np.einsum("fm,fm->f", x0[None, :] - anchors, normals)
+    rate = normals @ d
+    if rate[target] >= -1e-14:
+        return None
+    s_target = margins[target] / -rate[target]
+    s_block = math.inf
+    for nu in range(anchors.shape[0]):
+        if nu == target or rate[nu] >= -1e-14:
+            continue
+        s_block = min(s_block, margins[nu] / -rate[nu])
+    for j in range(lo.size):
+        if d[j] > 1e-14:
+            s_block = min(s_block, (hi[j] - x0[j]) / d[j])
+        elif d[j] < -1e-14:
+            s_block = min(s_block, (lo[j] - x0[j]) / d[j])
+    if s_target > s_block * (1.0 + 1e-12) + 1e-12:
+        return None
+    hit = x0 + s_target * d
+    return hit - np.einsum("fm,fm->f", hit[None, :] - anchors,
+                           normals)[target] * normals[target]
+
+
+def _scalar_anchor(x0, anchors, normals, lo, hi, target, rng):
+    """_face_anchor's tries, each scanned by _scalar_first_hit."""
+    hit = _scalar_first_hit(x0, -normals[target], anchors, normals, lo, hi,
+                            target)
+    if hit is not None:
+        return hit
+    for _ in range(inv._ANCHOR_TRIES):
+        d = -normals[target] + 0.5 * rng.standard_normal(x0.size)
+        norm = np.linalg.norm(d)
+        if norm < 1e-12:
+            continue
+        hit = _scalar_first_hit(x0, d / norm, anchors, normals, lo, hi,
+                                target)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _anchor_case(name):
+    """(anchors, unit normals, lo, hi, x0, cfg) for one anchoring case."""
+    if name.startswith("region-"):
+        seed = int(name[len("region-"):])
+        anchors, normals, lo, hi = TestLockstepWalk.region(seed)
+        cfg = CheckConfig(n_face_samples=50, sampler_seed=seed)
+        return (anchors, normals, lo, hi,
+                inv._find_interior(anchors, normals, lo, hi, cfg), cfg)
+    poly, ranges = {"obtuse-triangle": (obtuse_triangle(), OBTUSE_RANGES),
+                    "window-clipped": (window_clipped_strip(),
+                                       CLIPPED_RANGES),
+                    "outside-window": (window_clipped_strip(),
+                                       CLIPPED_RANGES)}[name]
+    anchors = np.array([h.anchor for h in poly.halfspaces])
+    normals = np.array([h.normal for h in poly.halfspaces])
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    lo, hi = np.array(ranges).T
+    cfg = CheckConfig()
+    if name == "outside-window":  # interior, but beyond both windows
+        return anchors, normals, lo, hi, np.array([3.0, 2.8]), cfg
+    return (anchors, normals, lo, hi,
+            inv._find_interior(anchors, normals, lo, hi, cfg), cfg)
+
+
+@pytest.mark.parametrize("name", [f"region-{seed}" for seed in range(12)]
+                         + ["obtuse-triangle", "window-clipped",
+                            "outside-window"])
+def test_face_anchor_matches_scalar_first_hit(name):
+    anchors, normals, lo, hi, x0, cfg = _anchor_case(name)
+    for nu in range(anchors.shape[0]):
+        rng, twin = inv._child_rng(cfg, 4, nu), inv._child_rng(cfg, 4, nu)
+        hit = inv._face_anchor(x0, anchors, normals, lo, hi, nu, rng)
+        expected = _scalar_anchor(x0, anchors, normals, lo, hi, nu, twin)
+        assert (hit is None) == (expected is None)
+        if hit is not None:
+            assert hit.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestLockstepWalk:
     """All faces walk at once, each bit for bit as if walked alone."""
 
@@ -665,6 +789,33 @@ def skewed_tetrahedron() -> Polyhedron:
     ))
 
 
+def obtuse_triangle() -> Polyhedron:
+    """Vertices (0, 0), (4, 0) and (0.4, 0.3); obtuse at the last one."""
+    return Polyhedron((
+        Halfspace((0.0, 0.0), (0.0, 1.0)),
+        Halfspace((4.0, 0.0), (-0.3, -3.6)),
+        Halfspace((0.0, 0.0), (3.0, -4.0)),
+    ))
+
+
+def window_clipped_strip() -> Polyhedron:
+    """x >= 0 and 0 <= y <= 3; its y faces lie outside y in (0.5, 2.5)."""
+    return Polyhedron((
+        Halfspace((0.0, 0.0), (1.0, 0.0)),
+        Halfspace((0.0, 0.0), (0.0, 1.0)),
+        Halfspace((0.0, 3.0), (0.0, -1.0)),
+    ))
+
+
+OBTUSE_RANGES = ((-1.0, 5.0),) * 2
+CLIPPED_RANGES = ((-1.0, 2.0), (0.5, 2.5))
+
+
+def _away_from(centre):
+    centre = np.array(centre)
+    return lambda t, x: np.asarray(x, dtype=float) - centre
+
+
 class TestPinnedReports:
     """sha256 of CheckReport.to_json() for each checker, pinned.
 
@@ -677,6 +828,13 @@ class TestPinnedReports:
     off the coordinate axes (or a face with no tangent space), and every
     one of their sampled points is a witness, so their digests pin each
     hit-and-run point bit for bit, not just the verdicts.
+
+    The obtuse triangle's face 2 is anchored only after random directions
+    (the -n ray from the interior point leaves the edge), and the clipped
+    strip's faces 1 and 2 lie outside the window, so both miss every one of
+    their 65 tries.  The split comparison couples coordinates 0 and 2 with
+    the free coordinate 1 between them.  Every sampled point of these three
+    is a witness.  No report may raise a RuntimeWarning on the way.
     """
 
     DIGESTS = {
@@ -696,6 +854,12 @@ class TestPinnedReports:
                                 "35a46dd131f32d30b3baa4304c6e0f9a",
         "polyhedron-interval": "76310952237daba299ce89d81ef8a474"
                                "547203be0faf916bbfdf61c445a39093",
+        "polyhedron-obtuse-triangle": "32a962a4e0cde5638705de74756cd0fb"
+                                      "10688b38f004c020879678d750cd3378",
+        "polyhedron-window-clipped": "b5c0f75a71c6ef498287f2cd982b4eb9"
+                                     "305b015844788c94985f29678a0dc7d2",
+        "comparison-split-coupling": "544ae0f4d377789441b1e2b53c73e8f7"
+                                     "fc2ee1e6baba233d929fd72fd02eb4dd",
     }
 
     def reports(self):
@@ -711,6 +875,10 @@ class TestPinnedReports:
         skewed = SdeSystem(m=3, r=1, drift=_skewed_drift,
                            diffusion=_skewed_diffusion, vectorized=True,
                            coord_ranges=((-1.0, 2.0),) * 3)
+        split = SdeSystem(m=3, r=1, drift=_skewed_drift,
+                          diffusion=_skewed_diffusion, vectorized=True,
+                          coord_ranges=((-1.0, 2.0), (0.0, math.inf),
+                                        (-1.0, 2.0)))
         interval = Polyhedron((Halfspace((-1.0,), (1.0,)),
                                Halfspace((2.0,), (-1.0,))))
         additive, info = build_model("hh-additive", sigma=0.5)
@@ -731,11 +899,24 @@ class TestPinnedReports:
             "polyhedron-interval": check_polyhedron(
                 drift_only(1, lambda t, x: np.asarray(x, dtype=float)),
                 interval, every_point),
+            "polyhedron-obtuse-triangle": check_polyhedron(
+                drift_only(2, _away_from((0.5, 0.2)),
+                           coord_ranges=OBTUSE_RANGES),
+                obtuse_triangle(), every_point),
+            "polyhedron-window-clipped": check_polyhedron(
+                drift_only(2, _away_from_centroid,
+                           coord_ranges=CLIPPED_RANGES),
+                window_clipped_strip(), every_point),
+            "comparison-split-coupling": check_comparison(
+                split, split, (0, 2), every_point),
         }
 
     def test_report_json_digests(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = self.reports()
         digests = {name: hashlib.sha256(r.to_json().encode()).hexdigest()
-                   for name, r in self.reports().items()}
+                   for name, r in reports.items()}
         assert digests == self.DIGESTS
 
 
