@@ -235,6 +235,24 @@ class TestNonFiniteModel:
         assert not np.isfinite(value).all()
 
 
+@pytest.mark.parametrize("checker", [
+    lambda s: check_box(s, Box.unit((0, 1)), QUICK),
+    lambda s: check_comparison(s, s, (1,), QUICK),
+    lambda s: check_polyhedron(s, triangle(), QUICK),
+], ids=["box", "comparison", "polyhedron"])
+def test_models_see_c_ordered_points(checker):
+    # a model's matmul may round differently on other memory layouts, so
+    # the sampled points reach it in C order (the Halton draws are F order)
+    layouts = set()
+
+    def drift(t, x):
+        layouts.add(x.flags["C_CONTIGUOUS"])
+        return np.ones_like(x)
+
+    checker(drift_only(2, drift))
+    assert layouts == {True}
+
+
 class TestInterpretationInvariance:
     def test_reports_identical_for_both_readings(self):
         for name in ("hh-additive", "hh-logistic"):
