@@ -42,6 +42,7 @@ from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
 
 _INTERIOR_BUDGET = 4096
 _ANCHOR_TRIES = 64
+_MIN_RATE = 1e-14  # a margin moving slower along a ray never limits it
 
 
 class Verdict(enum.Enum):
@@ -340,29 +341,20 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
         raise UsageError("comparison needs at least one coupled coordinate")
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= m:
         raise UsageError("comparison indices must be distinct and in range")
-    windows = _coord_windows(sys_a, cfg)
+    lo, hi = np.array(_coord_windows(sys_a, cfg)).T
+    span = hi - lo
+    free = [j for j in range(m) if j not in idx]
     faces = []
     for ordinal, i in enumerate(idx):
-        u = _halton(cfg, 2 * m - 1, 2, ordinal)
-        n = u.shape[0]
-        y = np.empty((n, m))
-        for j in range(m):
-            lo, hi = windows[j]
-            y[:, j] = lo + u[:, j] * (hi - lo)
+        # columns of u: y, then x on the other coupled, then the free ones;
+        # C order, since a model's matmul may round F-ordered points apart
+        u = np.ascontiguousarray(_halton(cfg, 2 * m - 1, 2, ordinal))
+        others = [k for k in idx if k != i]
+        c = m + len(others)
+        y = lo + u[:, :m] * span
         x = y.copy()
-        col = m
-        for k in idx:
-            if k == i:
-                continue
-            lo, hi = windows[k]
-            x[:, k] = y[:, k] + u[:, col] * (hi - lo)
-            col += 1
-        for j in range(m):
-            if j in idx:
-                continue
-            lo, hi = windows[j]
-            x[:, j] = lo + u[:, col] * (hi - lo)
-            col += 1
+        x[:, others] = y[:, others] + u[:, m:c] * span[others]
+        x[:, free] = lo[free] + u[:, c:] * span[free]
 
         def evaluate(t):
             fa = drift_batch(sys_a, t, x)[:, i]
@@ -382,15 +374,9 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
 
 # -- polyhedron support ------------------------------------------------------
 
-def _window_bounds(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Array, Array]:
-    windows = _coord_windows(sys, cfg)
-    lo = np.array([w[0] for w in windows])
-    hi = np.array([w[1] for w in windows])
-    return lo, hi
-
-
-def _face_margins(x: Array, anchors: Array, normals: Array) -> Array:
-    return np.einsum("fm,fm->f", x[None, :] - anchors, normals)
+def _margins(points: Array, anchors: Array, normals: Array) -> Array:
+    """Face margins <x - a_f, n_f> of a (c, m) batch of points, (c, f)."""
+    return np.einsum("cfm,fm->cf", points[:, None] - anchors, normals)
 
 
 def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
@@ -405,8 +391,7 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
     cands = np.vstack([np.clip(anchors.mean(axis=0), lo, hi),
                        0.5 * (lo + hi),
                        lo + eng.random(_INTERIOR_BUDGET) * (hi - lo)])
-    worst = np.einsum("kfm,fm->kf", cands[:, None] - anchors,
-                      normals).min(axis=1)
+    worst = _margins(cands, anchors, normals).min(axis=1)
     worst[np.isnan(worst)] = -math.inf
     k = int(np.argmax(worst))
     if not worst[k] > 0.0:
@@ -416,37 +401,68 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
     return cands[k].copy()
 
 
+def _chord_limits(targets: Array, n_faces: int, lo: Array, hi: Array):
+    """The step limits on rays from chains on the faces targets.
+
+    Returns limits(q, direction, margins, rate): from each chain's point
+    and unit direction (c, m), its face margins at q and face rates
+    <n_f, direction> (c, f), the stacked rows (s_lo, -s_hi), shape (2, c).
+    It scans every face but the chain's own, in index order, then each
+    coordinate's window upper and lower bound, whose margins grow at rates
+    -d_j and d_j.  A limit whose margin grows faster than _MIN_RATE bounds
+    the step from below, one that shrinks faster bounds it from above; one
+    argmax per row keeps the first largest lower and the first smallest
+    upper limit, as a scalar scan would, and reads -inf if there is none.
+    limits divides by the zero rates it ignores, so its callers hold
+    np.errstate(divide="ignore", invalid="ignore").
+    """
+    n_chains, m = targets.size, lo.size
+    chains = np.arange(n_chains)
+    coord = np.repeat(np.arange(m), 2)
+    bounds = np.column_stack((hi, lo)).ravel()
+    rate_sign = np.ones((2, n_chains, n_faces + 2 * m))
+    rate_sign[:, chains, targets] = 0.0  # the own face never limits
+    rate_sign[:, :, n_faces::2] = -1.0  # the upper bounds
+    rate_sign[1] *= -1.0
+    limit_sign = np.array([1.0, -1.0])[:, None, None]
+    rows = np.arange(2)[:, None]
+
+    def limits(q, direction, margins, rate):
+        d_coord = direction[:, coord]
+        limit = np.concatenate((-margins / rate,
+                                (bounds - q[:, coord]) / d_coord), 1)
+        rate = np.concatenate((rate, d_coord), 1) * rate_sign
+        cand = np.where(rate > _MIN_RATE, limit * limit_sign, -math.inf)
+        return cand[rows, chains, cand.argmax(axis=2)]
+
+    return limits
+
+
 def _first_hit(x0: Array, d: Array, anchors: Array, normals: Array,
-               lo: Array, hi: Array, target: int) -> Optional[Array]:
+               limits, target: int) -> Optional[Array]:
     """Walk from x0 along d; return the hit point if the first boundary
-    reached is the target face's hyperplane (within the window)."""
-    margins = _face_margins(x0, anchors, normals)
+    reached is the target face's hyperplane (within the window).  limits
+    is _chord_limits for the one chain on target."""
+    margins = _margins(x0[None], anchors, normals)
     rate = normals @ d
-    if rate[target] >= -1e-14:
+    if rate[target] >= -_MIN_RATE:
         return None  # not heading toward the target plane
-    s_target = margins[target] / -rate[target]
-    s_block = math.inf
-    for nu in range(anchors.shape[0]):
-        if nu == target or rate[nu] >= -1e-14:
-            continue
-        s_block = min(s_block, margins[nu] / -rate[nu])
-    for j in range(lo.size):
-        if d[j] > 1e-14:
-            s_block = min(s_block, (hi[j] - x0[j]) / d[j])
-        elif d[j] < -1e-14:
-            s_block = min(s_block, (lo[j] - x0[j]) / d[j])
+    s_target = margins[0, target] / -rate[target]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_block = -limits(x0[None], d[None], margins, rate[None])[1, 0]
     if s_target > s_block * (1.0 + 1e-12) + 1e-12:
         return None
     hit = x0 + s_target * d
     # snap exactly onto the hyperplane
-    hit = hit - _face_margins(hit, anchors, normals)[target] * normals[target]
-    return hit
+    snap = _margins(hit[None], anchors, normals)[0, target]
+    return hit - snap * normals[target]
 
 
 def _face_anchor(x0: Array, anchors: Array, normals: Array, lo: Array,
                  hi: Array, target: int,
                  rng: np.random.Generator) -> Optional[Array]:
-    hit = _first_hit(x0, -normals[target], anchors, normals, lo, hi, target)
+    limits = _chord_limits(np.array([target]), anchors.shape[0], lo, hi)
+    hit = _first_hit(x0, -normals[target], anchors, normals, limits, target)
     if hit is not None:
         return hit
     for _ in range(_ANCHOR_TRIES):
@@ -454,7 +470,7 @@ def _face_anchor(x0: Array, anchors: Array, normals: Array, lo: Array,
         norm = np.linalg.norm(d)
         if norm < 1e-12:
             continue
-        hit = _first_hit(x0, d / norm, anchors, normals, lo, hi, target)
+        hit = _first_hit(x0, d / norm, anchors, normals, limits, target)
         if hit is not None:
             return hit
     return None
@@ -501,24 +517,9 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
         # a point face has no tangent directions: the walk never moves
         pts[:] = starts[:, None]
         return pts
-    n_faces = anchors.shape[0]
     chains = np.arange(n_chains)
     nrm = normals[targets]
-    # The step s is limited by every other face, then by the window's
-    # upper and lower bound on each coordinate, whose margins grow at rates
-    # -d_j and d_j along the direction d.  A limit whose margin grows with
-    # s bounds s from below, one whose margin shrinks bounds it from above.
-    # Row 0 of the candidates holds the lower limits, row 1 the negated
-    # upper ones, so one argmax takes the first largest lower and the first
-    # smallest upper limit, in the order a scalar scan would meet them.
-    coord = np.repeat(np.arange(m), 2)
-    bounds = np.column_stack((hi, lo)).ravel()
-    rate_sign = np.ones((2, n_chains, n_faces + 2 * m))
-    rate_sign[:, chains, targets] = 0.0  # the own face never limits
-    rate_sign[:, :, n_faces::2] = -1.0  # the upper bounds
-    rate_sign[1] *= -1.0
-    limit_sign = np.array([1.0, -1.0])[:, None, None]
-    rows = np.arange(2)[:, None]
+    limits = _chord_limits(targets, anchors.shape[0], lo, hi)
     no_room = np.array([[0.0], [-0.0]])  # s_lo = s_hi = +0.0
     q = starts.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -526,20 +527,13 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
             direction, found = _tangent_directions(nrm, rngs)
             u = np.array([rng.random() if ok else 0.0
                           for rng, ok in zip(rngs, found)])
-            margins = np.einsum("cfm,fm->cf", q[:, None] - anchors, normals)
             rate = np.matmul(normals[None], direction[:, :, None])[..., 0]
-            d_coord = direction[:, coord]
-            limit = np.concatenate((-margins / rate,
-                                    (bounds - q[:, coord]) / d_coord), 1)
-            rate = np.concatenate((rate, d_coord), 1) * rate_sign
-            cand = np.where(rate > 1e-14, limit * limit_sign, -math.inf)
-            ext = cand[rows, chains, cand.argmax(axis=2)]
+            ext = limits(q, direction, _margins(q, anchors, normals), rate)
             ext = np.where((ext <= 0.0) & (ext > -math.inf), ext, no_room)
             s_lo, s_hi = ext[0], -ext[1]
             moved = q + (s_lo + u * (s_hi - s_lo))[:, None] * direction
             # snap back onto each chain's own hyperplane
-            snap = np.einsum("cfm,fm->cf", moved[:, None] - anchors,
-                             normals)[chains, targets]
+            snap = _margins(moved, anchors, normals)[chains, targets]
             q = np.where(found[:, None], moved - snap[:, None] * nrm, q)
             pts[:, it] = q
     return pts
@@ -572,12 +566,12 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     anchors = np.array([h.anchor for h in poly.halfspaces], dtype=float)
     normals = np.array([h.normal for h in poly.halfspaces], dtype=float)
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    lo, hi = _window_bounds(sys, cfg)
+    lo, hi = np.array(_coord_windows(sys, cfg)).T
     if interior_point is not None:
         x0 = np.asarray(interior_point, dtype=float)
         if x0.shape != (sys.m,):
             raise UsageError("interior_point must have shape (m,)")
-        if _face_margins(x0, anchors, normals).min() <= 0.0:
+        if _margins(x0[None], anchors, normals).min() <= 0.0:
             raise UsageError("interior_point is not strictly interior")
     else:
         x0 = _find_interior(anchors, normals, lo, hi, cfg)
