@@ -304,18 +304,13 @@ class Box:
             raise UsageError("box indices exceed the requested dimension")
         halves = []
         for i, a, b in zip(self.indices, self.lower, self.upper):
-            if math.isfinite(a):
-                anchor = np.zeros(m)
-                anchor[i] = a
-                normal = np.zeros(m)
-                normal[i] = 1.0
-                halves.append(Halfspace(tuple(anchor), tuple(normal)))
-            if math.isfinite(b):
-                anchor = np.zeros(m)
-                anchor[i] = b
-                normal = np.zeros(m)
-                normal[i] = -1.0
-                halves.append(Halfspace(tuple(anchor), tuple(normal)))
+            for pin, sign in ((a, 1.0), (b, -1.0)):
+                if math.isfinite(pin):
+                    anchor = np.zeros(m)
+                    anchor[i] = pin
+                    normal = np.zeros(m)
+                    normal[i] = sign
+                    halves.append(Halfspace(tuple(anchor), tuple(normal)))
         return Polyhedron(tuple(halves))
 
 
