@@ -77,13 +77,14 @@ class CheckConfig:
     def __post_init__(self):
         if self.n_face_samples < 1 or self.n_time_samples < 1:
             raise UsageError("sample budgets must be >= 1")
-        if not self.t_max_check > 0:
-            raise UsageError("t_max_check must be positive")
-        if not self.eps_drift > 0 or not self.eps_diff > 0:
-            raise UsageError("tolerances must be positive")
+        if not 0 < self.t_max_check < math.inf:
+            raise UsageError("t_max_check must be positive and finite")
+        if not (0 < self.eps_drift < math.inf
+                and 0 < self.eps_diff < math.inf):
+            raise UsageError("tolerances must be positive and finite")
         lo, hi = self.fallback_range
-        if not lo < hi:
-            raise UsageError("fallback_range needs lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise UsageError("fallback_range needs finite lo < hi")
         if self.max_witnesses_per_face < 1:
             raise UsageError("max_witnesses_per_face must be >= 1")
 

@@ -99,6 +99,7 @@ class TestErrors:
         (("check", "--model", "hh-logistic", "--box",
           '{"indices": [0], "lower": ["a"], "upper": [1]}'), None),
         (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
+        (("check", "--model", "hh-additive", "--t-max-check", "inf"), None),
     ])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
                                                config):

@@ -176,16 +176,18 @@ class TestTolerances:
                          cfg).verdict is Verdict.SATISFIED
 
     def test_config_validation(self):
-        with pytest.raises(UsageError):
-            CheckConfig(n_face_samples=0)
-        with pytest.raises(UsageError):
-            CheckConfig(n_time_samples=0)
-        with pytest.raises(UsageError):
-            CheckConfig(eps_drift=0.0)
-        with pytest.raises(UsageError):
-            CheckConfig(fallback_range=(3.0, 3.0))
-        with pytest.raises(UsageError):
-            CheckConfig(max_witnesses_per_face=0)
+        for bad in (
+                {"n_face_samples": 0}, {"n_time_samples": 0},
+                {"eps_drift": 0.0}, {"fallback_range": (3.0, 3.0)},
+                {"max_witnesses_per_face": 0},
+                # non-finite values would reach the JSON report as NaN or
+                # Infinity, which JSON does not have
+                {"t_max_check": math.inf}, {"t_max_check": math.nan},
+                {"eps_drift": math.inf}, {"eps_diff": math.inf},
+                {"fallback_range": (-math.inf, 0.0)},
+                {"fallback_range": (0.0, math.inf)}):
+            with pytest.raises(UsageError):
+                CheckConfig(**bad)
 
     def test_box_outside_state_rejected(self):
         sys1 = constant_drift_system(1, [0.0])
