@@ -663,20 +663,20 @@ def _anchor_case(name):
         cfg = CheckConfig(n_face_samples=50, sampler_seed=seed)
         return (anchors, normals, lo, hi,
                 inv._find_interior(anchors, normals, lo, hi, cfg), cfg)
-    poly, ranges = {"obtuse-triangle": (obtuse_triangle(), OBTUSE_RANGES),
-                    "window-clipped": (window_clipped_strip(),
-                                       CLIPPED_RANGES),
-                    "outside-window": (window_clipped_strip(),
-                                       CLIPPED_RANGES)}[name]
+    if name == "obtuse-triangle":
+        poly, ranges = obtuse_triangle(), OBTUSE_RANGES
+    else:
+        poly, ranges = window_clipped_strip(), CLIPPED_RANGES
     anchors = np.array([h.anchor for h in poly.halfspaces])
     normals = np.array([h.normal for h in poly.halfspaces])
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     lo, hi = np.array(ranges).T
     cfg = CheckConfig()
     if name == "outside-window":  # interior, but beyond both windows
-        return anchors, normals, lo, hi, np.array([3.0, 2.8]), cfg
-    return (anchors, normals, lo, hi,
-            inv._find_interior(anchors, normals, lo, hi, cfg), cfg)
+        x0 = np.array([3.0, 2.8])
+    else:
+        x0 = inv._find_interior(anchors, normals, lo, hi, cfg)
+    return anchors, normals, lo, hi, x0, cfg
 
 
 @pytest.mark.parametrize("name", [f"region-{seed}" for seed in range(12)]
