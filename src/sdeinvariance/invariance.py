@@ -348,7 +348,7 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
     faces = []
     for ordinal, i in enumerate(idx):
         # columns of u: y, then x on the other coupled, then the free ones;
-        # C order, since a model's matmul may round F-ordered points apart
+        # C order: a model's matmul may round F-ordered points differently
         u = np.ascontiguousarray(_halton(cfg, 2 * m - 1, 2, ordinal))
         others = [k for k in idx if k != i]
         c = m + len(others)
