@@ -567,6 +567,19 @@ class TestPluginModels:
         assert lines[0] == "t,x_1"
         assert len(lines) == 6
 
+    # sha256 of the CSV over the model's 3.0 horizon at dt 0.01
+    RELAX_CSV_SHA256 = (
+        "827ef0ac68f18c27d8f6e2c77a3220552b3ad845e54ce86848163f781844cf30")
+
+    @pytest.mark.parametrize("reading", ["ito", "stratonovich"])
+    def test_noise_free_csv_is_pinned_under_either_reading(self, capsys,
+                                                           plugin, reading):
+        code, out, err = run_cli(capsys, "simulate", "--model", plugin,
+                                 "--interpretation", reading)
+        assert code == 0, err
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == self.RELAX_CSV_SHA256)
+
     def test_plot_of_a_plugin_is_one_state_panel(self, capsys, tmp_path):
         path = tmp_path / "gates_model.py"
         path.write_text(GATES_PLUGIN_SOURCE)
