@@ -19,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
-                           Scheme, SimConfig, TimeGrid, WienerGrid,
-                           build_model, check_box, correction, simulate,
+                           SimConfig, TimeGrid, WienerGrid, build_model,
+                           check_box, correction, simulate,
                            stratonovich_to_ito)
 
 ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
@@ -57,17 +57,17 @@ print(f"verdicts: stratonovich form {v_direct}, "
 # =========================
 # Additive noise: schemes agree step for step
 # =========================
-# Euler-Maruyama targets Ito, Euler-Heun targets Stratonovich.  On a
-# model with constant g they must produce the same numbers from the same
-# Wiener path.
+# Euler-Maruyama targets Ito, Euler-Heun targets Stratonovich, and the
+# interpretation picks between them, so retagging the system switches
+# the scheme.  On a model with constant g both must produce the same
+# numbers from the same Wiener path.
 system, info = build_model("hh-additive", sigma=0.1)
 grid = TimeGrid(0.0, 50.0, 5000)
 noise = WienerGrid.generate(seed=0, path_id=0, grid=grid, r=system.r)
-cfg = SimConfig(grid=grid, x0=tuple(info.x0),
-                scheme=Scheme.EULER_MARUYAMA, seed=0)
+cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=0)
 em = simulate(system, cfg, noise)
-heun = simulate(system, replace(cfg, scheme=Scheme.EULER_HEUN,
-                                force_scheme=True), noise)
+heun = simulate(replace(system, interpretation=Interpretation.STRATONOVICH),
+                cfg, noise)
 gap = np.abs(em.states - heun.states).max()
 print(f"additive noise, EM vs Euler-Heun on a shared path: "
       f"max gap = {gap:.1e}")

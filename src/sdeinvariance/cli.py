@@ -39,8 +39,8 @@ from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
                    ModelInfo, SdeSystem, TimeGrid, UsageError)
 from .ensemble import run_ensemble
 from .hodgkin_huxley import MODEL_REGISTRY, build_model
-from .integrators import (Scheme, SimConfig, simulate, simulate_deterministic,
-                          write_csv_rows, write_trajectory_csv)
+from .integrators import (SimConfig, simulate, write_csv_rows,
+                          write_trajectory_csv)
 from .invariance import CheckConfig, Verdict, check_box
 from .svgplot import line_chart
 from .wiener import WienerGrid
@@ -50,14 +50,6 @@ EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 
 _INTERPRETATIONS = ("ito", "stratonovich")
-
-_SCHEMES = {
-    "auto": Scheme.AUTO,
-    "em": Scheme.EULER_MARUYAMA,
-    "euler-maruyama": Scheme.EULER_MARUYAMA,
-    "heun": Scheme.EULER_HEUN,
-    "euler-heun": Scheme.EULER_HEUN,
-}
 
 # dest of each checker option -> the CheckConfig field it sets
 _CHECK_FIELDS = {
@@ -217,7 +209,7 @@ def _check_config(ns: argparse.Namespace) -> CheckConfig:
 
 
 def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
-    """Grid and scheme options; the model gives x0 and the default t_end."""
+    """Grid options and seed; the model gives x0 and the default t_end."""
     t_end = info.horizon if ns.t_end is None else ns.t_end
     if ns.n_steps is not None and ns.dt is not None:
         raise UsageError("give either n_steps or dt, not both")
@@ -230,8 +222,7 @@ def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
         if n_steps < 1:
             raise UsageError("grid is shorter than one step")
     return SimConfig(grid=TimeGrid(ns.t0, t_end, n_steps), x0=tuple(info.x0),
-                     scheme=_SCHEMES[ns.scheme], seed=ns.seed,
-                     force_scheme=ns.force_scheme)
+                     seed=ns.seed)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -254,11 +245,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     system, info = ns.build(Interpretation(ns.interpretation))
     cfg = _sim_config(ns, info)
-    if system.r == 0:
-        traj = simulate_deterministic(system, cfg)
-    else:
-        noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
-        traj = simulate(system, cfg, noise)
+    noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
+    traj = simulate(system, cfg, noise)
     labels = system.labels()
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, labels)
@@ -391,9 +379,6 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
                    help="grid end (default: model horizon)")
     p.add_argument("--n-steps", type=int)
     p.add_argument("--dt", type=float, help="step size (default 0.01)")
-    p.add_argument("--scheme", choices=_SCHEMES, default="auto")
-    p.add_argument("--force-scheme", action="store_true",
-                   help="allow a scheme mismatched to the interpretation")
 
 
 def _add_box(p: argparse.ArgumentParser) -> None:

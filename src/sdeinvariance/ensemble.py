@@ -23,8 +23,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
-from .integrators import (Scheme, SimConfig, integrate_batch, march,
-                          resolve_scheme)
+from .integrators import SimConfig, integrate_batch, march, resolve_scheme
 from .wiener import increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
@@ -111,7 +110,7 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
     if ids.size and ids.ndim != 1:
         raise UsageError("path_ids must be a flat sequence")
     x0, increments = _keyed_start(sys, cfg, ids)
-    scheme = resolve_scheme(sys, cfg)
+    scheme = resolve_scheme(sys)
     if ids.size == 0:
         return (np.empty((0, cfg.grid.n_steps + 1, sys.m)),
                 np.full(0, -1, dtype=int))
@@ -119,12 +118,12 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
                            on_nonfinite="freeze")
 
 
-def _march_paths(sys: SdeSystem, cfg: SimConfig, scheme: Scheme,
-                 n_paths: int) -> Iterator[Tuple[int, Array, Array]]:
+def _march_paths(sys: SdeSystem, cfg: SimConfig, n_paths: int
+                 ) -> Iterator[Tuple[int, Array, Array]]:
     """march over the keyed paths 0..n_paths-1, failed paths frozen."""
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
-    return march(sys, cfg.grid, x0, scheme, increments,
+    return march(sys, cfg.grid, x0, resolve_scheme(sys), increments,
                  on_nonfinite="freeze")
 
 
@@ -161,7 +160,6 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         raise UsageError("n_paths must be >= 1")
     if tol < 0:
         raise UsageError("tol must be >= 0")
-    scheme = resolve_scheme(sys, cfg)
     times = cfg.grid.times()
     n_grid = times.size
     m = sys.m
@@ -176,7 +174,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
 
-    steps = _march_paths(sys, cfg, scheme, n_paths)
+    steps = _march_paths(sys, cfg, n_paths)
     for start in range(0, n_grid, width):
         stop = min(start + width, n_grid)
         for k, (_, x, dead) in zip(range(stop - start), steps):
@@ -218,7 +216,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         grid_t_end=cfg.grid.t_end,
         grid_n_steps=cfg.grid.n_steps,
         seed=cfg.seed,
-        scheme=scheme.value,
+        scheme=resolve_scheme(sys).value,
         box=box,
         tol=tol,
     )
@@ -236,11 +234,9 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     square of the noise amplitude.  Only the endpoints are kept.
     """
     endpoints = []
-    for interpretation, scheme in (
-            (Interpretation.ITO, Scheme.EULER_MARUYAMA),
-            (Interpretation.STRATONOVICH, Scheme.EULER_HEUN)):
+    for interpretation in Interpretation:
         reading = replace(sys, interpretation=interpretation)
-        for _, x, _ in _march_paths(reading, cfg, scheme, n_paths):
+        for _, x, _ in _march_paths(reading, cfg, n_paths):
             pass
         endpoints.append(x)
     gap = endpoints[0] - endpoints[1]

@@ -14,10 +14,10 @@ The drift is always advanced by plain Euler; only the diffusion term is
 averaged in the Heun corrector.  With state-independent diffusion the two
 schemes therefore coincide step by step.
 
-Scheme Auto picks the scheme matching the system's interpretation.
-Explicitly requesting the mismatched scheme is refused unless the
-configuration sets force_scheme, because the mismatched pairing silently
-solves a different equation.
+The system's interpretation picks the scheme: Euler-Maruyama for Ito,
+Euler-Heun for Stratonovich.  To apply the other scheme to the same
+(f, g), retag the system, dataclasses.replace(sys, interpretation=...);
+the scheme never reads the tag, so that is the whole of the difference.
 
 Integrators never clamp states to a region; leaving it is only recorded,
 by the ensemble statistics.
@@ -40,20 +40,17 @@ from .wiener import WienerGrid
 
 
 class Scheme(enum.Enum):
-    AUTO = "auto"
     EULER_MARUYAMA = "euler-maruyama"
     EULER_HEUN = "euler-heun"
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, start state and scheme selection for one integration run."""
+    """Grid, start state and noise seed; the system picks the scheme."""
 
     grid: TimeGrid
     x0: Tuple[float, ...]
-    scheme: Scheme = Scheme.AUTO
     seed: int = 0
-    force_scheme: bool = False
 
     def __post_init__(self):
         x0 = tuple(float(v) for v in np.ravel(np.asarray(self.x0, dtype=float)))
@@ -64,19 +61,11 @@ class SimConfig:
         object.__setattr__(self, "x0", x0)
 
 
-def resolve_scheme(sys: SdeSystem, cfg: SimConfig) -> Scheme:
-    """The concrete scheme for a run, enforcing the interpretation match."""
-    natural = (Scheme.EULER_MARUYAMA
-               if sys.interpretation is Interpretation.ITO
-               else Scheme.EULER_HEUN)
-    if cfg.scheme is Scheme.AUTO:
-        return natural
-    if cfg.scheme is not natural and not cfg.force_scheme:
-        raise UsageError(
-            f"scheme {cfg.scheme.value} does not match the "
-            f"{sys.interpretation.value} interpretation; set "
-            "force_scheme=True to insist")
-    return cfg.scheme
+def resolve_scheme(sys: SdeSystem) -> Scheme:
+    """The scheme of the system's interpretation."""
+    return (Scheme.EULER_MARUYAMA
+            if sys.interpretation is Interpretation.ITO
+            else Scheme.EULER_HEUN)
 
 
 def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
@@ -94,8 +83,8 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     from there on; with "raise" the first failure aborts.  A step looks
     for failed paths only when its batch as a whole is not finite.
     """
-    if scheme is Scheme.AUTO:
-        raise UsageError("integration needs a concrete scheme")
+    if not isinstance(scheme, Scheme):
+        raise UsageError(f"unknown scheme {scheme!r}")
     x = np.array(x0, dtype=float)
     n_paths, m = x.shape
     times = grid.times()
@@ -170,7 +159,7 @@ def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
     if noise.r != sys.r:
         raise UsageError(
             f"noise has {noise.r} components, system needs {sys.r}")
-    scheme = resolve_scheme(sys, cfg)
+    scheme = resolve_scheme(sys)
     x0 = np.asarray(cfg.x0)[None, :]
     increments = noise.increments
     states, _ = integrate_batch(sys, cfg.grid, x0, scheme,
@@ -182,13 +171,13 @@ def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
 def simulate_deterministic(sys: SdeSystem, cfg: SimConfig) -> Trajectory:
     """Integrate the drift alone by forward Euler.
 
-    This is simulate by Euler-Maruyama with every Wiener increment zero,
-    so the diffusion drops out wherever it is finite.
+    This is simulate by Euler-Maruyama, on the Ito tag, with every Wiener
+    increment zero, so the diffusion drops out wherever it is finite.
     """
     noise = WienerGrid(seed=cfg.seed, path_id=0, grid=cfg.grid,
                        increments=np.zeros((cfg.grid.n_steps, sys.r)))
-    return simulate(sys, replace(cfg, scheme=Scheme.EULER_MARUYAMA,
-                                 force_scheme=True), noise)
+    return simulate(replace(sys, interpretation=Interpretation.ITO), cfg,
+                    noise)
 
 
 def write_trajectory_csv(traj: Trajectory, target,

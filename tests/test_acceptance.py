@@ -207,11 +207,11 @@ def test_criterion_6_schemes_coincide_for_additive_noise():
     system, info = build_model("hh-additive", sigma=0.1)
     grid = TimeGrid(0.0, 50.0, 5000)
     noise = WienerGrid.generate(0, 0, grid, system.r)
-    cfg = SimConfig(grid=grid, x0=tuple(info.x0),
-                    scheme=Scheme.EULER_MARUYAMA, seed=0)
+    cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=0)
     em = simulate(system, cfg, noise)
-    heun = simulate(system, replace(cfg, scheme=Scheme.EULER_HEUN,
-                                    force_scheme=True), noise)
+    heun = simulate(replace(system,
+                            interpretation=Interpretation.STRATONOVICH),
+                    cfg, noise)
     gap = float(np.abs(em.states - heun.states).max())
     ok = gap < 1e-10
     announce(6, ok, f"max coordinate gap {gap:.1e} over T=50 at dt=0.01")

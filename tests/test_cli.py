@@ -163,14 +163,19 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_scheme_mismatch_is_refused_unless_forced(self, capsys):
+    def test_scheme_flags_are_usage_errors(self, capsys, tmp_path):
+        # the interpretation picks the scheme; there is no flag for it
         args = ("simulate", "--model", "hh-logistic", "--sigma", "0.2",
-                "--interpretation", "stratonovich", "--scheme", "em",
-                "--t-end", "0.1")
-        code, out, err = run_cli(capsys, *args)
+                "--interpretation", "stratonovich", "--t-end", "0.1")
+        for extra in (("--scheme", "em"), ("--force-scheme",)):
+            code, out, err = run_cli(capsys, *args, *extra)
+            assert code == 1
+            assert err.startswith("error:")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scheme": "em"}))
+        code, out, err = run_cli(capsys, *args, "--config", str(cfg))
         assert code == 1
-        code, out, err = run_cli(capsys, *args, "--force-scheme")
-        assert code == 0
+        assert "unknown config keys: scheme" in err
 
 
 class TestEnsemble:
@@ -341,8 +346,7 @@ class TestConfigAndEnvironment:
     def test_one_file_serves_every_command(self, capsys, tmp_path):
         # every accepted key; those of other subcommands, such as n_paths
         # and dump_paths, are accepted by check and ignored
-        keys = ("model", "sigma", "interpretation", "scheme", "force_scheme",
-                "seed", "t0", "t_end", "n_steps", "dt", "n_paths", "tol",
+        keys = ("model", "sigma", "interpretation", "seed", "t0", "t_end", "n_steps", "dt", "n_paths", "tol",
                 "box", "out", "plot", "path_id", "samples", "time_samples",
                 "t_max_check", "eps_drift", "eps_diff", "sampler_seed",
                 "dump_paths")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdeinvariance import (Box, Interpretation, Scheme, SdeSystem,
+from sdeinvariance import (Box, Interpretation, SdeSystem,
                            SimConfig, TimeGrid, UsageError,
                            WienerGrid, build_model, compare_interpretations,
                            integrate_paths, run_ensemble, simulate)
@@ -317,10 +317,8 @@ class TestCompareInterpretations:
         strat_sys, _ = build_model(
             "hh-logistic", sigma=0.5,
             interpretation=Interpretation.STRATONOVICH)
-        em, _ = integrate_paths(ito_sys, replace(
-            cfg, scheme=Scheme.EULER_MARUYAMA), range(4))
-        heun, _ = integrate_paths(strat_sys, replace(
-            cfg, scheme=Scheme.EULER_HEUN), range(4))
+        em, _ = integrate_paths(ito_sys, cfg, range(4))
+        heun, _ = integrate_paths(strat_sys, cfg, range(4))
         manual = np.sqrt(np.mean(
             (em[:, -1, :] - heun[:, -1, :]) ** 2, axis=0))
         assert np.array_equal(gap, manual)

@@ -1,6 +1,7 @@
 import csv
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,29 +43,18 @@ def zero_increments(n_paths: int, r: int):
 
 class TestSchemeResolution:
     def test_auto_follows_interpretation(self):
-        grid = TimeGrid(0.0, 1.0, 10)
         ito = gbm_system(0.1, 0.2)
         strat = gbm_system(0.1, 0.2,
                            interpretation=Interpretation.STRATONOVICH)
-        cfg = SimConfig(grid=grid, x0=(1.0,))
-        assert resolve_scheme(ito, cfg) is Scheme.EULER_MARUYAMA
-        assert resolve_scheme(strat, cfg) is Scheme.EULER_HEUN
-
-    def test_mismatch_needs_force(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        ito = gbm_system(0.1, 0.2)
-        cfg = SimConfig(grid=grid, x0=(1.0,), scheme=Scheme.EULER_HEUN)
-        with pytest.raises(UsageError):
-            resolve_scheme(ito, cfg)
-        forced = SimConfig(grid=grid, x0=(1.0,), scheme=Scheme.EULER_HEUN,
-                           force_scheme=True)
-        assert resolve_scheme(ito, forced) is Scheme.EULER_HEUN
+        assert resolve_scheme(ito) is Scheme.EULER_MARUYAMA
+        assert resolve_scheme(strat) is Scheme.EULER_HEUN
 
     def test_integrate_batch_rejects_auto(self):
+        # a scheme's text is not a Scheme, so it cannot pass for one
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(UsageError):
             integrate_batch(decay_system(1.0), grid, np.ones((1, 1)),
-                            Scheme.AUTO, zero_increments(1, 1))
+                            "euler-heun", zero_increments(1, 1))
 
     def test_sim_config_validation(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -182,12 +172,11 @@ class TestStrongAccuracy:
         system, info = build_model("hh-additive", sigma=0.1)
         grid = TimeGrid(0.0, 5.0, 500)
         noise = WienerGrid.generate(0, 0, grid, 3)
-        em = simulate(system, SimConfig(grid=grid, x0=tuple(info.x0),
-                                        scheme=Scheme.EULER_MARUYAMA),
-                      noise)
-        heun = simulate(system, SimConfig(grid=grid, x0=tuple(info.x0),
-                                          scheme=Scheme.EULER_HEUN,
-                                          force_scheme=True), noise)
+        cfg = SimConfig(grid=grid, x0=tuple(info.x0))
+        em = simulate(system, cfg, noise)
+        heun = simulate(replace(system,
+                                interpretation=Interpretation.STRATONOVICH),
+                        cfg, noise)
         assert np.array_equal(em.states, heun.states)
 
 
