@@ -87,6 +87,8 @@ class CheckConfig:
             raise UsageError("fallback_range needs finite lo < hi")
         if self.max_witnesses_per_face < 1:
             raise UsageError("max_witnesses_per_face must be >= 1")
+        if self.sampler_seed < 0:  # SeedSequence takes no negative entropy
+            raise UsageError("sampler_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -570,8 +572,9 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     lo, hi = np.array(_coord_windows(sys, cfg)).T
     if interior_point is not None:
         x0 = np.asarray(interior_point, dtype=float)
-        if x0.shape != (sys.m,):
-            raise UsageError("interior_point must have shape (m,)")
+        # a NaN margin would pass the interior test below
+        if x0.shape != (sys.m,) or not np.isfinite(x0).all():
+            raise UsageError("interior_point must be finite, of shape (m,)")
         if _margins(x0[None], anchors, normals).min() <= 0.0:
             raise UsageError("interior_point is not strictly interior")
     else:

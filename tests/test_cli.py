@@ -100,6 +100,7 @@ class TestErrors:
           '{"indices": [0], "lower": ["a"], "upper": [1]}'), None),
         (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
         (("check", "--model", "hh-additive", "--t-max-check", "inf"), None),
+        (("check", "--model", "hh-det", "--sampler-seed", "-1"), None),
     ])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
                                                config):

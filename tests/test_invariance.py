@@ -179,7 +179,7 @@ class TestTolerances:
         for bad in (
                 {"n_face_samples": 0}, {"n_time_samples": 0},
                 {"eps_drift": 0.0}, {"fallback_range": (3.0, 3.0)},
-                {"max_witnesses_per_face": 0},
+                {"max_witnesses_per_face": 0}, {"sampler_seed": -1},
                 # non-finite values would reach the JSON report as NaN or
                 # Infinity, which JSON does not have
                 {"t_max_check": math.inf}, {"t_max_check": math.nan},
@@ -522,6 +522,19 @@ class TestPolyhedron:
         report = check_polyhedron(sys2, triangle(), QUICK,
                                   interior_point=(0.25, 0.25))
         assert report.verdict is Verdict.SATISFIED
+
+    @pytest.mark.parametrize("point", [(math.nan, math.nan),
+                                       (math.inf, 1.0)])
+    def test_non_finite_interior_point_rejected(self, point):
+        # a NaN margin is not <= 0, so only a finiteness test stops the
+        # point; it must do so before any inf arithmetic warns
+        quadrant = Polyhedron((Halfspace((0.0, 0.0), (1.0, 0.0)),
+                               Halfspace((0.0, 0.0), (0.0, 1.0))))
+        sys2 = constant_drift_system(2, [1.0, 1.0], r=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UsageError, match="finite"):
+                check_polyhedron(sys2, quadrant, QUICK, interior_point=point)
 
     def test_infeasible_polyhedron_rejected(self):
         empty_strip = Polyhedron((
