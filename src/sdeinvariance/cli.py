@@ -365,7 +365,9 @@ def _add_command(sub, name: str, func, help: str,
     p.add_argument("--model", help="registry name or path to a .py plug-in")
     p.add_argument("--sigma", type=_parse_sigma,
                    help="noise amplitude (scalar or a,b,c)")
-    p.add_argument("--interpretation", choices=interpretations, default="ito")
+    p.add_argument("--interpretation", choices=interpretations, default="ito",
+                   help="reading of (f, g); paths integrate by "
+                   "Euler-Maruyama for ito, Euler-Heun for stratonovich")
     p.add_argument("--seed", type=int,
                    help="stream seed (default: $SDE_SEED, else 0)")
     p.add_argument("--out", help="output file (default: stdout)")

@@ -347,10 +347,10 @@ class TestConfigAndEnvironment:
     def test_one_file_serves_every_command(self, capsys, tmp_path):
         # every accepted key; those of other subcommands, such as n_paths
         # and dump_paths, are accepted by check and ignored
-        keys = ("model", "sigma", "interpretation", "seed", "t0", "t_end", "n_steps", "dt", "n_paths", "tol",
-                "box", "out", "plot", "path_id", "samples", "time_samples",
-                "t_max_check", "eps_drift", "eps_diff", "sampler_seed",
-                "dump_paths")
+        keys = ("model", "sigma", "interpretation", "seed", "t0", "t_end",
+                "n_steps", "dt", "n_paths", "tol", "box", "out", "plot",
+                "path_id", "samples", "time_samples", "t_max_check",
+                "eps_drift", "eps_diff", "sampler_seed", "dump_paths")
         config = dict.fromkeys(keys)
         config.update(model="hh-logistic", samples=128, time_samples=4,
                       n_paths=5, dump_paths=str(tmp_path / "unused"))
