@@ -9,9 +9,9 @@ additive noise does not.  The checker finds this from samples of the
 coefficient functions alone, with no simulation.
 """
 
-from sdeinvariance import (Box, CheckConfig, Halfspace, Polyhedron,
-                           SdeSystem, build_model, check_box,
-                           check_polyhedron, check_positivity)
+from sdeinvariance import (CheckConfig, Halfspace, Polyhedron, SdeSystem,
+                           build_model, check_box, check_polyhedron,
+                           check_positivity)
 
 import numpy as np
 

@@ -9,7 +9,6 @@ feeds on the out-of-range gates).  Under logistic noise nothing escapes,
 at any amplitude tried.
 """
 
-import json
 import os
 
 import numpy as np

@@ -358,16 +358,22 @@ def cmd_convert(ns: argparse.Namespace) -> int:
 def _add_command(sub, name: str, func, help: str,
                  interpretations: Tuple[str, ...] = _INTERPRETATIONS
                  ) -> argparse.ArgumentParser:
-    """A subcommand parser with the options every subcommand takes."""
+    """A subcommand parser with the options every subcommand takes.
+
+    --interpretation offers the given readings, and is left out when there
+    are none.
+    """
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--model", help="registry name or path to a .py plug-in")
     p.add_argument("--sigma", type=_parse_sigma,
                    help="noise amplitude (scalar or a,b,c)")
-    p.add_argument("--interpretation", choices=interpretations, default="ito",
-                   help="reading of (f, g); paths integrate by "
-                   "Euler-Maruyama for ito, Euler-Heun for stratonovich")
+    if interpretations:
+        p.add_argument("--interpretation", choices=interpretations,
+                       default="ito", help="reading of (f, g); paths "
+                       "integrate by Euler-Maruyama for ito, Euler-Heun "
+                       "for stratonovich")
     p.add_argument("--seed", type=int,
                    help="stream seed (default: $SDE_SEED, else 0)")
     p.add_argument("--out", help="output file (default: stdout)")
@@ -425,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--dump-paths",
                        help="directory for per-path CSV files")
 
+    # convert always starts from the Stratonovich reading
     _add_check_knobs(_add_command(sub, "convert", cmd_convert,
-                                  "drift correction and verdict parity"))
+                                  "drift correction and verdict parity", ()))
     return parser
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +94,12 @@ class SdeSystem:
         coord_ranges: optional per-coordinate plausibility intervals used by
             the checkers when a coordinate is not pinned by the region under
             test.
+        diagonal_noise: if True, g[i, k] == 0 whenever i != k, so Wiener
+            component k drives coordinate k alone (needs r <= m).  The
+            integrators then add g[i, i] dW_i to the first r coordinates
+            instead of contracting the whole matrix; the diffusion callable
+            is evaluated as before, and the first evaluation of a run is
+            checked against the declaration.
     """
 
     m: int
@@ -106,12 +112,16 @@ class SdeSystem:
     diffusion_jacobian: Optional[JacobianField] = None
     coord_names: Optional[Tuple[str, ...]] = None
     coord_ranges: Optional[Tuple[Tuple[float, float], ...]] = None
+    diagonal_noise: bool = False
 
     def __post_init__(self):
         if self.m < 1:
             raise UsageError("state dimension m must be >= 1")
         if self.r < 0:
             raise UsageError("noise dimension r must be >= 0")
+        if self.diagonal_noise and self.r > self.m:
+            raise UsageError(
+                f"diagonal_noise needs r <= m, got r={self.r} > m={self.m}")
         if self.coord_names is not None:
             names = tuple(str(s) for s in self.coord_names)
             if len(names) != self.m:

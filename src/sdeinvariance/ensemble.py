@@ -7,7 +7,9 @@ bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
 so the block width cannot change a bit either.  Only one block of states
 is held at a time: memory is O(P * m * width + N * m) for P paths, N
-steps and m coordinates, with the width set by a fixed byte budget.
+steps and m coordinates, with the width set by a fixed byte budget.  The
+keyed noise is drawn several steps at a time, and that buffer is charged
+to the same budget.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -27,8 +29,11 @@ from .integrators import SimConfig, integrate_batch, march, resolve_scheme
 from .wiener import increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
-# bytes of states run_ensemble holds at once; sets the block width
+# bytes of keyed noise and states run_ensemble holds at once; the states
+# get what the noise block leaves, which sets the block width
 _BLOCK_BYTES = 4 * 2 ** 20
+# bytes of keyed noise drawn at once; sets how many steps one draw covers
+_NOISE_BYTES = 192 * 2 ** 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +90,35 @@ class EnsembleStats:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _noise_steps(n_paths: int, r: int, n_steps: int) -> int:
+    """Grid steps of keyed noise drawn at once: _NOISE_BYTES worth, >= 1."""
+    return max(1, min(n_steps, _NOISE_BYTES // max(1, 8 * n_paths * r)))
+
+
 def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
                  ) -> Tuple[Array, Callable[[int], Array]]:
-    """(x0, increments_for) that start the keyed paths ids at cfg.x0."""
+    """(x0, increments_for) that start the keyed paths ids at cfg.x0.
+
+    increments_for draws the noise of _noise_steps consecutive steps in
+    one call and serves the step asked for from that block; the last
+    block stops at the end of the grid.
+    """
     if len(cfg.x0) != sys.m:
         raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
+    n_steps = cfg.grid.n_steps
+    per_draw = _noise_steps(ids.size, r, n_steps)
+    start, block = 0, None  # block[k] holds the increments of step start + k
 
     def for_step(step: int) -> Array:
-        return increments_for_step(seed, ids, step, r, dt)
+        nonlocal start, block
+        if block is None or not start <= step < start + len(block):
+            block = None  # free the old block before drawing the next
+            start = step
+            steps = np.arange(step, min(step + per_draw, n_steps),
+                              dtype=np.uint64)
+            block = increments_for_step(seed, ids, steps, r, dt)
+        return block[step - start]
 
     return np.tile(np.asarray(cfg.x0), (ids.size, 1)), for_step
 
@@ -163,7 +188,10 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     times = cfg.grid.times()
     n_grid = times.size
     m = sys.m
-    width = max(1, min(n_grid, _BLOCK_BYTES // (8 * n_paths * m)))
+    noise_bytes = 8 * n_paths * sys.r * _noise_steps(n_paths, sys.r,
+                                                     cfg.grid.n_steps)
+    width = max(1, min(n_grid,
+                       (_BLOCK_BYTES - noise_bytes) // (8 * n_paths * m)))
     block = np.empty((n_paths, width, m))
     mean = np.empty((n_grid, m))
     ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)

@@ -11,8 +11,10 @@ and the voltage follows the current balance
     C dV/dt = I - g_Na x_1^3 x_3 (V - E_Na)
                 - g_K x_2^4 (V - E_K) - g_L (V - E_L).
 
-Noise enters only through the gating rows; the voltage row of the
-diffusion matrix is identically zero.  Three variants are registered:
+Noise enters only through the gating rows, gate i driven by Wiener
+component i alone; the voltage row of the diffusion matrix is
+identically zero.  g is therefore diagonal, and hh_system declares it
+(SdeSystem.diagonal_noise).  Three variants are registered:
 
     hh-det        no noise (plain ODE)
     hh-additive   constant sigma_i on gating component i
@@ -270,6 +272,7 @@ def hh_system(params: Optional[HHParams] = None,
         vectorized=True,
         coord_names=COORD_NAMES,
         coord_ranges=COORD_RANGES,
+        diagonal_noise=True,
     )
 
 

@@ -14,6 +14,14 @@ The drift is always advanced by plain Euler; only the diffusion term is
 averaged in the Heun corrector.  With state-independent diffusion the two
 schemes therefore coincide step by step.
 
+g dW is a contraction of the (m, r) matrix with the r increments.  For a
+system that declares diagonal_noise it is g[i, i] dW_i on the first r
+coordinates, added in place from a strided view of the diagonal, and the
+Heun average is taken over the diagonal alone.  The dense contraction
+only adds exact zeros to those products, so the states are the same bits
+(a sum of exact zeros can turn a -0.0 into +0.0, which changes a state
+only where the Euler drift step gave exactly -0.0).
+
 The system's interpretation picks the scheme: Euler-Maruyama for Ito,
 Euler-Heun for Stratonovich.  To apply the other scheme to the same
 (f, g), retag the system, dataclasses.replace(sys, interpretation=...);
@@ -82,6 +90,10 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     With on_nonfinite="freeze" a failed path keeps its last finite state
     from there on; with "raise" the first failure aborts.  A step looks
     for failed paths only when its batch as a whole is not finite.
+
+    For a system that declares diagonal_noise, the first diffusion
+    evaluation must have exact zeros off the diagonal (UsageError if not);
+    later evaluations are trusted.
     """
     if not isinstance(scheme, Scheme):
         raise UsageError(f"unknown scheme {scheme!r}")
@@ -93,6 +105,7 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     alive = np.ones(n_paths, dtype=bool)
     any_dead = False
     heun = scheme is Scheme.EULER_HEUN
+    diagonal, r = sys.diagonal_noise, sys.r
     yield 0, x, dead
     for n in range(grid.n_steps):
         t = times[n]
@@ -101,7 +114,18 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
             euler = x + f * dt
             dw = increments_for(n)
             g0 = diffusion_batch(sys, t, x)
-            if heun:
+            if diagonal:
+                if n == 0:
+                    _require_diagonal(g0)
+                d0 = _diagonal(g0)
+                if heun:
+                    pred = euler.copy()
+                    pred[:, :r] += d0 * dw
+                    d1 = _diagonal(diffusion_batch(sys, times[n + 1], pred))
+                    d0 = 0.5 * (d0 + d1)
+                euler[:, :r] += d0 * dw
+                x_new = euler
+            elif heun:
                 pred = euler + np.einsum("pmr,pr->pm", g0, dw)
                 g1 = diffusion_batch(sys, times[n + 1], pred)
                 gbar = 0.5 * (g0 + g1)
@@ -124,6 +148,21 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
             x_new[~alive] = x[~alive]
         x = x_new
         yield n + 1, x, dead
+
+
+def _diagonal(g: Array) -> Array:
+    """The view g[:, i, i], i < r, of a (n, m, r) diffusion, r <= m."""
+    n, m, r = g.shape
+    # every (r + 1)-th entry of each flat row
+    return g.reshape(n, m * r)[:, :r * (r + 1):r + 1]
+
+
+def _require_diagonal(g: Array) -> None:
+    """UsageError unless the (n, m, r) diffusion g is zero off the diagonal."""
+    off = ~np.eye(g.shape[1], g.shape[2], dtype=bool)
+    if (g[:, off] != 0).any():
+        raise UsageError("system declares diagonal_noise, but its diffusion "
+                         "has a non-zero entry off the diagonal")
 
 
 def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,

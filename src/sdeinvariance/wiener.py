@@ -14,8 +14,11 @@ in the open interval (0, 1) using its top 53 bits, and the increment is
 
 with ndtri the inverse of the standard normal CDF (scipy.special).
 The finalizer mixes in place, and increments_for_step finishes the
-uniform, ndtri and the sqrt(dt) scaling in one buffer; neither changes
-the mapping from (seed, path_id, step, component) to the increment.
+uniform, ndtri and the sqrt(dt) scaling in one buffer.  Given a block of
+steps, increments_for_step folds the (seed, path_id) prefix of the chain
+once for the whole block and broadcasts the steps after it.  None of this
+changes the mapping from (seed, path_id, step, component) to the
+increment.
 """
 
 from __future__ import annotations
@@ -73,12 +76,20 @@ def normal_stream(seed: int, path_ids, steps, components) -> Array:
     return ndtri(uniform_stream(seed, path_ids, steps, components))
 
 
-def increments_for_step(seed: int, path_ids: Array, step: int, r: int,
+def increments_for_step(seed: int, path_ids: Array, step, r: int,
                         dt: float) -> Array:
-    """Wiener increments over one step for many paths, shape (n_paths, r)."""
+    """Wiener increments over one step for many paths, shape (n_paths, r).
+
+    step may also be a 1-D array of steps; the result then has shape
+    (len(step), n_paths, r), and row k holds, bit for bit, the increments
+    of step[k] alone.  The (seed, path_id) hash is computed once for the
+    whole block.
+    """
     ids = np.asarray(path_ids, dtype=np.uint64).reshape(-1, 1)
-    z = uniform_stream(seed, ids, np.uint64(step),
-                       np.arange(r, dtype=np.uint64))
+    steps = np.asarray(step, dtype=np.uint64)
+    if steps.ndim:
+        steps = steps.reshape(-1, 1, 1)
+    z = uniform_stream(seed, ids, steps, np.arange(r, dtype=np.uint64))
     ndtri(z, out=z)
     z *= np.sqrt(dt)
     return z

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import sdeinvariance.ensemble as ensemble
-from sdeinvariance import (CheckConfig, Interpretation, JacobianMode,
-                           JacobianPolicy, MODEL_REGISTRY, Scheme, SdeSystem,
+from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
+                           MODEL_REGISTRY, Scheme, SdeSystem,
                            SimConfig, TimeGrid, Verdict, WienerGrid,
                            build_model, check_box, check_comparison,
                            correction, rate_alpha, rate_beta, run_ensemble,

@@ -279,6 +279,16 @@ class TestConvert:
         assert payload["verdicts_equal"] is True
         assert len(payload["correction_samples"]) == 5
 
+    def test_interpretation_is_not_a_convert_flag(self, capsys):
+        # convert always starts from the Stratonovich reading
+        for reading in ("ito", "stratonovich"):
+            code, out, err = run_cli(capsys, "convert", "--model",
+                                     "hh-logistic", "--interpretation",
+                                     reading, *QUICK_CHECK)
+            assert code == 1
+            assert err.startswith("error:")
+            assert out == ""
+
 
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -493,14 +503,16 @@ class TestPinnedDumps:
     """The bytes of every --dump-paths file, at any ensemble block width."""
 
     # 5 paths x 4 coordinates x 8 bytes: 160 bytes is a 1-step block and
-    # 1120 a 7-step one, which divides neither grid
+    # 1120 a 7-step one, which divides neither grid; with the noise drawn
+    # one step at a time, the budget also pays its 5 x 3 x 8 = 120 bytes
     @pytest.mark.parametrize("block_bytes", [None, 160, 1120])
     @pytest.mark.parametrize("run", sorted(PINNED_DUMPS))
     def test_dump_digests(self, capsys, tmp_path, monkeypatch, run,
                           block_bytes):
         if block_bytes is not None:
+            monkeypatch.setattr(sdeinvariance.ensemble, "_NOISE_BYTES", 0)
             monkeypatch.setattr(sdeinvariance.ensemble, "_BLOCK_BYTES",
-                                block_bytes)
+                                block_bytes + 120)
         options, digests = PINNED_DUMPS[run]
         target = tmp_path / "paths"
         code, out, err = run_cli(capsys, "ensemble", *options,

@@ -29,6 +29,20 @@ class TestSdeSystem:
             SdeSystem(m=1, r=-1, drift=lambda t, x: x,
                       diffusion=lambda t, x: x)
 
+    def test_diagonal_noise_needs_r_at_most_m(self):
+        def diffusion(t, x):
+            return np.zeros(np.shape(x)[:-1] + (2, 3))
+
+        with pytest.raises(UsageError, match="r <= m"):
+            SdeSystem(m=2, r=3, drift=lambda t, x: x, diffusion=diffusion,
+                      diagonal_noise=True)
+        assert not SdeSystem(m=2, r=3, drift=lambda t, x: x,
+                             diffusion=diffusion).diagonal_noise
+        for r in (0, 1, 2):
+            assert SdeSystem(m=2, r=r, drift=lambda t, x: x,
+                             diffusion=diffusion,
+                             diagonal_noise=True).diagonal_noise
+
     def test_coord_names_length_checked(self):
         with pytest.raises(UsageError):
             simple_system(coord_names=("a",))

@@ -12,6 +12,7 @@ from sdeinvariance import (Box, Interpretation, SdeSystem,
                            integrate_paths, run_ensemble, simulate)
 import sdeinvariance.ensemble as ensemble
 from sdeinvariance.ensemble import _nearest_rank_index
+from sdeinvariance.wiener import increments_for_step
 from helpers import constant_drift_system, gbm_system
 
 
@@ -129,9 +130,11 @@ class TestDeterminism:
 
     def test_block_width_does_not_change_stats(self, monkeypatch):
         # one step per block, 7 steps (which do not divide the 3001 grid
-        # points), and the whole grid in one block
+        # points), and the whole grid in one block; each budget also pays
+        # for the keyed-noise block
         row = 8 * 64 * 4
-        for budget in (0, 7 * row, 3001 * row):
+        noise = 8 * 64 * 3 * ensemble._noise_steps(64, 3, 3000)
+        for budget in (0, noise + 7 * row, noise + 3001 * row):
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES", budget)
             stats = self.additive_64()
             assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
@@ -147,14 +150,18 @@ class TestDeterminism:
         assert np.array_equal(states[0], traj.states)
         assert dead[0] == -1
 
-    def test_batch_size_does_not_change_paths(self):
+    def test_batch_size_does_not_change_paths(self, monkeypatch):
         system, info = build_model("hh-additive", sigma=0.2)
         grid = TimeGrid(0.0, 1.0, 100)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=5)
-        wide, _ = integrate_paths(system, cfg, range(6))
-        for pid in range(6):
-            narrow, _ = integrate_paths(system, cfg, [pid])
-            assert np.array_equal(wide[pid], narrow[0])
+        # the default noise draws; for the 6 paths, 144 bytes is one step a
+        # draw and 1008 is 7 steps, which do not divide the 100
+        for noise_bytes in (ensemble._NOISE_BYTES, 144, 1008):
+            monkeypatch.setattr(ensemble, "_NOISE_BYTES", noise_bytes)
+            wide, _ = integrate_paths(system, cfg, range(6))
+            for pid in range(6):
+                narrow, _ = integrate_paths(system, cfg, [pid])
+                assert np.array_equal(wide[pid], narrow[0])
 
     def test_rerun_is_bitwise_identical(self):
         system, info = build_model("hh-additive", sigma=0.5)
@@ -163,6 +170,53 @@ class TestDeterminism:
         a = run_ensemble(system, cfg, 10, info.box)
         b = run_ensemble(system, cfg, 10, info.box)
         assert a.to_json() == b.to_json()
+
+
+class TestKeyedNoiseBlocks:
+    """Keyed noise is drawn a block of steps at a time, with no trace in
+    the paths or the stats."""
+
+    @staticmethod
+    def draws(monkeypatch):
+        # the shape of every keyed-noise draw the ensemble module makes
+        shapes = []
+        draw = ensemble.increments_for_step
+
+        def counted(*args):
+            out = draw(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ensemble, "increments_for_step", counted)
+        return shapes
+
+    def test_steps_are_served_from_blocks(self, monkeypatch):
+        # 5 paths x 3 components x 8 bytes: 960 bytes is 8 steps a draw,
+        # so 13 steps take one block of 8 and a ragged one of 5
+        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 960)
+        shapes = self.draws(monkeypatch)
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.13, 13), x0=tuple(info.x0),
+                        seed=4)
+        ids = np.arange(5, dtype=np.uint64)
+        _, for_step = ensemble._keyed_start(system, cfg, ids)
+        for n in range(13):
+            want = increments_for_step(4, ids, n, 3, cfg.grid.dt)
+            assert for_step(n).tobytes() == want.tobytes()
+        assert shapes == [(8, 5, 3), (5, 5, 3)]
+
+    # one step per draw, 7 steps (which do not divide the 3000), and the
+    # whole grid in one draw
+    @pytest.mark.parametrize("noise_bytes",
+                             [None, 0, 7 * 64 * 3 * 8, 3000 * 64 * 3 * 8])
+    def test_each_normal_is_drawn_once(self, monkeypatch, noise_bytes):
+        if noise_bytes is not None:
+            monkeypatch.setattr(ensemble, "_NOISE_BYTES", noise_bytes)
+        shapes = self.draws(monkeypatch)
+        stats = TestDeterminism.additive_64()
+        assert sum(int(np.prod(shape)) for shape in shapes) == 64 * 3000 * 3
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == TestDeterminism.ADDITIVE_64_SHA256)
 
 
 class TestMemory:

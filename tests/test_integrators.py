@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from sdeinvariance import (IntegrationError, Interpretation, Scheme,
                            SdeSystem, SimConfig, TimeGrid, Trajectory,
-                           UsageError, WienerGrid, build_model,
-                           ito_to_stratonovich, simulate,
+                           UsageError, WienerGrid, build_model, simulate,
                            simulate_deterministic, stratonovich_to_ito,
                            trajectory_csv_text, write_trajectory_csv)
+import sdeinvariance.integrators as integrators
 from sdeinvariance.conversion import JacobianMode, JacobianPolicy
+from sdeinvariance.ensemble import integrate_paths
 from sdeinvariance.integrators import integrate_batch, march, resolve_scheme
 from sdeinvariance.wiener import increments_for_step
 from helpers import gbm_exact_ito, gbm_exact_strat, gbm_system
@@ -270,6 +271,82 @@ class TestFailureHandling:
         cfg = SimConfig(grid=grid, x0=(10.0,))
         with pytest.raises(IntegrationError):
             simulate_deterministic(self.cubic(), cfg)
+
+
+class TestDiagonalNoise:
+    """A declared-diagonal g gives the bits of the dense contraction."""
+
+    @pytest.mark.parametrize("reading", list(Interpretation))
+    @pytest.mark.parametrize("name", ["hh-det", "hh-additive", "hh-logistic"])
+    def test_hh_models_match_the_dense_contraction(self, name, reading):
+        system, info = build_model(name, sigma=0.5, interpretation=reading)
+        assert system.diagonal_noise
+        dense = replace(system, diagonal_noise=False)
+        died = 0
+        for n_steps in (2000, 400):  # at dt = 0.05 noisy paths blow up
+            cfg = SimConfig(grid=TimeGrid(0.0, 20.0, n_steps),
+                            x0=tuple(info.x0), seed=3)
+            states, dead = integrate_paths(system, cfg, range(32))
+            want, want_dead = integrate_paths(dense, cfg, range(32))
+            assert states.tobytes() == want.tobytes()
+            assert dead.tobytes() == want_dead.tobytes()
+            died += int((dead >= 0).sum())
+        # the noisy models exercise the freeze path
+        assert (died > 0) == (name != "hh-det")
+
+    @staticmethod
+    def square(off: float) -> SdeSystem:
+        """m = r = 2, declared diagonal; g[0, 1] = off."""
+        def drift(t, x):
+            return -np.asarray(x, dtype=float)
+
+        def diffusion(t, x):
+            x = np.asarray(x, dtype=float)
+            g = np.zeros(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = np.sin(x[..., 1])
+            g[..., 1, 1] = 0.3 * x[..., 0]
+            g[..., 0, 1] = off
+            return g
+
+        return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
+                         vectorized=True, diagonal_noise=True)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_square_system_matches_the_dense_contraction(self, scheme):
+        grid = TimeGrid(0.0, 1.0, 50)
+        ids = np.arange(4, dtype=np.uint64)
+        x0 = np.tile([0.7, -1.2], (4, 1))
+
+        def incr(step):
+            return increments_for_step(8, ids, step, 2, grid.dt)
+
+        system = self.square(0.0)
+        states, _ = integrate_batch(system, grid, x0, scheme, incr)
+        want, _ = integrate_batch(replace(system, diagonal_noise=False),
+                                  grid, x0, scheme, incr)
+        assert states.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("off", [0.1, np.nan])
+    def test_off_diagonal_entry_is_usage_error(self, off):
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(UsageError, match="diagonal"):
+            integrate_batch(self.square(off), grid, np.ones((3, 2)),
+                            Scheme.EULER_MARUYAMA, zero_increments(3, 2))
+
+    def test_declaration_is_checked_once_per_march(self, monkeypatch):
+        checked = []
+        check = integrators._require_diagonal
+
+        def counted(g):
+            checked.append(g.shape)
+            check(g)
+
+        monkeypatch.setattr(integrators, "_require_diagonal", counted)
+        grid = TimeGrid(0.0, 1.0, 10)
+        for scheme in Scheme:
+            integrate_batch(self.square(0.0), grid, np.ones((3, 2)), scheme,
+                            zero_increments(3, 2))
+        assert checked == [(3, 2, 2)] * 2
 
 
 class TestCsvOutput:

@@ -110,6 +110,25 @@ def test_increments_match_normal_stream_bit_for_bit(seed):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("r", [3, 0])
+@pytest.mark.parametrize("seed", _PIN_SEEDS)
+def test_block_of_steps_equals_per_step_draws(seed, r):
+    # 13 steps drawn 8 at a time end in a ragged block of 5; a block need
+    # not hold consecutive steps
+    steps = np.arange(13, dtype=np.uint64)
+    want = np.stack([increments_for_step(seed, _PIN_IDS, int(n), r, 0.01)
+                     for n in steps])
+    got = np.concatenate([increments_for_step(seed, _PIN_IDS, steps[s:s + 8],
+                                              r, 0.01) for s in (0, 8)])
+    assert got.shape == want.shape == (13, _PIN_IDS.size, r)
+    assert got.tobytes() == want.tobytes()
+    sparse = np.array([2 ** 33 + 5, 17, 0], dtype=np.uint64)
+    got = increments_for_step(seed, _PIN_IDS, sparse, r, 1.0 / 3.0)
+    for row, n in zip(got, sparse):
+        want = increments_for_step(seed, _PIN_IDS, int(n), r, 1.0 / 3.0)
+        assert row.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", _PIN_SEEDS)
 def test_uniform_stream_matches_integer_reference(seed):
     ids = _PIN_IDS[:, None, None]
