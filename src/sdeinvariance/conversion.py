@@ -117,7 +117,9 @@ def stratonovich_to_ito(sys: SdeSystem,
 
     The returned system has drift f + h/2, the same diffusion, and the
     Ito tag.  Requires a smooth diffusion (the correction differentiates
-    it) and a system tagged Stratonovich.
+    it) and a system tagged Stratonovich.  Every other field carries
+    over; autonomous among them, since the h of a t-free g and Jacobian
+    is t-free.
     """
     if sys.interpretation is not Interpretation.STRATONOVICH:
         raise UsageError("stratonovich_to_ito expects a Stratonovich system")
@@ -129,7 +131,11 @@ def stratonovich_to_ito(sys: SdeSystem,
 def ito_to_stratonovich(sys: SdeSystem,
                         policy: JacobianPolicy = JacobianPolicy()
                         ) -> SdeSystem:
-    """Rewrite an Ito system as the equivalent Stratonovich system."""
+    """Rewrite an Ito system as the equivalent Stratonovich system.
+
+    The mirror of :func:`stratonovich_to_ito`: drift f - h/2, and every
+    other field, autonomous included, carried over.
+    """
     if sys.interpretation is not Interpretation.ITO:
         raise UsageError("ito_to_stratonovich expects an Ito system")
     return replace(sys, drift=_shifted_drift(sys, policy, -1.0),

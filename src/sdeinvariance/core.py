@@ -100,6 +100,14 @@ class SdeSystem:
             instead of contracting the whole matrix; the diffusion callable
             is evaluated as before, and the first evaluation of a run is
             checked against the declaration.
+        autonomous: if True, drift and diffusion do not depend on t, so
+            they return the same bits at every time.  The invariance
+            checkers then evaluate each face once and replay the result
+            at every check time; the first sampled face of a check with
+            several check times is evaluated once more at the last one
+            and compared bit for bit with the declaration (UsageError if
+            it differs).  A callable cannot show that it ignores t, so
+            the default False evaluates at every check time.
     """
 
     m: int
@@ -113,6 +121,7 @@ class SdeSystem:
     coord_names: Optional[Tuple[str, ...]] = None
     coord_ranges: Optional[Tuple[Tuple[float, float], ...]] = None
     diagonal_noise: bool = False
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.m < 1:

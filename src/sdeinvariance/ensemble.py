@@ -259,13 +259,17 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     over paths of the per-coordinate endpoint difference, shape (m,).
     For state-independent diffusion the two readings agree and the gap is
     zero up to rounding; for multiplicative noise it grows with the
-    square of the noise amplitude.  Only the endpoints are kept.
+    square of the noise amplitude.  Only the endpoints are kept.  The
+    two readings march in lockstep on one keyed provider, so each block
+    of noise is drawn once and serves both.
     """
-    endpoints = []
-    for interpretation in Interpretation:
-        reading = replace(sys, interpretation=interpretation)
-        for _, x, _ in _march_paths(reading, cfg, n_paths):
-            pass
-        endpoints.append(x)
-    gap = endpoints[0] - endpoints[1]
+    x0, increments = _keyed_start(sys, cfg,
+                                  np.arange(n_paths, dtype=np.uint64))
+    readings = [replace(sys, interpretation=i) for i in Interpretation]
+    marches = [march(reading, cfg.grid, x0, resolve_scheme(reading),
+                     increments, on_nonfinite="freeze")
+               for reading in readings]
+    for (_, ito, _), (_, stratonovich, _) in zip(*marches):
+        pass
+    gap = ito - stratonovich
     return np.sqrt(np.mean(gap * gap, axis=0))

@@ -14,7 +14,8 @@ and the voltage follows the current balance
 Noise enters only through the gating rows, gate i driven by Wiener
 component i alone; the voltage row of the diffusion matrix is
 identically zero.  g is therefore diagonal, and hh_system declares it
-(SdeSystem.diagonal_noise).  Three variants are registered:
+(SdeSystem.diagonal_noise).  No field depends on t, which hh_system
+declares as well (SdeSystem.autonomous).  Three variants are registered:
 
     hh-det        no noise (plain ODE)
     hh-additive   constant sigma_i on gating component i
@@ -273,6 +274,7 @@ def hh_system(params: Optional[HHParams] = None,
         coord_names=COORD_NAMES,
         coord_ranges=COORD_RANGES,
         diagonal_noise=True,
+        autonomous=True,
     )
 
 

@@ -16,7 +16,9 @@ The checkers here are falsifiers: they sample each face with a
 deterministic low-discrepancy (or hit-and-run) scheme, apply the
 conditions within configured tolerances and return margins plus concrete
 witness points for every violation found.  A Violated verdict is
-constructive; a Satisfied verdict certifies the sampled points only.
+constructive; a Satisfied verdict certifies the sampled points only, and
+a check with a face that got no samples is Inconclusive unless another
+face is violated.
 Each face lists its witnesses per check time, drift witnesses before
 diffusion witnesses, each in sample order, up to max_witnesses_per_face.
 
@@ -48,6 +50,7 @@ _MIN_RATE = 1e-14  # a margin moving slower along a ray never limits it
 class Verdict(enum.Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
+    INCONCLUSIVE = "inconclusive"  # no witness, but a face has no samples
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,11 @@ class CheckConfig:
     its finite end plus or minus the span of fallback_range, (lo, inf)
     becoming (lo, lo + span), and one infinite on both sides becomes
     fallback_range.
+
+    n_time_samples check times are spread evenly over [0, t_max_check]
+    (one means t = 0 alone).  A system that declares autonomous is
+    evaluated at the first of them only and the result replayed at the
+    rest, with the same report bytes; see SdeSystem.autonomous.
     """
 
     n_face_samples: int = 4096
@@ -135,7 +143,8 @@ class FaceReport:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict plus per-face evidence; violated iff witnesses exist."""
+    """Verdict plus per-face evidence: violated iff witnesses exist, else
+    inconclusive if a face has no samples, else satisfied."""
 
     verdict: Verdict
     faces: Tuple[FaceReport, ...]
@@ -224,7 +233,9 @@ def _require_finite(values: Array, what: str, t: float, points: Array):
 
 
 def _scan_face(index: int, side: str, pts: Array, cfg: CheckConfig,
-               evaluate, partner: Optional[Array] = None) -> FaceReport:
+               evaluate, partner: Optional[Array] = None,
+               autonomous: bool = False, verify: bool = False
+               ) -> FaceReport:
     """Apply the face conditions to the sampled points at every check time.
 
     evaluate(t) returns (margin, value, dev) on the points: the inward
@@ -232,6 +243,13 @@ def _scan_face(index: int, side: str, pts: Array, cfg: CheckConfig,
     diffusion deviation that must vanish (n, r).  Witnesses come in the
     order the module docstring states; the cap is at least 1, so a face
     is violated exactly when it has a witness.
+
+    For an autonomous system evaluate runs at the first check time only,
+    and that result is replayed at every check time, each witness still
+    carrying its own time, so the report is the one that evaluating at
+    every time would give.  With verify and more than one check time,
+    evaluate runs once more at the last check time, and a result that
+    differs from the first in any bit is a UsageError.
     """
     min_margin = math.inf
     max_dev = 0.0
@@ -242,28 +260,43 @@ def _scan_face(index: int, side: str, pts: Array, cfg: CheckConfig,
         return Witness(index, side, float(t), tuple(pts[k]), kind, float(v),
                        partner=other)
 
-    for t in _check_times(cfg):
-        margin, value, dev = evaluate(t)
-        min_margin = min(min_margin, float(margin.min()))
-        dev_abs = np.abs(dev)
-        if dev_abs.size:
-            max_dev = max(max_dev, float(dev_abs.max()))
-        bad_drift = np.flatnonzero(margin < -cfg.eps_drift)
-        bad_diff = np.argwhere(dev_abs > cfg.eps_diff)
+    times = _check_times(cfg)
+    for n, t in enumerate(times):
+        if n == 0 or not autonomous:
+            margin, value, dev = evaluate(t)
+            min_margin = min(min_margin, float(margin.min()))
+            dev_abs = np.abs(dev)
+            if dev_abs.size:
+                max_dev = max(max_dev, float(dev_abs.max()))
+            bad_drift = np.flatnonzero(margin < -cfg.eps_drift)
+            bad_diff = np.argwhere(dev_abs > cfg.eps_diff)
         room = cfg.max_witnesses_per_face - len(wit)
         wit += [witness(t, k, "drift_sign", value[k])
                 for k in bad_drift[:room]]
         room = cfg.max_witnesses_per_face - len(wit)
         wit += [witness(t, k, "diffusion_nonzero", dev[k, j])
                 for k, j in bad_diff[:room]]
+    if autonomous and verify and times.size > 1:
+        # hold bytes, not views that keep whole model outputs alive
+        first = [a.tobytes() for a in (margin, value, dev)]
+        del margin, value, dev, dev_abs
+        if [a.tobytes() for a in evaluate(times[-1])] != first:
+            raise UsageError(
+                f"system declares autonomous, but on face ({index}, {side}) "
+                f"its drift or diffusion at t={times[-1]} differs from "
+                f"t={times[0]}")
     return FaceReport(index, side, pts.shape[0], float(min_margin), max_dev,
                       tuple(wit))
 
 
 def _report(faces: Sequence[FaceReport], cfg: CheckConfig) -> CheckReport:
-    violated = any(f.witnesses for f in faces)
-    return CheckReport(Verdict.VIOLATED if violated else Verdict.SATISFIED,
-                       tuple(faces), cfg)
+    if any(f.witnesses for f in faces):
+        verdict = Verdict.VIOLATED
+    elif any(f.n_samples == 0 for f in faces):
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.SATISFIED
+    return CheckReport(verdict, tuple(faces), cfg)
 
 
 def _box_face_points(sys: SdeSystem, box: Box, cfg: CheckConfig,
@@ -293,7 +326,9 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
     coordinate fixed, free coordinates drawn inside the box intersected
     with the plausibility windows) at times spread over [0, t_max_check].
     Both interpretations are handled identically because the face
-    conditions are interpretation-independent.
+    conditions are interpretation-independent.  An autonomous system is
+    evaluated once per face, its first face once more as a check of the
+    declaration (see _scan_face).
     """
     if max(box.indices) >= sys.m:
         raise UsageError("box constrains a coordinate outside the state")
@@ -310,7 +345,9 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
                             f"({i}, {side})", t, pts)
             return (f_row if side == "lower" else -f_row), f_row, g_row
 
-        faces.append(_scan_face(i, side, pts, cfg, evaluate))
+        faces.append(_scan_face(i, side, pts, cfg, evaluate,
+                                autonomous=sys.autonomous,
+                                verify=ordinal == 0))
     return _report(faces, cfg)
 
 
@@ -333,7 +370,8 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
     x_i = y_i and x_k >= y_k for the other coupled coordinates k, then
     requires drift domination f_a_i(t, x) >= f_b_i(t, y) within eps_drift
     and row-i diffusion agreement within eps_diff.  Witness entries carry
-    both points (x and partner y).
+    both points (x and partner y).  The pairs are evaluated once per face
+    only when both systems declare autonomous (see _scan_face).
     """
     if sys_a.m != sys_b.m or sys_a.r != sys_b.r:
         raise UsageError("compared systems must share state and noise "
@@ -347,6 +385,7 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
     lo, hi = np.array(_coord_windows(sys_a, cfg)).T
     span = hi - lo
     free = [j for j in range(m) if j not in idx]
+    autonomous = sys_a.autonomous and sys_b.autonomous
     faces = []
     for ordinal, i in enumerate(idx):
         # columns of u: y, then x on the other coupled, then the free ones;
@@ -371,7 +410,8 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
             margin = fa - fb
             return margin, margin, ga - gb
 
-        faces.append(_scan_face(i, "pair", x, cfg, evaluate, partner=y))
+        faces.append(_scan_face(i, "pair", x, cfg, evaluate, partner=y,
+                                autonomous=autonomous, verify=ordinal == 0))
     return _report(faces, cfg)
 
 
@@ -559,7 +599,10 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     |<g_j, n>| <= eps_diff per noise column, with unit-normalized n.
 
     A face that cannot be reached inside the window contributes no
-    samples and is reported with n_samples = 0.
+    samples and is reported with n_samples = 0; with no witness on any
+    face, the verdict is then inconclusive.  An autonomous system is
+    evaluated once per sampled face, the first of them once more as a
+    check of the declaration (see _scan_face).
     """
     if not poly.halfspaces:
         return _report((), cfg)
@@ -607,5 +650,7 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
                             t, pts)
             return f_n, f_n, g_n
 
-        faces.append(_scan_face(nu, "hyperplane", pts, cfg, evaluate))
+        faces.append(_scan_face(nu, "hyperplane", pts, cfg, evaluate,
+                                autonomous=sys.autonomous,
+                                verify=nu == reached[0]))
     return _report(faces, cfg)

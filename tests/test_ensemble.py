@@ -218,6 +218,17 @@ class TestKeyedNoiseBlocks:
         assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
                 == TestDeterminism.ADDITIVE_64_SHA256)
 
+    def test_compare_interpretations_draws_each_normal_once(self,
+                                                              monkeypatch):
+        # both readings march on one provider: n_paths * n_steps * r
+        # normals, not twice that, in blocks of 8, 8 and 4 steps
+        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 8 * 6 * 3 * 8)
+        shapes = self.draws(monkeypatch)
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.2, 20), x0=tuple(info.x0))
+        compare_interpretations(system, cfg, 6)
+        assert shapes == [(8, 6, 3), (8, 6, 3), (4, 6, 3)]
+
 
 class TestMemory:
     # Doubling the grid may raise the traced peak only by about the

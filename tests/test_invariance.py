@@ -2,17 +2,21 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdeinvariance import (Box, CheckConfig, Halfspace, Interpretation,
+from sdeinvariance import (MODEL_REGISTRY, Box, CheckConfig, Halfspace,
+                           Interpretation, JacobianMode, JacobianPolicy,
                            ModelEvaluationError, Polyhedron, SdeSystem,
                            UsageError, Verdict, build_model, check_box,
                            check_comparison, check_polyhedron,
-                           check_positivity, eval_diffusion, eval_drift)
+                           check_positivity, eval_diffusion, eval_drift,
+                           stratonovich_to_ito)
+from sdeinvariance.core import diffusion_batch, drift_batch
 from sdeinvariance import invariance as inv
 from helpers import constant_drift_system
 
@@ -559,6 +563,9 @@ class TestPolyhedron:
         assert near_face.n_samples > 0
         assert far_face.n_samples == 0
         assert far_face.min_drift_margin is None
+        # every path leaves through the unsampled face: never satisfied
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.to_dict()["verdict"] == "inconclusive"
 
     @pytest.mark.parametrize("ranges", [
         ((0.0, math.inf), (-5.0, 5.0)),
@@ -790,6 +797,142 @@ class TestReportSerialization:
         data = report.to_dict()
         wit = data["faces"][0]["witnesses"][0]
         assert "y" in wit and len(wit["y"]) == 2
+
+
+def _registry_readings():
+    """Every registry model under both readings and converted to Ito."""
+    for name in sorted(MODEL_REGISTRY):
+        for interp in Interpretation:
+            system, _ = build_model(name, sigma=0.5, interpretation=interp)
+            yield pytest.param(system, id=f"{name}-{interp.value}")
+        strat, _ = build_model(name, sigma=0.5,
+                               interpretation=Interpretation.STRATONOVICH)
+        for mode in JacobianMode:
+            yield pytest.param(
+                stratonovich_to_ito(strat, JacobianPolicy(mode)),
+                id=f"{name}-as-ito-{mode.value}")
+
+
+def _late_drift(t, x):
+    # points into x >= 0 only from t = 50 on
+    x = np.asarray(x, dtype=float)
+    return np.full_like(x, t - 50.0)
+
+
+class TestAutonomous:
+    """Time-independent systems are evaluated once per face."""
+
+    @pytest.mark.parametrize("system", list(_registry_readings()))
+    def test_registry_models_ignore_t(self, system):
+        assert system.autonomous
+        rng = np.random.default_rng(7)
+        x = np.column_stack([rng.random((512, 3)),
+                             rng.uniform(-100.0, 60.0, 512)])
+        for batch in (drift_batch, diffusion_batch):
+            assert (batch(system, 0.0, x).tobytes()
+                    == batch(system, 100.0, x).tobytes())
+
+    def test_time_dependent_system_is_evaluated_at_every_time(self):
+        system = drift_only(1, _late_drift)
+        cfg = CheckConfig(n_time_samples=16)
+        report = check_positivity(system, (0,), cfg)
+        times = np.linspace(0.0, cfg.t_max_check, 16)
+        assert [w.t for w in report.witnesses] == list(times[times < 50.0])
+        assert report.faces[0].min_drift_margin == -50.0
+
+    CHECKERS = {
+        "box": (lambda s, cfg: check_box(s, Box.unit((0, 1)), cfg), 4),
+        "polyhedron": (lambda s, cfg: check_polyhedron(
+            s, Box.unit((0, 1)).as_polyhedron(2), cfg), 4),
+        # against a system at rest: a system against itself reads t - t
+        "comparison": (lambda s, cfg: check_comparison(
+            s, drift_only(2, lambda t, x: np.zeros_like(x),
+                          autonomous=s.autonomous),
+            (0, 1), cfg), 2),
+    }
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    @pytest.mark.parametrize("n_times", [1, 4])
+    def test_drift_calls(self, checker, n_times):
+        # per face: one call once if autonomous (plus the guard on the
+        # first face), else one at every check time
+        check, n_faces = self.CHECKERS[checker]
+        calls = []
+
+        def drift(t, x):
+            calls.append(t)
+            return np.ones_like(x)
+
+        cfg = CheckConfig(n_face_samples=64, n_time_samples=n_times)
+        for autonomous in (True, False):
+            calls.clear()
+            check(drift_only(2, drift, autonomous=autonomous), cfg)
+            if autonomous:
+                want = n_faces + (n_times > 1)
+            else:
+                want = n_faces * n_times
+            assert len(calls) == want, autonomous
+
+    def hh_reports(self):
+        cfg = CheckConfig(n_face_samples=32, n_time_samples=3,
+                          max_witnesses_per_face=100)
+        additive, info = build_model("hh-additive", sigma=0.5)
+        logistic, _ = build_model("hh-logistic", sigma=0.5)
+        strat, _ = build_model("hh-logistic", sigma=0.5,
+                               interpretation=Interpretation.STRATONOVICH)
+        converted = stratonovich_to_ito(
+            strat, JacobianPolicy(JacobianMode.ANALYTIC))
+        poly = info.box.as_polyhedron(4)
+        return {
+            "box-additive": lambda s: check_box(s(additive), info.box, cfg),
+            "box-logistic": lambda s: check_box(s(logistic), info.box, cfg),
+            "box-converted": lambda s: check_box(s(converted), info.box,
+                                                 cfg),
+            "polyhedron-additive": lambda s: check_polyhedron(
+                s(additive), poly, cfg),
+            "comparison-logistic": lambda s: check_comparison(
+                s(logistic), s(logistic), (0, 1, 2), cfg),
+            "comparison-additive-logistic": lambda s: check_comparison(
+                s(additive), s(logistic), (0, 1, 2), cfg),
+        }
+
+    def test_hh_reports_equal_the_evaluated_ones(self):
+        times = {}
+        for name, report in self.hh_reports().items():
+            replayed = report(lambda s: s).to_json()
+            evaluated = report(lambda s: replace(s, autonomous=False))
+            assert replayed == evaluated.to_json(), name
+            times[name] = {w.t for w in evaluated.witnesses}
+        # the witnesses span every check time, so their order is pinned
+        assert times["box-additive"] == {0.0, 50.0, 100.0}
+        assert times["comparison-additive-logistic"] == {0.0, 50.0, 100.0}
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_false_declaration_is_a_usage_error(self, checker):
+        check, _ = self.CHECKERS[checker]
+        system = drift_only(2, _late_drift, autonomous=True)
+        with pytest.raises(UsageError, match="autonomous"):
+            check(system, QUICK)
+
+    def test_guard_runs_on_the_first_sampled_face(self):
+        # face 0 at x = 50 lies outside the window and has no samples
+        far_first = Polyhedron((Halfspace((50.0,), (-1.0,)),
+                                Halfspace((-5.0,), (1.0,))))
+        system = drift_only(1, _late_drift, autonomous=True)
+        with pytest.raises(UsageError, match=r"face \(1, hyperplane\)"):
+            check_polyhedron(system, far_first, QUICK)
+
+    def test_one_autonomous_side_is_not_enough(self):
+        # comparison replays only when both systems declare autonomous, so
+        # a false declaration on one side goes unused, and unchecked
+        still = drift_only(2, lambda t, x: np.zeros_like(x))
+        late = drift_only(2, _late_drift)
+        liar = replace(late, autonomous=True)
+        for pair in ((late, still), (still, late)):
+            evaluated = check_comparison(*pair, (0,), QUICK)
+            assert evaluated.witnesses
+            lying = [liar if s is late else s for s in pair]
+            assert check_comparison(*lying, (0,), QUICK) == evaluated
 
 
 def _mixed_drift(t, x):
