@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import warnings
 from dataclasses import replace
@@ -347,6 +348,55 @@ class TestDiagonalNoise:
             integrate_batch(self.square(0.0), grid, np.ones((3, 2)), scheme,
                             zero_increments(3, 2))
         assert checked == [(3, 2, 2)] * 2
+
+
+class TestPinnedDenseStates:
+    """sha256 of integrate_batch states for a coupled system whose noise
+    is not diagonal, so each reading takes its dense g dW contraction."""
+
+    DIGESTS = {
+        "ito": ("e930a794073982fee99b51d2bd52bb6e"
+                "480b02f6d26e472a3fa557712301e330"),
+        "stratonovich": ("c183dbf4c6c0d475778437c87fefb7e5"
+                         "5fda27c003cf90e5d3b8679a814edbfa"),
+    }
+
+    @staticmethod
+    def coupled(reading: Interpretation) -> SdeSystem:
+        """m = r = 2; every entry of g is non-zero and g depends on t."""
+        def drift(t, x):
+            x = np.asarray(x, dtype=float)
+            return np.stack([x[..., 1] - x[..., 0], -np.sin(x[..., 0])],
+                            axis=-1)
+
+        def diffusion(t, x):
+            x = np.asarray(x, dtype=float)
+            g = np.empty(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 0.3 * x[..., 1]
+            g[..., 0, 1] = 0.2 * np.cos(x[..., 0])
+            g[..., 1, 0] = 0.1 * x[..., 0] * x[..., 1]
+            g[..., 1, 1] = 0.25 + 0.1 * t
+            return g
+
+        return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
+                         vectorized=True, interpretation=reading)
+
+    @pytest.mark.parametrize("reading", sorted(DIGESTS))
+    def test_states_digest(self, reading):
+        system = self.coupled(Interpretation(reading))
+        assert not system.diagonal_noise
+        grid = TimeGrid(0.0, 2.0, 200)
+        ids = np.arange(16, dtype=np.uint64)
+        x0 = np.tile([0.5, -0.8], (16, 1))
+
+        def incr(step):
+            return increments_for_step(11, ids, step, 2, grid.dt)
+
+        states, dead = integrate_batch(system, grid, x0,
+                                       resolve_scheme(system), incr)
+        assert (dead < 0).all()
+        assert (hashlib.sha256(states.tobytes()).hexdigest()
+                == self.DIGESTS[reading])
 
 
 class TestCsvOutput:
