@@ -10,7 +10,7 @@ about sqrt(2): strong order one half.
 
 import numpy as np
 
-from sdeinvariance import Interpretation, Scheme, SdeSystem, TimeGrid
+from sdeinvariance import Interpretation, SdeSystem, TimeGrid
 from sdeinvariance.integrators import integrate_batch
 from sdeinvariance.wiener import increments_for_step
 
@@ -45,8 +45,8 @@ for k in range(4, 11):
         _w += dw
         return dw
 
-    states, dead = integrate_batch(system, grid, x0,
-                                   Scheme.EULER_MARUYAMA, provider)
+    # the Ito tag picks Euler-Maruyama
+    states, dead = integrate_batch(system, grid, x0, provider)
     exact = np.exp((A - 0.5 * B ** 2) * 1.0 + B * w_end[:, 0])
     err = np.mean(np.abs(states[:, -1, 0] - exact))
     dts.append(grid.dt)

@@ -27,7 +27,7 @@ from .ensemble import (EnsembleStats, compare_interpretations,
 from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, NoiseSpec,
                              build_model, hh_metadata, hh_system, rate_alpha,
                              rate_beta, resting_state)
-from .integrators import (Scheme, SimConfig, simulate, simulate_deterministic,
+from .integrators import (SimConfig, simulate, simulate_deterministic,
                           trajectory_csv_text, write_trajectory_csv)
 from .invariance import (CheckConfig, CheckReport, FaceReport, Verdict,
                          Witness, check_box, check_comparison,
@@ -42,7 +42,7 @@ __all__ = [
     "FaceReport", "HHParams", "Halfspace", "IntegrationError",
     "Interpretation", "JacobianMode", "JacobianPolicy", "MODEL_REGISTRY",
     "ModelEvaluationError", "ModelInfo", "NoiseKind", "NoiseSpec",
-    "Polyhedron", "Scheme", "SdeSystem", "SimConfig", "TimeGrid",
+    "Polyhedron", "SdeSystem", "SimConfig", "TimeGrid",
     "Trajectory", "UsageError", "Verdict", "WienerGrid", "Witness",
     "build_model", "check_box", "check_comparison", "check_polyhedron",
     "check_positivity", "compare_interpretations", "correction",

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
-from .integrators import SimConfig, integrate_batch, march, resolve_scheme
+from .integrators import SimConfig, integrate_batch, march
 from .wiener import increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
@@ -34,6 +34,9 @@ _QUANTILE_PCTS = (5, 50, 95)
 _BLOCK_BYTES = 4 * 2 ** 20
 # bytes of keyed noise drawn at once; sets how many steps one draw covers
 _NOISE_BYTES = 192 * 2 ** 10
+# EnsembleStats.scheme: the scheme march takes for each reading
+_SCHEME_NAMES = {Interpretation.ITO: "euler-maruyama",
+                 Interpretation.STRATONOVICH: "euler-heun"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,21 +138,11 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
     if ids.size and ids.ndim != 1:
         raise UsageError("path_ids must be a flat sequence")
     x0, increments = _keyed_start(sys, cfg, ids)
-    scheme = resolve_scheme(sys)
     if ids.size == 0:
         return (np.empty((0, cfg.grid.n_steps + 1, sys.m)),
                 np.full(0, -1, dtype=int))
-    return integrate_batch(sys, cfg.grid, x0, scheme, increments,
+    return integrate_batch(sys, cfg.grid, x0, increments_for=increments,
                            on_nonfinite="freeze")
-
-
-def _march_paths(sys: SdeSystem, cfg: SimConfig, n_paths: int
-                 ) -> Iterator[Tuple[int, Array, Array]]:
-    """march over the keyed paths 0..n_paths-1, failed paths frozen."""
-    x0, increments = _keyed_start(sys, cfg,
-                                  np.arange(n_paths, dtype=np.uint64))
-    return march(sys, cfg.grid, x0, resolve_scheme(sys), increments,
-                 on_nonfinite="freeze")
 
 
 def _nearest_rank_index(pct: int, n: int) -> int:
@@ -202,7 +195,9 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
 
-    steps = _march_paths(sys, cfg, n_paths)
+    x0, increments = _keyed_start(sys, cfg,
+                                  np.arange(n_paths, dtype=np.uint64))
+    steps = march(sys, cfg.grid, x0, increments, on_nonfinite="freeze")
     for start in range(0, n_grid, width):
         stop = min(start + width, n_grid)
         for k, (_, x, dead) in zip(range(stop - start), steps):
@@ -244,7 +239,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         grid_t_end=cfg.grid.t_end,
         grid_n_steps=cfg.grid.n_steps,
         seed=cfg.seed,
-        scheme=resolve_scheme(sys).value,
+        scheme=_SCHEME_NAMES[sys.interpretation],
         box=box,
         tol=tol,
     )
@@ -266,8 +261,8 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
     readings = [replace(sys, interpretation=i) for i in Interpretation]
-    marches = [march(reading, cfg.grid, x0, resolve_scheme(reading),
-                     increments, on_nonfinite="freeze")
+    marches = [march(reading, cfg.grid, x0, increments,
+                     on_nonfinite="freeze")
                for reading in readings]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass

@@ -249,19 +249,27 @@ def hh_diffusion_jacobian(noise: NoiseSpec) -> Callable[[float, Array], Array]:
     return jacobian
 
 
+# the built-in models: one name per noise kind
+MODEL_REGISTRY: Dict[str, NoiseKind] = {
+    "hh-det": NoiseKind.NONE,
+    "hh-additive": NoiseKind.ADDITIVE,
+    "hh-logistic": NoiseKind.MULTIPLICATIVE,
+}
+
+
 def hh_system(params: Optional[HHParams] = None,
               noise: Optional[NoiseSpec] = None,
               interpretation: Interpretation = Interpretation.ITO,
               name: Optional[str] = None) -> SdeSystem:
-    """Assemble the four-state membrane system for a given noise spec."""
+    """Assemble the four-state membrane system for a given noise spec.
+
+    The name defaults to the MODEL_REGISTRY name of the noise kind.
+    """
     params = params if params is not None else HHParams()
     noise = noise if noise is not None else NoiseSpec.none()
     if name is None:
-        name = {
-            NoiseKind.NONE: "hh-det",
-            NoiseKind.ADDITIVE: "hh-additive",
-            NoiseKind.MULTIPLICATIVE: "hh-logistic",
-        }[noise.kind]
+        name = next(key for key, kind in MODEL_REGISTRY.items()
+                    if kind is noise.kind)
     return SdeSystem(
         m=4,
         r=3,
@@ -297,19 +305,7 @@ def hh_metadata() -> ModelInfo:
                      panels=(("gating", (0, 1, 2)), ("voltage", (3,))))
 
 
-def _builder(noise: Callable[..., NoiseSpec]) -> Callable[..., SdeSystem]:
-    """build(params, sigma, interpretation) for the noise spec noise(sigma)."""
-    return lambda params, sigma, interpretation: hh_system(
-        params, noise(sigma), interpretation)
-
-
 _DEFAULT_SIGMA = 0.5
-
-MODEL_REGISTRY: Dict[str, Callable[..., SdeSystem]] = {
-    "hh-det": _builder(lambda sigma: NoiseSpec.none()),
-    "hh-additive": _builder(NoiseSpec.additive),
-    "hh-logistic": _builder(NoiseSpec.multiplicative),
-}
 
 
 def build_model(name: str, *, sigma=None, params: Optional[HHParams] = None,
@@ -322,7 +318,7 @@ def build_model(name: str, *, sigma=None, params: Optional[HHParams] = None,
     if name not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise UsageError(f"unknown model {name!r}; registered models: {known}")
-    if sigma is None:
-        sigma = _DEFAULT_SIGMA
-    system = MODEL_REGISTRY[name](params, sigma, interpretation)
-    return system, hh_metadata()
+    kind = MODEL_REGISTRY[name]
+    noise = (NoiseSpec.none() if kind is NoiseKind.NONE else
+             NoiseSpec(kind, _DEFAULT_SIGMA if sigma is None else sigma))
+    return hh_system(params, noise, interpretation), hh_metadata()

@@ -22,10 +22,10 @@ only adds exact zeros to those products, so the states are the same bits
 (a sum of exact zeros can turn a -0.0 into +0.0, which changes a state
 only where the Euler drift step gave exactly -0.0).
 
-The system's interpretation picks the scheme: Euler-Maruyama for Ito,
-Euler-Heun for Stratonovich.  To apply the other scheme to the same
-(f, g), retag the system, dataclasses.replace(sys, interpretation=...);
-the scheme never reads the tag, so that is the whole of the difference.
+The system's interpretation tag is the only thing that picks the scheme:
+Euler-Maruyama for Ito, Euler-Heun for Stratonovich.  To apply the other
+scheme to the same (f, g), retag the system,
+dataclasses.replace(sys, interpretation=...).
 
 Integrators never clamp states to a region; leaving it is only recorded,
 by the ensemble statistics.
@@ -34,7 +34,6 @@ by the ensemble statistics.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -45,11 +44,6 @@ from .core import (Array, IntegrationError, Interpretation, SdeSystem,
                    TimeGrid, Trajectory, UsageError, diffusion_batch,
                    drift_batch)
 from .wiener import WienerGrid
-
-
-class Scheme(enum.Enum):
-    EULER_MARUYAMA = "euler-maruyama"
-    EULER_HEUN = "euler-heun"
 
 
 @dataclass(frozen=True)
@@ -69,34 +63,30 @@ class SimConfig:
         object.__setattr__(self, "x0", x0)
 
 
-def resolve_scheme(sys: SdeSystem) -> Scheme:
-    """The scheme of the system's interpretation."""
-    return (Scheme.EULER_MARUYAMA
-            if sys.interpretation is Interpretation.ITO
-            else Scheme.EULER_HEUN)
-
-
-def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
+def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
           increments_for: Callable[[int], Array],
           on_nonfinite: str = "raise"
           ) -> Iterator[Tuple[int, Array, Array]]:
     """Advance a batch of paths in lockstep, one grid step at a time.
 
-    x0 has shape (n_paths, m); increments_for(n) must return the (n_paths,
-    r) Wiener increments of step n.  Yields (n, x, dead) for every grid
-    index n, starting with (0, x0): x is the (n_paths, m) state at time n,
-    a fresh array each step, and dead[p] is the first step index at which
-    path p produced a non-finite state (-1 so far), updated in place.
-    With on_nonfinite="freeze" a failed path keeps its last finite state
-    from there on; with "raise" the first failure aborts.  A step looks
-    for failed paths only when its batch as a whole is not finite.
+    The scheme is Euler-Heun for a Stratonovich system, Euler-Maruyama
+    otherwise.  x0 has shape (n_paths, m); increments_for(n) must return
+    the (n_paths, r) Wiener increments of step n.  Yields (n, x, dead) for
+    every grid index n, starting with (0, x0): x is the (n_paths, m)
+    state at time n, a fresh array each step, and dead[p] is the first
+    step index at which path p produced a non-finite state (-1 so far),
+    updated in place.  With on_nonfinite="freeze" a failed path keeps its
+    last finite state from there on; with "raise" the first failure
+    aborts; any other value is a UsageError.  A step looks for failed
+    paths only when its batch as a whole is not finite.
 
     For a system that declares diagonal_noise, the first diffusion
     evaluation must have exact zeros off the diagonal (UsageError if not);
     later evaluations are trusted.
     """
-    if not isinstance(scheme, Scheme):
-        raise UsageError(f"unknown scheme {scheme!r}")
+    if on_nonfinite not in ("raise", "freeze"):
+        raise UsageError(f"on_nonfinite must be 'raise' or 'freeze', "
+                         f"not {on_nonfinite!r}")
     x = np.array(x0, dtype=float)
     n_paths, m = x.shape
     times = grid.times()
@@ -104,7 +94,7 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array, scheme: Scheme,
     dead = np.full(n_paths, -1, dtype=int)
     alive = np.ones(n_paths, dtype=bool)
     any_dead = False
-    heun = scheme is Scheme.EULER_HEUN
+    heun = sys.interpretation is Interpretation.STRATONOVICH
     diagonal, r = sys.diagonal_noise, sys.r
     yield 0, x, dead
     for n in range(grid.n_steps):
@@ -166,20 +156,20 @@ def _require_diagonal(g: Array) -> None:
 
 
 def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
-                    scheme: Scheme,
                     increments_for: Callable[[int], Array],
                     on_nonfinite: str = "raise"
                     ) -> Tuple[Array, Array]:
     """Collect every state of a march; returns (states, dead_step).
 
     states has shape (n_paths, n_steps + 1, m) and dead_step is the final
-    dead array of march, whose arguments this takes.
+    dead array of march, whose arguments this takes.  The package passes
+    increments_for and on_nonfinite by keyword, where perfbench's tracer
+    looks for the provider.
     """
     x0 = np.asarray(x0, dtype=float)
     n_paths, m = x0.shape
     states = np.empty((n_paths, grid.n_steps + 1, m))
-    for n, x, dead in march(sys, grid, x0, scheme, increments_for,
-                            on_nonfinite):
+    for n, x, dead in march(sys, grid, x0, increments_for, on_nonfinite):
         states[:, n] = x
     return states, dead
 
@@ -198,12 +188,12 @@ def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
     if noise.r != sys.r:
         raise UsageError(
             f"noise has {noise.r} components, system needs {sys.r}")
-    scheme = resolve_scheme(sys)
     x0 = np.asarray(cfg.x0)[None, :]
     increments = noise.increments
-    states, _ = integrate_batch(sys, cfg.grid, x0, scheme,
-                                lambda n: increments[n][None, :],
-                                on_nonfinite="raise")
+    states, _ = integrate_batch(
+        sys, cfg.grid, x0,
+        increments_for=lambda n: increments[n][None, :],
+        on_nonfinite="raise")
     return Trajectory(cfg.grid, states[0], path_id=noise.path_id)
 
 

@@ -16,9 +16,9 @@ with ndtri the inverse of the standard normal CDF (scipy.special).
 The finalizer mixes in place, and increments_for_step finishes the
 uniform, ndtri and the sqrt(dt) scaling in one buffer.  Given a block of
 steps, increments_for_step folds the (seed, path_id) prefix of the chain
-once for the whole block and broadcasts the steps after it.  None of this
-changes the mapping from (seed, path_id, step, component) to the
-increment.
+once for the whole block and broadcasts the steps after it; a WienerGrid
+is generated as one such block.  None of this changes the mapping from
+(seed, path_id, step, component) to the increment.
 """
 
 from __future__ import annotations
@@ -129,11 +129,10 @@ class WienerGrid:
             raise UsageError("path_id must be >= 0")
         if r < 0:
             raise UsageError("noise dimension r must be >= 0")
-        steps = np.arange(grid.n_steps, dtype=np.uint64).reshape(-1, 1)
-        comps = np.arange(r, dtype=np.uint64).reshape(1, -1)
-        z = normal_stream(seed, np.uint64(int(path_id)), steps, comps)
+        steps = np.arange(grid.n_steps, dtype=np.uint64)
+        z = increments_for_step(seed, [path_id], steps, r, grid.dt)
         return cls(seed=int(seed), path_id=int(path_id), grid=grid,
-                   increments=z * np.sqrt(grid.dt))
+                   increments=z[:, 0])
 
     def path(self) -> Array:
         """Sampled Wiener path W at the grid times, shape (n_steps + 1, r)."""

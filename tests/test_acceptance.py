@@ -14,11 +14,11 @@ import pytest
 
 import sdeinvariance.ensemble as ensemble
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
-                           MODEL_REGISTRY, Scheme, SdeSystem,
-                           SimConfig, TimeGrid, Verdict, WienerGrid,
-                           build_model, check_box, check_comparison,
-                           correction, rate_alpha, rate_beta, run_ensemble,
-                           simulate, stratonovich_to_ito)
+                           MODEL_REGISTRY, SdeSystem, SimConfig, TimeGrid,
+                           Verdict, WienerGrid, build_model, check_box,
+                           check_comparison, correction, rate_alpha,
+                           rate_beta, run_ensemble, simulate,
+                           stratonovich_to_ito)
 from sdeinvariance.conversion import correction_batch
 from sdeinvariance.core import drift_batch
 from sdeinvariance.integrators import integrate_batch
@@ -189,8 +189,7 @@ def test_criterion_5_strong_convergence_order_on_gbm():
             _w += dw
             return dw
 
-        states, dead = integrate_batch(system, grid, x0,
-                                       Scheme.EULER_MARUYAMA, provider)
+        states, dead = integrate_batch(system, grid, x0, provider)
         assert np.all(dead == -1)
         exact = gbm_exact_ito(1.0, a, b, 1.0, w_end[:, 0])
         dts.append(grid.dt)

@@ -350,6 +350,16 @@ class TestModelRegistry:
         g = system.diffusion(0.0, np.array([0.5, 0.5, 0.5, -60.0]))
         assert g[0, 0] == 0.5 * 0.25  # default sigma 0.5
 
+    def test_each_model_carries_its_registry_name(self):
+        for name in MODEL_REGISTRY:
+            system, _ = build_model(name, sigma=0.1)
+            assert system.name == name
+
+    def test_hh_det_ignores_sigma(self):
+        system, _ = build_model("hh-det", sigma=-1.0)
+        x = np.array([0.5, 0.5, 0.5, -60.0])
+        assert not system.diffusion(0.0, x).any()
+
     def test_build_model_unknown_name(self):
         with pytest.raises(UsageError, match="hh-additive"):
             build_model("hh-gaussian")

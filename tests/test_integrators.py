@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdeinvariance import (IntegrationError, Interpretation, Scheme,
-                           SdeSystem, SimConfig, TimeGrid, Trajectory,
-                           UsageError, WienerGrid, build_model, simulate,
+from sdeinvariance import (IntegrationError, Interpretation, SdeSystem,
+                           SimConfig, TimeGrid, Trajectory, UsageError,
+                           WienerGrid, build_model, run_ensemble, simulate,
                            simulate_deterministic, stratonovich_to_ito,
                            trajectory_csv_text, write_trajectory_csv)
 import sdeinvariance.integrators as integrators
 from sdeinvariance.conversion import JacobianMode, JacobianPolicy
 from sdeinvariance.ensemble import integrate_paths
-from sdeinvariance.integrators import integrate_batch, march, resolve_scheme
+from sdeinvariance.integrators import integrate_batch, march
 from sdeinvariance.wiener import increments_for_step
 from helpers import gbm_exact_ito, gbm_exact_strat, gbm_system
 
@@ -44,19 +44,22 @@ def zero_increments(n_paths: int, r: int):
 
 
 class TestSchemeResolution:
-    def test_auto_follows_interpretation(self):
-        ito = gbm_system(0.1, 0.2)
-        strat = gbm_system(0.1, 0.2,
-                           interpretation=Interpretation.STRATONOVICH)
-        assert resolve_scheme(ito) is Scheme.EULER_MARUYAMA
-        assert resolve_scheme(strat) is Scheme.EULER_HEUN
+    def test_stats_name_the_scheme_of_each_reading(self):
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), x0=(1.0,))
+        for reading, scheme in ((Interpretation.ITO, "euler-maruyama"),
+                                (Interpretation.STRATONOVICH, "euler-heun")):
+            system = gbm_system(0.1, 0.2, interpretation=reading)
+            assert run_ensemble(system, cfg, 4, None).scheme == scheme
 
-    def test_integrate_batch_rejects_auto(self):
-        # a scheme's text is not a Scheme, so it cannot pass for one
+    # a misspelling, and a provider passed one slot too far
+    @pytest.mark.parametrize("on_nonfinite",
+                             ["Raise", "froze", zero_increments(1, 1)],
+                             ids=["Raise", "froze", "provider"])
+    def test_on_nonfinite_must_be_raise_or_freeze(self, on_nonfinite):
         grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="on_nonfinite"):
             integrate_batch(decay_system(1.0), grid, np.ones((1, 1)),
-                            "euler-heun", zero_increments(1, 1))
+                            zero_increments(1, 1), on_nonfinite)
 
     def test_sim_config_validation(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -115,8 +118,7 @@ class TestStrongAccuracy:
                 return dw
 
             states, dead = integrate_batch(system, grid,
-                                           np.full((400, 1), x0),
-                                           Scheme.EULER_MARUYAMA, incr)
+                                           np.full((400, 1), x0), incr)
             assert (dead < 0).all()
             exact = gbm_exact_ito(x0, a, b, 1.0, w_t)
             errors.append(np.mean(np.abs(states[:, -1, 0] - exact)))
@@ -139,8 +141,7 @@ class TestStrongAccuracy:
                 return dw
 
             states, dead = integrate_batch(system, grid,
-                                           np.full((400, 1), x0),
-                                           Scheme.EULER_HEUN, incr)
+                                           np.full((400, 1), x0), incr)
             assert (dead < 0).all()
             exact = gbm_exact_strat(x0, 0.0, b, 1.0, w_t)
             rms = np.sqrt(np.mean((states[:, -1, 0] - exact) ** 2))
@@ -162,10 +163,8 @@ class TestStrongAccuracy:
                 return increments_for_step(5, ids, step, 1, dt)
 
             x0 = np.ones((200, 1))
-            heun, _ = integrate_batch(strat, grid, x0, Scheme.EULER_HEUN,
-                                      incr)
-            em, _ = integrate_batch(ito, grid, x0, Scheme.EULER_MARUYAMA,
-                                    incr)
+            heun, _ = integrate_batch(strat, grid, x0, incr)
+            em, _ = integrate_batch(ito, grid, x0, incr)
             gaps.append(np.sqrt(np.mean(
                 (heun[:, -1, 0] - em[:, -1, 0]) ** 2)))
         assert gaps[1] < gaps[0]
@@ -238,7 +237,6 @@ class TestFailureHandling:
         grid = TimeGrid(0.0, 10.0, 100)
         x0 = np.array([[0.1], [10.0]])
         states, dead = integrate_batch(self.cubic(), grid, x0,
-                                       Scheme.EULER_MARUYAMA,
                                        zero_increments(2, 1),
                                        on_nonfinite="freeze")
         assert dead[0] == -1
@@ -248,7 +246,6 @@ class TestFailureHandling:
         assert (states[1, dead[1]:, 0] == frozen).all()
         # the surviving path is unaffected by its dead neighbour
         alone, _ = integrate_batch(self.cubic(), grid, x0[:1],
-                                   Scheme.EULER_MARUYAMA,
                                    zero_increments(1, 1))
         assert np.array_equal(states[0], alone[0])
 
@@ -258,8 +255,7 @@ class TestFailureHandling:
         grid = TimeGrid(0.0, 10.0, 100)
         callers = np.geterr()
         steps = march(self.cubic(), grid, np.array([[10.0]]),
-                      Scheme.EULER_MARUYAMA, zero_increments(1, 1),
-                      on_nonfinite="freeze")
+                      zero_increments(1, 1), on_nonfinite="freeze")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n, x, dead in steps:
@@ -296,7 +292,8 @@ class TestDiagonalNoise:
         assert (died > 0) == (name != "hh-det")
 
     @staticmethod
-    def square(off: float) -> SdeSystem:
+    def square(off: float, reading: Interpretation = Interpretation.ITO
+               ) -> SdeSystem:
         """m = r = 2, declared diagonal; g[0, 1] = off."""
         def drift(t, x):
             return -np.asarray(x, dtype=float)
@@ -310,10 +307,11 @@ class TestDiagonalNoise:
             return g
 
         return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
-                         vectorized=True, diagonal_noise=True)
+                         vectorized=True, interpretation=reading,
+                         diagonal_noise=True)
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_square_system_matches_the_dense_contraction(self, scheme):
+    @pytest.mark.parametrize("reading", list(Interpretation))
+    def test_square_system_matches_the_dense_contraction(self, reading):
         grid = TimeGrid(0.0, 1.0, 50)
         ids = np.arange(4, dtype=np.uint64)
         x0 = np.tile([0.7, -1.2], (4, 1))
@@ -321,10 +319,10 @@ class TestDiagonalNoise:
         def incr(step):
             return increments_for_step(8, ids, step, 2, grid.dt)
 
-        system = self.square(0.0)
-        states, _ = integrate_batch(system, grid, x0, scheme, incr)
+        system = self.square(0.0, reading)
+        states, _ = integrate_batch(system, grid, x0, incr)
         want, _ = integrate_batch(replace(system, diagonal_noise=False),
-                                  grid, x0, scheme, incr)
+                                  grid, x0, incr)
         assert states.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("off", [0.1, np.nan])
@@ -332,7 +330,7 @@ class TestDiagonalNoise:
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(UsageError, match="diagonal"):
             integrate_batch(self.square(off), grid, np.ones((3, 2)),
-                            Scheme.EULER_MARUYAMA, zero_increments(3, 2))
+                            zero_increments(3, 2))
 
     def test_declaration_is_checked_once_per_march(self, monkeypatch):
         checked = []
@@ -344,8 +342,8 @@ class TestDiagonalNoise:
 
         monkeypatch.setattr(integrators, "_require_diagonal", counted)
         grid = TimeGrid(0.0, 1.0, 10)
-        for scheme in Scheme:
-            integrate_batch(self.square(0.0), grid, np.ones((3, 2)), scheme,
+        for reading in Interpretation:
+            integrate_batch(self.square(0.0, reading), grid, np.ones((3, 2)),
                             zero_increments(3, 2))
         assert checked == [(3, 2, 2)] * 2
 
@@ -392,8 +390,7 @@ class TestPinnedDenseStates:
         def incr(step):
             return increments_for_step(11, ids, step, 2, grid.dt)
 
-        states, dead = integrate_batch(system, grid, x0,
-                                       resolve_scheme(system), incr)
+        states, dead = integrate_batch(system, grid, x0, incr)
         assert (dead < 0).all()
         assert (hashlib.sha256(states.tobytes()).hexdigest()
                 == self.DIGESTS[reading])

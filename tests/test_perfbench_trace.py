@@ -10,11 +10,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # workload -> counters that must read above 0.  Each is fed by a package
-# attribute the tracer patches, so a renamed attribute shows here.
+# attribute the tracer patches, so a renamed attribute shows here.  The
+# integrators counters also need the increments provider of
+# integrate_batch at positional index 4 or under its keyword.
 COUNTERS = {
     "ensemble-logistic": ("wiener.normals", "hodgkin_huxley.drift_calls",
                           "hodgkin_huxley.diffusion_calls"),
     "structural-cli": ("invariance.face_points", "integrators.csv_bytes",
+                       "integrators.steps", "integrators.path_steps",
                        "svgplot.bytes", "wiener.normals"),
 }
 
