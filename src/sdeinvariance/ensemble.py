@@ -261,8 +261,7 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
     readings = [replace(sys, interpretation=i) for i in Interpretation]
-    marches = [march(reading, cfg.grid, x0, increments,
-                     on_nonfinite="freeze")
+    marches = [march(reading, cfg.grid, x0, increments, on_nonfinite="freeze")
                for reading in readings]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass

@@ -292,8 +292,7 @@ class TestDiagonalNoise:
         assert (died > 0) == (name != "hh-det")
 
     @staticmethod
-    def square(off: float, reading: Interpretation = Interpretation.ITO
-               ) -> SdeSystem:
+    def square(off: float) -> SdeSystem:
         """m = r = 2, declared diagonal; g[0, 1] = off."""
         def drift(t, x):
             return -np.asarray(x, dtype=float)
@@ -307,8 +306,7 @@ class TestDiagonalNoise:
             return g
 
         return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
-                         vectorized=True, interpretation=reading,
-                         diagonal_noise=True)
+                         vectorized=True, diagonal_noise=True)
 
     @pytest.mark.parametrize("reading", list(Interpretation))
     def test_square_system_matches_the_dense_contraction(self, reading):
@@ -319,7 +317,7 @@ class TestDiagonalNoise:
         def incr(step):
             return increments_for_step(8, ids, step, 2, grid.dt)
 
-        system = self.square(0.0, reading)
+        system = replace(self.square(0.0), interpretation=reading)
         states, _ = integrate_batch(system, grid, x0, incr)
         want, _ = integrate_batch(replace(system, diagonal_noise=False),
                                   grid, x0, incr)
@@ -342,9 +340,10 @@ class TestDiagonalNoise:
 
         monkeypatch.setattr(integrators, "_require_diagonal", counted)
         grid = TimeGrid(0.0, 1.0, 10)
+        square = self.square(0.0)
         for reading in Interpretation:
-            integrate_batch(self.square(0.0, reading), grid, np.ones((3, 2)),
-                            zero_increments(3, 2))
+            integrate_batch(replace(square, interpretation=reading), grid,
+                            np.ones((3, 2)), zero_increments(3, 2))
         assert checked == [(3, 2, 2)] * 2
 
 
