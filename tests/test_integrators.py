@@ -269,6 +269,34 @@ class TestFailureHandling:
         with pytest.raises(IntegrationError):
             simulate_deterministic(self.cubic(), cfg)
 
+    # x0 -> (message, step, t, hex bytes of the last finite state)
+    BLOW_UPS = {
+        10.0: ("state became non-finite at step 6 (t=0.6)", 6,
+               0.6000000000000001, "1cac9c5fafc8f559"),
+        1.5: ("state became non-finite at step 10 (t=1)", 10, 1.0,
+              "84974878b9301c5a"),
+        0.9: ("state became non-finite at step 15 (t=1.5)", 15, 1.5,
+              "6b9d6a4f431a7166"),
+    }
+
+    @pytest.mark.parametrize("run", ["simulate", "simulate_deterministic"])
+    @pytest.mark.parametrize("x0", sorted(BLOW_UPS))
+    def test_blow_up_error_is_pinned(self, x0, run):
+        grid = TimeGrid(0.0, 10.0, 100)
+        cfg = SimConfig(grid=grid, x0=(x0,))
+        noise = WienerGrid(seed=0, path_id=0, grid=grid,
+                           increments=np.zeros((100, 1)))
+        with pytest.raises(IntegrationError) as err:
+            if run == "simulate":
+                simulate(self.cubic(), cfg, noise)
+            else:
+                simulate_deterministic(self.cubic(), cfg)
+        message, step, t, state_hex = self.BLOW_UPS[x0]
+        assert str(err.value) == message
+        assert err.value.step == step
+        assert err.value.t == t
+        assert np.array(err.value.last_state).tobytes().hex() == state_hex
+
 
 class TestDiagonalNoise:
     """A declared-diagonal g gives the bits of the dense contraction."""
