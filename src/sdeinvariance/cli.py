@@ -23,7 +23,6 @@ build(sigma=..., interpretation=...) -> (SdeSystem, ModelInfo).
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib.util
 import io
 import json
@@ -38,7 +37,7 @@ from .conversion import (JacobianMode, JacobianPolicy, correction,
 from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
                    ModelInfo, SdeSystem, TimeGrid, UsageError)
 from .ensemble import run_ensemble
-from .hodgkin_huxley import MODEL_REGISTRY, build_model
+from .hodgkin_huxley import build_model
 from .integrators import (SimConfig, simulate, write_csv_rows,
                           write_trajectory_csv)
 from .invariance import CheckConfig, Verdict, check_box
@@ -91,9 +90,8 @@ def _config_defaults(commands: dict, command: str, path: str) -> dict:
         if action is None or value is None:
             continue
         # argparse converts only string defaults, and checks no default
-        convert = bool if action.nargs == 0 else (action.type or str)
         try:
-            value = convert(value)
+            value = (action.type or str)(value)
         except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
             raise UsageError(f"config key {key}: {exc}")
         if action.choices is not None and value not in action.choices:
@@ -152,28 +150,24 @@ def _model_builder(name: str, sig
                    ) -> Callable[[Interpretation], Tuple[SdeSystem, ModelInfo]]:
     """build(interpretation) -> (SdeSystem, ModelInfo) for a model name.
 
-    A plugin file is executed here, once, and each reading is built at
-    most once however often the subcommand asks for it.
+    A name ending in .py is a plugin file, executed here, once; any other
+    name goes to build_model, which rejects one it does not know.
     """
-    if name in MODEL_REGISTRY:
+    if not name.endswith(".py"):
         def build(interpretation):
             return build_model(name, sigma=sig, interpretation=interpretation)
-    elif name.endswith(".py"):
-        plugin = _load_plugin(name)
+        return build
+    plugin = _load_plugin(name)
 
-        def build(interpretation):
-            result = plugin(sigma=sig, interpretation=interpretation)
-            try:
-                system, info = result
-            except (TypeError, ValueError):
-                raise UsageError(
-                    "model build() must return (SdeSystem, ModelInfo)")
-            return system, info
-    else:
-        known = ", ".join(sorted(MODEL_REGISTRY))
-        raise UsageError(
-            f"unknown model {name!r}; registered models: {known}")
-    return functools.cache(build)
+    def build(interpretation):
+        result = plugin(sigma=sig, interpretation=interpretation)
+        try:
+            system, info = result
+        except (TypeError, ValueError):
+            raise UsageError(
+                "model build() must return (SdeSystem, ModelInfo)")
+        return system, info
+    return build
 
 
 def _parse(parser: argparse.ArgumentParser,

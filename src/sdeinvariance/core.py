@@ -313,7 +313,7 @@ class Box:
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         for i, a, b in zip(self.indices, self.lower, self.upper):
-            if x[i] < a - tol or x[i] > b + tol:
+            if not a - tol <= x[i] <= b + tol:
                 return False
         return True
 

@@ -106,8 +106,6 @@ def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
     one call and serves the step asked for from that block; the last
     block stops at the end of the grid.
     """
-    if len(cfg.x0) != sys.m:
-        raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
     n_steps = cfg.grid.n_steps
     per_draw = _noise_steps(ids.size, r, n_steps)
@@ -138,11 +136,7 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
     if ids.size and ids.ndim != 1:
         raise UsageError("path_ids must be a flat sequence")
     x0, increments = _keyed_start(sys, cfg, ids)
-    if ids.size == 0:
-        return (np.empty((0, cfg.grid.n_steps + 1, sys.m)),
-                np.full(0, -1, dtype=int))
-    return integrate_batch(sys, cfg.grid, x0, increments_for=increments,
-                           on_nonfinite="freeze")
+    return integrate_batch(sys, cfg.grid, x0, increments_for=increments)
 
 
 def _nearest_rank_index(pct: int, n: int) -> int:
@@ -197,7 +191,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
 
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
-    steps = march(sys, cfg.grid, x0, increments, on_nonfinite="freeze")
+    steps = march(sys, cfg.grid, x0, increments)
     for start in range(0, n_grid, width):
         stop = min(start + width, n_grid)
         for k, (_, x, dead) in zip(range(stop - start), steps):
@@ -261,7 +255,7 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
     readings = [replace(sys, interpretation=i) for i in Interpretation]
-    marches = [march(reading, cfg.grid, x0, increments, on_nonfinite="freeze")
+    marches = [march(reading, cfg.grid, x0, increments)
                for reading in readings]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass

@@ -28,7 +28,9 @@ scheme to the same (f, g), retag the system,
 dataclasses.replace(sys, interpretation=...).
 
 Integrators never clamp states to a region; leaving it is only recorded,
-by the ensemble statistics.
+by the ensemble statistics.  Nor do they stop at a failure: a path that
+turns non-finite is frozen at its last finite state and its step goes
+into march's dead array, from which simulate raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -64,35 +66,31 @@ class SimConfig:
 
 
 def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
-          increments_for: Callable[[int], Array],
-          on_nonfinite: str = "raise"
+          increments_for: Callable[[int], Array]
           ) -> Iterator[Tuple[int, Array, Array]]:
     """Advance a batch of paths in lockstep, one grid step at a time.
 
     The scheme is Euler-Heun for a Stratonovich system, Euler-Maruyama
     otherwise.  x0 has shape (n_paths, m); increments_for(n) must return
-    the (n_paths, r) Wiener increments of step n.  Yields (n, x, dead) for
-    every grid index n, starting with (0, x0): x is the (n_paths, m)
-    state at time n, a fresh array each step, and dead[p] is the first
-    step index at which path p produced a non-finite state (-1 so far),
-    updated in place.  With on_nonfinite="freeze" a failed path keeps its
-    last finite state from there on; with "raise" the first failure
-    aborts; any other value is a UsageError.  A step looks for failed
-    paths only when its batch as a whole is not finite.
+    the (n_paths, r) Wiener increments of step n (UsageError if x0 or the
+    increments of step 0 differ).  Yields (n, x, dead) for every grid
+    index n, starting with (0, x0): x is the (n_paths, m) state at time
+    n, a fresh array each step, and dead[p] is the first step index at
+    which path p produced a non-finite state (-1 so far), updated in
+    place.  A failed path keeps its last finite state from there on.  A
+    step looks for failed paths only when its batch is not all finite.
 
     For a system that declares diagonal_noise, the first diffusion
     evaluation must have exact zeros off the diagonal (UsageError if not);
     later evaluations are trusted.
     """
-    if on_nonfinite not in ("raise", "freeze"):
-        raise UsageError(f"on_nonfinite must be 'raise' or 'freeze', "
-                         f"not {on_nonfinite!r}")
     x = np.array(x0, dtype=float)
-    n_paths, m = x.shape
+    if x.ndim != 2 or x.shape[1] != sys.m:
+        raise UsageError(f"x0 has shape {x.shape}, not (n_paths, {sys.m})")
     times = grid.times()
     dt = grid.dt
-    dead = np.full(n_paths, -1, dtype=int)
-    alive = np.ones(n_paths, dtype=bool)
+    dead = np.full(len(x), -1, dtype=int)
+    alive = np.ones(len(x), dtype=bool)
     any_dead = False
     heun = sys.interpretation is Interpretation.STRATONOVICH
     diagonal, r = sys.diagonal_noise, sys.r
@@ -104,9 +102,13 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
             euler = x + f * dt
             dw = increments_for(n)
             g0 = diffusion_batch(sys, t, x)
-            if diagonal:
-                if n == 0:
+            if n == 0:
+                if np.shape(dw) != (len(x), r):
+                    raise UsageError(f"increments have shape {np.shape(dw)}, "
+                                     f"not ({len(x)}, {r})")
+                if diagonal:
                     _require_diagonal(g0)
+            if diagonal:
                 d0 = _diagonal(g0)
                 if heun:
                     pred = euler.copy()
@@ -125,12 +127,6 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
         if not np.isfinite(x_new).all():
             bad = ~np.isfinite(x_new).all(axis=1) & alive
             if bad.any():
-                if on_nonfinite == "raise":
-                    p = int(np.flatnonzero(bad)[0])
-                    raise IntegrationError(
-                        f"state became non-finite at step {n + 1} "
-                        f"(t={times[n + 1]:.6g})",
-                        step=n + 1, t=float(times[n + 1]), last_state=x[p])
                 dead[bad] = n + 1
                 alive &= ~bad
                 any_dead = True
@@ -156,44 +152,47 @@ def _require_diagonal(g: Array) -> None:
 
 
 def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
-                    increments_for: Callable[[int], Array],
-                    on_nonfinite: str = "raise"
+                    increments_for: Callable[[int], Array]
                     ) -> Tuple[Array, Array]:
     """Collect every state of a march; returns (states, dead_step).
 
     states has shape (n_paths, n_steps + 1, m) and dead_step is the final
-    dead array of march, whose arguments this takes.  The package passes
-    increments_for and on_nonfinite by keyword, where perfbench's tracer
+    dead array of march, whose arguments this takes.  The march stops once
+    every path is dead, and the rest of the grid repeats the frozen states.
+    The package passes increments_for by keyword, where perfbench's tracer
     looks for the provider.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n_paths, m = x0.shape
-    states = np.empty((n_paths, grid.n_steps + 1, m))
-    for n, x, dead in march(sys, grid, x0, increments_for, on_nonfinite):
+    steps = march(sys, grid, x0, increments_for)
+    _, x, dead = next(steps)  # march has checked the shape of x0
+    states = np.empty((len(x), grid.n_steps + 1, sys.m))
+    states[:, 0] = x
+    for n, x, dead in steps if len(x) else ():  # no paths: nothing to do
         states[:, n] = x
+        if dead[0] >= 0 and (dead >= 0).all():  # every path is frozen
+            states[:, n + 1:] = x[:, None]
+            break
     return states, dead
 
 
 def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
     """Integrate one path driven by an explicit Wiener grid.
 
-    The noise must live on the configured time grid and carry sys.r
-    components.  Non-finite states abort with IntegrationError (step index
-    and last finite state attached).
+    The noise must live on the configured time grid; march checks the
+    shapes of x0 and of the noise.  A non-finite state freezes the path,
+    as in any batch, and simulate raises IntegrationError from the dead
+    record, with the failing step, its time and the last finite state.
     """
-    if len(cfg.x0) != sys.m:
-        raise UsageError(f"x0 has length {len(cfg.x0)}, system needs {sys.m}")
     if noise.grid != cfg.grid:
         raise UsageError("noise grid differs from the configured grid")
-    if noise.r != sys.r:
-        raise UsageError(
-            f"noise has {noise.r} components, system needs {sys.r}")
-    x0 = np.asarray(cfg.x0)[None, :]
-    increments = noise.increments
-    states, _ = integrate_batch(
-        sys, cfg.grid, x0,
-        increments_for=lambda n: increments[n][None, :],
-        on_nonfinite="raise")
+    increments = noise.increments[:, None]  # step n -> (1, r)
+    states, dead = integrate_batch(sys, cfg.grid, np.array([cfg.x0]),
+                                   increments_for=increments.__getitem__)
+    step = int(dead[0])
+    if step >= 0:
+        t = float(cfg.grid.times()[step])
+        raise IntegrationError(
+            f"state became non-finite at step {step} (t={t:.6g})",
+            step=step, t=t, last_state=states[0, step])
     return Trajectory(cfg.grid, states[0], path_id=noise.path_id)
 
 

@@ -73,11 +73,16 @@ class TestCheck:
 
 
 class TestErrors:
-    def test_unknown_model(self, capsys):
-        code, out, err = run_cli(capsys, "check", "--model", "no-such")
+    def test_unknown_model(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "check", "--model", "no-such",
+                                 "--out", str(target))
         assert code == 1
-        assert err.startswith("error:")
-        assert "hh-additive" in err  # the message lists what exists
+        # the message lists what exists
+        assert err == ("error: unknown model 'no-such'; registered models: "
+                       "hh-additive, hh-det, hh-logistic\n")
+        assert out == ""
+        assert not target.exists()
 
     def test_model_is_required(self, capsys):
         code, out, err = run_cli(capsys, "check")

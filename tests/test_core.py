@@ -185,6 +185,7 @@ class TestBox:
         assert b.contains([0.5, 99.0])
         assert not b.contains([1.0 + 1e-9, 0.0])
         assert b.contains([1.0 + 1e-9, 0.0], tol=1e-8)
+        assert not b.contains([np.nan])
 
     def test_as_polyhedron_normals_point_inward(self):
         poly = Box.unit((0,)).as_polyhedron(2)

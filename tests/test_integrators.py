@@ -51,16 +51,6 @@ class TestSchemeResolution:
             system = gbm_system(0.1, 0.2, interpretation=reading)
             assert run_ensemble(system, cfg, 4, None).scheme == scheme
 
-    # a misspelling, and a provider passed one slot too far
-    @pytest.mark.parametrize("on_nonfinite",
-                             ["Raise", "froze", zero_increments(1, 1)],
-                             ids=["Raise", "froze", "provider"])
-    def test_on_nonfinite_must_be_raise_or_freeze(self, on_nonfinite):
-        grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(UsageError, match="on_nonfinite"):
-            integrate_batch(decay_system(1.0), grid, np.ones((1, 1)),
-                            zero_increments(1, 1), on_nonfinite)
-
     def test_sim_config_validation(self):
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(UsageError):
@@ -237,8 +227,7 @@ class TestFailureHandling:
         grid = TimeGrid(0.0, 10.0, 100)
         x0 = np.array([[0.1], [10.0]])
         states, dead = integrate_batch(self.cubic(), grid, x0,
-                                       zero_increments(2, 1),
-                                       on_nonfinite="freeze")
+                                       zero_increments(2, 1))
         assert dead[0] == -1
         assert dead[1] >= 1
         assert np.isfinite(states).all()
@@ -255,7 +244,7 @@ class TestFailureHandling:
         grid = TimeGrid(0.0, 10.0, 100)
         callers = np.geterr()
         steps = march(self.cubic(), grid, np.array([[10.0]]),
-                      zero_increments(1, 1), on_nonfinite="freeze")
+                      zero_increments(1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n, x, dead in steps:
@@ -296,6 +285,48 @@ class TestFailureHandling:
         assert err.value.step == step
         assert err.value.t == t
         assert np.array(err.value.last_state).tobytes().hex() == state_hex
+
+    def test_batch_stops_once_every_path_is_dead(self):
+        grid = TimeGrid(0.0, 10.0, 100)
+        x0 = np.array(sorted(self.BLOW_UPS))[:, None]
+        drawn = []
+
+        def provider(step):
+            drawn.append(step)
+            return np.zeros((3, 1))
+
+        states, dead = integrate_batch(self.cubic(), grid, x0,
+                                       increments_for=provider)
+        full = [x for _, x, _ in march(self.cubic(), grid, x0,
+                                       zero_increments(3, 1))]
+        assert states.tobytes() == np.stack(full, axis=1).tobytes()
+        assert dead.tolist() == [15, 10, 6]
+        # no step is drawn after the last path died at step 15
+        assert drawn == list(range(15))
+
+
+class TestBatchShapes:
+    """march checks x0 and the first increments for every caller."""
+
+    # hh-additive has m = 4 and r = 3
+    @pytest.mark.parametrize("x0, incr", [
+        (np.ones((2, 3)), zero_increments(2, 3)),  # x0 of the wrong width
+        (np.ones(4), zero_increments(2, 3)),  # a flat x0
+        (np.ones((2, 4)), zero_increments(2, 2)),  # increments too narrow
+        (np.ones((2, 4)), zero_increments(3, 3)),  # one path too many
+    ], ids=["x0-width", "x0-flat", "increments-width", "increments-paths"])
+    def test_wrong_shapes_are_usage_errors(self, x0, incr):
+        system, _ = build_model("hh-additive", sigma=0.1)
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(UsageError):
+            integrate_batch(system, grid, x0, incr)
+
+    def test_batch_takes_no_fifth_argument(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        for run in (march, integrate_batch):
+            with pytest.raises(TypeError):
+                run(decay_system(1.0), grid, np.ones((1, 1)),
+                    zero_increments(1, 1), "freeze")
 
 
 class TestDiagonalNoise:

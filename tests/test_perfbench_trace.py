@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # workload -> counters that must read above 0.  Each is fed by a package
 # attribute the tracer patches, so a renamed attribute shows here.  The
 # integrators counters also need the increments provider of
-# integrate_batch at positional index 4 or under its keyword.
+# integrate_batch under its keyword, increments_for.
 COUNTERS = {
     "ensemble-logistic": ("wiener.normals", "hodgkin_huxley.drift_calls",
                           "hodgkin_huxley.diffusion_calls"),
