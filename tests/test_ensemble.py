@@ -172,6 +172,58 @@ class TestDeterminism:
         assert a.to_json() == b.to_json()
 
 
+class TestAllDead:
+    """Runs in which every path turns non-finite long before the end of
+    the grid: the bytes of their stats and of their gap are pinned."""
+
+    # cubic: run_ensemble(..., 8, None).to_json() and the bytes of
+    # compare_interpretations(..., 8); hh: additive noise at sigma = 1,
+    # 64 paths, every one dead by step 736 of 2000
+    CUBIC_STATS_SHA256 = ("2d04d1f4798f4d25f65be24248a6bdaa"
+                          "337d7787777fc8ec3162c7f439946325")
+    CUBIC_GAP_SHA256 = ("234162c127696d74506476c1b851d3c2"
+                        "7b7ca46ef7772f38a306449c4962c3c7")
+    HH_STATS_SHA256 = ("014b6765ba4239b0d2adfa09fb68b475"
+                       "ea870feb45289e06e81761d514d1f3a9")
+
+    @staticmethod
+    def cubic(calls=None):
+        """dX = X^3 dt + 0.01 X dW from x0 = 10 on 100 steps over [0, 10];
+        every path dies at step 6.  Appends to calls at each drift call."""
+        def drift(t, x):
+            if calls is not None:
+                calls.append(t)
+            return np.asarray(x, dtype=float) ** 3
+
+        def diffusion(t, x):
+            return (0.01 * np.asarray(x, dtype=float))[..., None]
+
+        system = SdeSystem(m=1, r=1, drift=drift, diffusion=diffusion,
+                           vectorized=True, name="cubic")
+        cfg = SimConfig(grid=TimeGrid(0.0, 10.0, 100), x0=(10.0,), seed=0)
+        return system, cfg
+
+    def test_cubic_stats_digest(self):
+        stats = run_ensemble(*self.cubic(), 8, None)
+        assert stats.nonfinite_paths == tuple((p, 6) for p in range(8))
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == self.CUBIC_STATS_SHA256)
+
+    def test_cubic_gap_digest(self):
+        gap = compare_interpretations(*self.cubic(), 8)
+        assert (hashlib.sha256(gap.tobytes()).hexdigest()
+                == self.CUBIC_GAP_SHA256)
+
+    def test_hh_additive_stats_digest(self):
+        system, info = build_model("hh-additive", sigma=1.0)
+        cfg = SimConfig(grid=TimeGrid(0.0, 20.0, 2000), x0=tuple(info.x0))
+        stats = run_ensemble(system, cfg, 64, info.box)
+        assert len(stats.nonfinite_paths) == 64
+        assert max(step for _, step in stats.nonfinite_paths) == 736
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == self.HH_STATS_SHA256)
+
+
 class TestKeyedNoiseBlocks:
     """Keyed noise is drawn a block of steps at a time, with no trace in
     the paths or the stats."""

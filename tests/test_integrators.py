@@ -286,6 +286,11 @@ class TestFailureHandling:
         assert err.value.t == t
         assert np.array(err.value.last_state).tobytes().hex() == state_hex
 
+    # sha256 of the states of the three BLOW_UPS paths in one batch, every
+    # path frozen at its last finite state to the end of the grid
+    ALL_DEAD_SHA256 = ("61154aea014ae61f4f57c959531e464e"
+                       "81d4345bd9fc303f0df5808f64e444d2")
+
     def test_batch_stops_once_every_path_is_dead(self):
         grid = TimeGrid(0.0, 10.0, 100)
         x0 = np.array(sorted(self.BLOW_UPS))[:, None]
@@ -297,9 +302,8 @@ class TestFailureHandling:
 
         states, dead = integrate_batch(self.cubic(), grid, x0,
                                        increments_for=provider)
-        full = [x for _, x, _ in march(self.cubic(), grid, x0,
-                                       zero_increments(3, 1))]
-        assert states.tobytes() == np.stack(full, axis=1).tobytes()
+        assert (hashlib.sha256(states.tobytes()).hexdigest()
+                == self.ALL_DEAD_SHA256)
         assert dead.tolist() == [15, 10, 6]
         # no step is drawn after the last path died at step 15
         assert drawn == list(range(15))
