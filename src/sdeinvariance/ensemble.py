@@ -93,29 +93,33 @@ class EnsembleStats:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _noise_steps(n_paths: int, r: int, n_steps: int) -> int:
-    """Grid steps of keyed noise drawn at once: _NOISE_BYTES worth, >= 1."""
-    return max(1, min(n_steps, _NOISE_BYTES // max(1, 8 * n_paths * r)))
+def _noise_draw(n_paths: int, r: int, n_steps: int) -> Tuple[int, int]:
+    """(steps, peak bytes) of one keyed-noise draw.  It covers >= 1 step
+    and _NOISE_BYTES of hashes, max(1, r) words per path-step; its peak
+    adds a shift temporary as large, the previous hash (a word per
+    path-step), the step indices and numpy's two ufunc buffers."""
+    w = max(1, r)
+    k = max(1, min(n_steps, _NOISE_BYTES // (8 * max(1, n_paths) * w)))
+    return k, 8 * (k * (n_paths * (2 * w + 1) + 1) + 2 * np.getbufsize())
 
 
 def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
                  ) -> Tuple[Array, Callable[[int], Array]]:
     """(x0, increments_for) that start the keyed paths ids at cfg.x0.
 
-    increments_for draws the noise of _noise_steps consecutive steps in
-    one call and serves the step asked for from that block; the last
+    increments_for draws the noise of _noise_draw's steps in one
+    call and serves the step asked for from that block; the last
     block stops at the end of the grid.
     """
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
     n_steps = cfg.grid.n_steps
-    per_draw = _noise_steps(ids.size, r, n_steps)
+    per_draw, _ = _noise_draw(ids.size, r, n_steps)
     start, block = 0, None  # block[k] holds the increments of step start + k
 
     def for_step(step: int) -> Array:
         nonlocal start, block
         if block is None or not start <= step < start + len(block):
-            block = None  # free the old block before drawing the next
-            start = step
+            block, start = None, step  # free the old block before drawing
             steps = np.arange(step, min(step + per_draw, n_steps),
                               dtype=np.uint64)
             block = increments_for_step(seed, ids, steps, r, dt)
@@ -170,15 +174,12 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     """
     if n_paths < 1:
         raise UsageError("n_paths must be >= 1")
-    if tol < 0:
-        raise UsageError("tol must be >= 0")
+    if not 0 <= tol < np.inf:
+        raise UsageError("tol must be finite and >= 0")
     times = cfg.grid.times()
-    n_grid = times.size
-    m = sys.m
-    noise_bytes = 8 * n_paths * sys.r * _noise_steps(n_paths, sys.r,
-                                                     cfg.grid.n_steps)
-    width = max(1, min(n_grid,
-                       (_BLOCK_BYTES - noise_bytes) // (8 * n_paths * m)))
+    n_grid, m = times.size, sys.m
+    states_bytes = _BLOCK_BYTES - _noise_draw(n_paths, sys.r, n_grid - 1)[1]
+    width = max(1, min(n_grid, states_bytes // (8 * n_paths * m)))
     block = np.empty((n_paths, width, m))
     mean = np.empty((n_grid, m))
     ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)
@@ -252,11 +253,12 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
     two readings march in lockstep on one keyed provider, so each block
     of noise is drawn once and serves both.
     """
+    if n_paths < 1:
+        raise UsageError("n_paths must be >= 1")
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
-    readings = [replace(sys, interpretation=i) for i in Interpretation]
-    marches = [march(reading, cfg.grid, x0, increments)
-               for reading in readings]
+    marches = [march(replace(sys, interpretation=i), cfg.grid, x0,
+                     increments) for i in Interpretation]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass
     gap = ito - stratonovich

@@ -172,8 +172,8 @@ class NoiseSpec:
                else tuple(float(s) for s in self.sigma))
         if len(sig) != 3:
             raise UsageError("sigma must have one entry per gating variable")
-        if any(not s > 0 for s in sig):
-            raise UsageError("sigma entries must be positive")
+        if any(not 0 < s < np.inf for s in sig):
+            raise UsageError("sigma entries must be positive and finite")
         object.__setattr__(self, "sigma", sig)
 
     @classmethod

@@ -31,6 +31,10 @@ Integrators never clamp states to a region; leaving it is only recorded,
 by the ensemble statistics.  Nor do they stop at a failure: a path that
 turns non-finite is frozen at its last finite state and its step goes
 into march's dead array, from which simulate raises IntegrationError.
+march, the one stepping loop, alone decides when stepping stops: once no
+path is alive, it calls neither the model nor the noise provider again
+and yields the same frozen array for every remaining grid index, so
+consumers copy states and never write to them.
 """
 
 from __future__ import annotations
@@ -75,72 +79,76 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
     the (n_paths, r) Wiener increments of step n (UsageError if x0 or the
     increments of step 0 differ).  Yields (n, x, dead) for every grid
     index n, starting with (0, x0): x is the (n_paths, m) state at time
-    n, a fresh array each step, and dead[p] is the first step index at
-    which path p produced a non-finite state (-1 so far), updated in
-    place.  A failed path keeps its last finite state from there on.  A
-    step looks for failed paths only when its batch is not all finite.
-
-    For a system that declares diagonal_noise, the first diffusion
-    evaluation must have exact zeros off the diagonal (UsageError if not);
-    later evaluations are trusted.
+    n, and dead[p] is the first step index at which path p produced a
+    non-finite state (-1 so far), updated in place.  A failed path keeps
+    its last finite state from there on.  Once no path is alive (at once
+    with no paths), march calls neither the model nor increments_for and
+    yields the same frozen x at every remaining index; until then each x
+    is fresh.  Consumers copy x and never write to it.  For a system that
+    declares diagonal_noise, the first diffusion evaluation must have
+    exact zeros off the diagonal (UsageError if not); later ones are
+    trusted.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != sys.m:
         raise UsageError(f"x0 has shape {x.shape}, not (n_paths, {sys.m})")
     times = grid.times()
-    dt = grid.dt
     dead = np.full(len(x), -1, dtype=int)
     alive = np.ones(len(x), dtype=bool)
-    any_dead = False
-    heun = sys.interpretation is Interpretation.STRATONOVICH
-    diagonal, r = sys.diagonal_noise, sys.r
+    stepping, any_dead = len(x) > 0, False
     yield 0, x, dead
     for n in range(grid.n_steps):
-        t = times[n]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = drift_batch(sys, t, x)
-            euler = x + f * dt
-            dw = increments_for(n)
-            g0 = diffusion_batch(sys, t, x)
-            if n == 0:
-                if np.shape(dw) != (len(x), r):
-                    raise UsageError(f"increments have shape {np.shape(dw)}, "
-                                     f"not ({len(x)}, {r})")
-                if diagonal:
-                    _require_diagonal(g0)
-            if diagonal:
-                d0 = _diagonal(g0)
-                if heun:
-                    pred = euler.copy()
-                    pred[:, :r] += d0 * dw
-                    d1 = _diagonal(diffusion_batch(sys, times[n + 1], pred))
-                    d0 = 0.5 * (d0 + d1)
-                euler[:, :r] += d0 * dw
-                x_new = euler
-            elif heun:
-                pred = euler + np.einsum("pmr,pr->pm", g0, dw)
-                g1 = diffusion_batch(sys, times[n + 1], pred)
-                gbar = 0.5 * (g0 + g1)
-                x_new = euler + np.einsum("pmr,pr->pm", gbar, dw)
-            else:
-                x_new = euler + np.einsum("pmr,pr->pm", g0, dw)
-        if not np.isfinite(x_new).all():
-            bad = ~np.isfinite(x_new).all(axis=1) & alive
-            if bad.any():
-                dead[bad] = n + 1
-                alive &= ~bad
-                any_dead = True
-        if any_dead:  # freeze; skipped while every path is alive
-            x_new[~alive] = x[~alive]
-        x = x_new
+        if stepping:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                x_new = _step(sys, times[n], times[n + 1], grid.dt, x,
+                              increments_for(n), n == 0)
+            if not np.isfinite(x_new).all():
+                bad = ~np.isfinite(x_new).all(axis=1) & alive
+                if bad.any():
+                    dead[bad] = n + 1
+                    alive &= ~bad
+                    stepping, any_dead = alive.any(), True
+            if any_dead:  # freeze; skipped while every path is alive
+                x_new[~alive] = x[~alive]
+            x = x_new
         yield n + 1, x, dead
 
 
-def _diagonal(g: Array) -> Array:
-    """The view g[:, i, i], i < r, of a (n, m, r) diffusion, r <= m."""
-    n, m, r = g.shape
-    # every (r + 1)-th entry of each flat row
+def _step(sys: SdeSystem, t: float, t_next: float, dt: float, x: Array,
+          dw: Array, first: bool) -> Array:
+    """One Euler-Maruyama step from (t, x), Heun-corrected for a
+    Stratonovich system; the first checks dw's shape and a diagonal g."""
+    if first and np.shape(dw) != (len(x), sys.r):
+        raise UsageError(f"increments have shape {np.shape(dw)}, "
+                         f"not ({len(x)}, {sys.r})")
+    euler = x + drift_batch(sys, t, x) * dt
+    g = _noise_matrix(sys, t, x, first)
+    if sys.interpretation is Interpretation.STRATONOVICH:
+        pred = _add_noise(euler.copy(), g, dw)
+        g = 0.5 * (g + _noise_matrix(sys, t_next, pred, False))
+    return _add_noise(euler, g, dw)
+
+
+def _noise_matrix(sys: SdeSystem, t: float, x: Array, check: bool) -> Array:
+    """The (n, m, r) diffusion at (t, x), or for diagonal_noise the (n, r)
+    view of g[:, i, i], i < r, which check requires g to be zero off."""
+    g = diffusion_batch(sys, t, x)
+    if not sys.diagonal_noise:
+        return g
+    if check:
+        _require_diagonal(g)
+    n, m, r = g.shape  # the diagonal is every (r + 1)-th entry of a row
     return g.reshape(n, m * r)[:, :r * (r + 1):r + 1]
+
+
+def _add_noise(x: Array, g: Array, dw: Array) -> Array:
+    """x += g dW in place and return x: g[i, i] dW_i on the first r
+    coordinates for a diagonal g, the einsum contraction otherwise."""
+    if g.ndim == 2:
+        x[:, :g.shape[1]] += g * dw
+    else:
+        x += np.einsum("pmr,pr->pm", g, dw)
+    return x
 
 
 def _require_diagonal(g: Array) -> None:
@@ -157,20 +165,16 @@ def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,
     """Collect every state of a march; returns (states, dead_step).
 
     states has shape (n_paths, n_steps + 1, m) and dead_step is the final
-    dead array of march, whose arguments this takes.  The march stops once
-    every path is dead, and the rest of the grid repeats the frozen states.
-    The package passes increments_for by keyword, where perfbench's tracer
-    looks for the provider.
+    dead array of march, whose arguments this takes.  The package passes
+    increments_for by keyword, where perfbench's tracer looks for the
+    provider.
     """
     steps = march(sys, grid, x0, increments_for)
     _, x, dead = next(steps)  # march has checked the shape of x0
     states = np.empty((len(x), grid.n_steps + 1, sys.m))
     states[:, 0] = x
-    for n, x, dead in steps if len(x) else ():  # no paths: nothing to do
+    for n, x, dead in steps:
         states[:, n] = x
-        if dead[0] >= 0 and (dead >= 0).all():  # every path is frozen
-            states[:, n + 1:] = x[:, None]
-            break
     return states, dead
 
 

@@ -171,12 +171,6 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _check_times(cfg: CheckConfig) -> Array:
-    if cfg.n_time_samples == 1:
-        return np.array([0.0])
-    return np.linspace(0.0, cfg.t_max_check, cfg.n_time_samples)
-
-
 def _coord_windows(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Tuple[float, float], ...]:
     """The finite sampling window of every coordinate (see CheckConfig)."""
     if sys.coord_ranges is None:
@@ -260,7 +254,7 @@ def _scan_face(index: int, side: str, pts: Array, cfg: CheckConfig,
         return Witness(index, side, float(t), tuple(pts[k]), kind, float(v),
                        partner=other)
 
-    times = _check_times(cfg)
+    times = np.linspace(0.0, cfg.t_max_check, cfg.n_time_samples)
     for n, t in enumerate(times):
         if n == 0 or not autonomous:
             margin, value, dev = evaluate(t)

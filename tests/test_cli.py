@@ -106,6 +106,11 @@ class TestErrors:
         (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
         (("check", "--model", "hh-additive", "--t-max-check", "inf"), None),
         (("check", "--model", "hh-det", "--sampler-seed", "-1"), None),
+        (("check", "--model", "hh-additive", "--sigma", "inf"), None),
+        (("ensemble", "--model", "hh-additive", "--n-paths", "2",
+          "--tol", "nan"), None),
+        (("ensemble", "--model", "hh-additive", "--n-paths", "2",
+          "--tol", "inf"), None),
     ])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
                                                config):
@@ -116,6 +121,16 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    # refused as usage, before a model is evaluated or a path is run
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--model", "hh-additive", "--sigma", "inf"),
+         "sigma entries must be positive and finite"),
+        (("ensemble", "--model", "hh-additive", "--n-paths", "2",
+          "--tol", "nan"), "tol must be finite and >= 0"),
+    ])
+    def test_non_finite_values_are_named(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -509,20 +524,41 @@ class TestPinnedDumps:
 
     # 5 paths x 4 coordinates x 8 bytes: 160 bytes is a 1-step block and
     # 1120 a 7-step one, which divides neither grid; with the noise drawn
-    # one step at a time, the budget also pays its 5 x 3 x 8 = 120 bytes
+    # one step at a time, the budget also pays the peak of one draw
     @pytest.mark.parametrize("block_bytes", [None, 160, 1120])
     @pytest.mark.parametrize("run", sorted(PINNED_DUMPS))
     def test_dump_digests(self, capsys, tmp_path, monkeypatch, run,
                           block_bytes):
+        ensemble = sdeinvariance.ensemble
         if block_bytes is not None:
-            monkeypatch.setattr(sdeinvariance.ensemble, "_NOISE_BYTES", 0)
-            monkeypatch.setattr(sdeinvariance.ensemble, "_BLOCK_BYTES",
-                                block_bytes + 120)
+            monkeypatch.setattr(ensemble, "_NOISE_BYTES", 0)
+            _, noise = ensemble._noise_draw(5, 3, 1)
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes + noise)
+        runs = []  # the block widths of each reading's run
+        tee = sdeinvariance.cli._path_tee
+
+        def counted_tee(*args):
+            write, widths = tee(*args), []
+            runs.append(widths)
+
+            def on_block(start, states):
+                widths.append(states.shape[1])
+                write(start, states)
+
+            return on_block
+
+        monkeypatch.setattr(sdeinvariance.cli, "_path_tee", counted_tee)
         options, digests = PINNED_DUMPS[run]
         target = tmp_path / "paths"
         code, out, err = run_cli(capsys, "ensemble", *options,
                                  "--dump-paths", str(target))
         assert code == 0, err
+        if block_bytes is not None:  # the widths the budget names
+            width = block_bytes // 160
+            assert runs
+            for widths in runs:
+                assert widths[:-1] == [width] * (len(widths) - 1)
+                assert 0 < widths[-1] < width or width == 1
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in target.iterdir()}
         assert got == digests

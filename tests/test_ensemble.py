@@ -105,8 +105,9 @@ class TestRunEnsemble:
         cfg = SimConfig(grid=grid, x0=(0.5,))
         with pytest.raises(UsageError):
             run_ensemble(sys1, cfg, 0, None)
-        with pytest.raises(UsageError):
-            run_ensemble(sys1, cfg, 2, None, tol=-0.1)
+        for tol in (-0.1, np.nan, np.inf):
+            with pytest.raises(UsageError, match="tol"):
+                run_ensemble(sys1, cfg, 2, None, tol=tol)
 
 
 class TestDeterminism:
@@ -114,12 +115,12 @@ class TestDeterminism:
         "eaf4332c7857519c932784bfcacc84687a9cf2d15b443d61833b44a77fc53f59")
 
     @staticmethod
-    def additive_64():
+    def additive_64(on_block=None):
         # 64 paths: 10 leave the box and stay finite, 54 turn non-finite
         system, info = build_model("hh-additive", sigma=0.5)
         grid = TimeGrid(0.0, 30.0, 3000)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=3)
-        return run_ensemble(system, cfg, 64, info.box)
+        return run_ensemble(system, cfg, 64, info.box, on_block=on_block)
 
     def test_stats_digest_with_exits_and_blow_ups(self):
         stats = self.additive_64()
@@ -131,12 +132,17 @@ class TestDeterminism:
     def test_block_width_does_not_change_stats(self, monkeypatch):
         # one step per block, 7 steps (which do not divide the 3001 grid
         # points), and the whole grid in one block; each budget also pays
-        # for the keyed-noise block
+        # for the peak of a keyed-noise draw
         row = 8 * 64 * 4
-        noise = 8 * 64 * 3 * ensemble._noise_steps(64, 3, 3000)
-        for budget in (0, noise + 7 * row, noise + 3001 * row):
+        _, noise = ensemble._noise_draw(64, 3, 3000)
+        for budget, width in ((0, 1), (noise + 7 * row, 7),
+                              (noise + 3001 * row, 3001)):
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES", budget)
-            stats = self.additive_64()
+            widths = []
+            stats = self.additive_64(
+                lambda start, states: widths.append(states.shape[1]))
+            full, rest = divmod(3001, width)
+            assert widths == [width] * full + ([rest] if rest else [])
             assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
                     == self.ADDITIVE_64_SHA256)
 
@@ -223,6 +229,27 @@ class TestAllDead:
         assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
                 == self.HH_STATS_SHA256)
 
+    # the march stops once every path is dead: 6 drift calls per reading
+    # for the 6 steps the cubic paths live, not one per grid step
+    def test_run_ensemble_stops_calling_the_model(self):
+        calls = []
+        run_ensemble(*self.cubic(calls), 8, None)
+        assert len(calls) == 6
+
+    def test_compare_interpretations_stops_calling_the_model(self):
+        calls = []
+        compare_interpretations(*self.cubic(calls), 8)
+        assert len(calls) == 12
+
+    def test_no_keyed_draw_after_the_last_death(self, monkeypatch):
+        # one step a draw: steps 0..5 are drawn, the other 94 are not
+        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 0)
+        shapes = TestKeyedNoiseBlocks.draws(monkeypatch)
+        stats = run_ensemble(*self.cubic(), 8, None)
+        assert shapes == [(1, 8, 1)] * 6
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == self.CUBIC_STATS_SHA256)
+
 
 class TestKeyedNoiseBlocks:
     """Keyed noise is drawn a block of steps at a time, with no trace in
@@ -308,6 +335,26 @@ class TestMemory:
             800)
         outputs = 4 * 800 * 4 * 8  # growth of the mean and three quantiles
         assert growth <= 2 * outputs
+
+    # the peak of one keyed-noise draw, as _keyed_start makes it, against
+    # the bytes run_ensemble charges for it; r = 0 used to draw the whole
+    # grid at once (80 MB at 1000 paths and 5000 steps)
+    @pytest.mark.parametrize("n_paths", [1, 64, 1000])
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_noise_draw_stays_within_its_charge(self, r, n_paths):
+        system = constant_drift_system(1, [0.0], r=r)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 5000), x0=(0.0,))
+        steps, charge = ensemble._noise_draw(n_paths, r, 5000)
+        assert 8 * n_paths * max(1, r) * steps <= ensemble._NOISE_BYTES
+        _, for_step = ensemble._keyed_start(
+            system, cfg, np.arange(n_paths, dtype=np.uint64))
+        tracemalloc.start()
+        try:
+            for_step(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge
 
     def test_compare_interpretations_keeps_only_endpoints(self):
         growth = self.peak_growth(
@@ -431,6 +478,12 @@ class TestCompareInterpretations:
         cfg = SimConfig(grid=grid, x0=tuple(info.x0))
         gap = compare_interpretations(system, cfg, 8)
         assert gap[:3].max() > 0.0
+
+    def test_needs_a_path(self):
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), x0=tuple(info.x0))
+        with pytest.raises(UsageError, match="n_paths"):
+            compare_interpretations(system, cfg, 0)
 
     def test_gap_matches_manual_two_runs(self):
         system, info = build_model("hh-logistic", sigma=0.5)

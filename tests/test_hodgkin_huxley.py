@@ -299,6 +299,9 @@ class TestNoise:
             NoiseSpec.additive(0.0)
         with pytest.raises(UsageError):
             NoiseSpec.multiplicative(-0.5)
+        for bad in (np.inf, np.nan, (0.1, np.inf, 0.2)):
+            with pytest.raises(UsageError, match="finite"):
+                NoiseSpec.additive(bad)
 
     def test_additive_diffusion_matrix(self):
         system = hh_system(noise=NoiseSpec.additive((0.1, 0.2, 0.3)))

@@ -308,6 +308,31 @@ class TestFailureHandling:
         # no step is drawn after the last path died at step 15
         assert drawn == list(range(15))
 
+    def test_march_yields_one_frozen_array_once_all_are_dead(self):
+        grid = TimeGrid(0.0, 10.0, 100)
+        x0 = np.array(sorted(self.BLOW_UPS))[:, None]
+        frames = [x for _, x, _ in march(self.cubic(), grid, x0,
+                                         zero_increments(3, 1))]
+        assert len(frames) == 101
+        # fresh arrays up to the last death at step 15, then one array
+        assert len({id(x) for x in frames[:16]}) == 16
+        assert all(x is frames[15] for x in frames[15:])
+
+    def test_no_paths_take_no_steps(self):
+        def fail(*args):
+            raise AssertionError("called with no paths")
+
+        system = SdeSystem(m=2, r=1, drift=fail, diffusion=fail,
+                           vectorized=True)
+        grid = TimeGrid(0.0, 1.0, 10)
+        steps = list(march(system, grid, np.empty((0, 2)), fail))
+        assert [n for n, _, _ in steps] == list(range(11))
+        assert all(x.shape == (0, 2) for _, x, _ in steps)
+        states, dead = integrate_batch(system, grid, np.empty((0, 2)),
+                                       increments_for=fail)
+        assert states.shape == (0, 11, 2)
+        assert dead.shape == (0,)
+
 
 class TestBatchShapes:
     """march checks x0 and the first increments for every caller."""
