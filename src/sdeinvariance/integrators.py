@@ -85,9 +85,8 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
     with no paths), march calls neither the model nor increments_for and
     yields the same frozen x at every remaining index; until then each x
     is fresh.  Consumers copy x and never write to it.  For a system that
-    declares diagonal_noise, the first diffusion evaluation must have
-    exact zeros off the diagonal (UsageError if not); later ones are
-    trusted.
+    declares diagonal_noise, only the first diffusion evaluation is
+    checked for exact zeros off the diagonal (UsageError if not).
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != sys.m:
@@ -116,8 +115,8 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
 
 def _step(sys: SdeSystem, t: float, t_next: float, dt: float, x: Array,
           dw: Array, first: bool) -> Array:
-    """One Euler-Maruyama step from (t, x), Heun-corrected for a
-    Stratonovich system; the first checks dw's shape and a diagonal g."""
+    """One Euler-Maruyama step from (t, x), Heun-corrected for Stratonovich;
+    with first, also checks the shape of dw and a declared diagonal g."""
     if first and np.shape(dw) != (len(x), sys.r):
         raise UsageError(f"increments have shape {np.shape(dw)}, "
                          f"not ({len(x)}, {sys.r})")
@@ -131,7 +130,8 @@ def _step(sys: SdeSystem, t: float, t_next: float, dt: float, x: Array,
 
 def _noise_matrix(sys: SdeSystem, t: float, x: Array, check: bool) -> Array:
     """The (n, m, r) diffusion at (t, x), or for diagonal_noise the (n, r)
-    view of g[:, i, i], i < r, which check requires g to be zero off."""
+    view of g[:, i, i], i < r; with check, UsageError unless g is zero
+    off that diagonal."""
     g = diffusion_batch(sys, t, x)
     if not sys.diagonal_noise:
         return g

@@ -337,8 +337,8 @@ class TestMemory:
         assert growth <= 2 * outputs
 
     # the peak of one keyed-noise draw, as _keyed_start makes it, against
-    # the bytes run_ensemble charges for it; r = 0 used to draw the whole
-    # grid at once (80 MB at 1000 paths and 5000 steps)
+    # the bytes run_ensemble charges for it; a noise-free system (r = 0)
+    # is drawn in bounded blocks too, not the whole grid at once
     @pytest.mark.parametrize("n_paths", [1, 64, 1000])
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_noise_draw_stays_within_its_charge(self, r, n_paths):
