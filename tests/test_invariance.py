@@ -1095,6 +1095,35 @@ class TestPinnedReports:
                    for name, r in reports.items()}
         assert digests == self.DIGESTS
 
+    # V boxed outside the HH window (-100, 60): the faces of coordinate 0
+    # sample V from the box itself, a one-sided bound extended by the
+    # window's span of 160
+    WINDOW_MISS = {
+        "box-hh-v-above-window": (
+            Box((0, 3), (0.1, 70.0), (0.9, 80.0)), (70.0, 80.0),
+            "6ec10cf800f5823367d9764f38784325"
+            "790de42820a1d56df7b36d5d8a635cf3"),
+        "box-hh-v-above-window-one-sided": (
+            Box((0, 3), (0.1, 70.0), (0.9, math.inf)), (70.0, 230.0),
+            "83e8bf8eaa18ff1b53a3e46aa20ffb3b"
+            "d08dffeec58a011eeaaf04f9c181b644"),
+        "box-hh-v-below-window-one-sided": (
+            Box((0, 3), (0.1, -math.inf), (0.9, -150.0)), (-310.0, -150.0),
+            "09507617a4a535c6a3381666db1ff54f"
+            "c3b4bbe0cbc06235773432199cd0b7b1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MISS))
+    def test_box_outside_the_window_digests(self, name):
+        box, (lo, hi), digest = self.WINDOW_MISS[name]
+        cfg = CheckConfig(n_face_samples=32, n_time_samples=3,
+                          max_witnesses_per_face=3)
+        system, _ = build_model("hh-det")
+        v = inv._box_face_points(system, box, cfg, 0, 0.1, 0)[:, 3]
+        assert lo <= v.min() and v.max() <= hi
+        report = check_box(system, box, cfg)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
 
 @given(c=st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False),
