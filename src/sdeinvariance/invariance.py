@@ -190,21 +190,17 @@ def _coord_windows(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Tuple[float, float
 
 def _face_interval(a: float, b: float,
                    window: Tuple[float, float]) -> Tuple[float, float]:
-    """Sampling interval for one coordinate inside bounds [a, b]."""
+    """Sampling interval for one coordinate inside bounds [a, b]: the window
+    clipped to them, else the bounds, a half-line cut to the window's span."""
     lo, hi = window
-    lo_eff = max(a, lo) if math.isfinite(a) else lo
-    hi_eff = min(b, hi) if math.isfinite(b) else hi
-    if lo_eff < hi_eff:
-        return (lo_eff, hi_eff)
-    # plausibility window misses the box; fall back to the box itself
+    if max(a, lo) < min(b, hi):
+        return (max(a, lo), min(b, hi))
     span = hi - lo
-    if math.isfinite(a) and math.isfinite(b):
-        return (a, b)
-    if math.isfinite(a):
+    if math.isinf(b):
         return (a, a + span)
-    if math.isfinite(b):
+    if math.isinf(a):
         return (b - span, b)
-    return (lo, hi)
+    return (a, b)
 
 
 def _child_rng(cfg: CheckConfig, *key: int) -> np.random.Generator:
