@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
 from .integrators import SimConfig, integrate_batch, march
-from .wiener import increments_for_step
+from .wiener import checked_path_ids, increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
 # bytes of keyed noise and states run_ensemble holds at once; the states
@@ -134,12 +134,10 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
 
     states[k] is the path for path_ids[k], the same in any batch because
     each path's arithmetic never mixes with its neighbours'.  A path that
-    turns non-finite is frozen at its last finite state.
+    turns non-finite is frozen at its last finite state.  Path ids must be
+    integers in [0, 2**64).
     """
-    ids = np.asarray(list(path_ids), dtype=np.uint64)
-    if ids.size and ids.ndim != 1:
-        raise UsageError("path_ids must be a flat sequence")
-    x0, increments = _keyed_start(sys, cfg, ids)
+    x0, increments = _keyed_start(sys, cfg, checked_path_ids(path_ids))
     return integrate_batch(sys, cfg.grid, x0, increments_for=increments)
 
 

@@ -24,6 +24,7 @@ is generated as one such block.  None of this changes the mapping from
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,17 @@ def normal_stream(seed: int, path_ids, steps, components) -> Array:
     return ndtri(uniform_stream(seed, path_ids, steps, components))
 
 
+def checked_path_ids(path_ids) -> Array:
+    """path_ids as a uint64 array, each an integer in [0, 2**64)."""
+    try:
+        ids = [operator.index(p) for p in path_ids]
+    except TypeError as exc:
+        raise UsageError(f"path ids must be integers: {exc}")
+    if not all(0 <= p < 2 ** 64 for p in ids):
+        raise UsageError("path ids must lie in [0, 2**64)")
+    return np.array(ids, dtype=np.uint64)
+
+
 def increments_for_step(seed: int, path_ids: Array, step, r: int,
                         dt: float) -> Array:
     """Wiener increments over one step for many paths, shape (n_paths, r).
@@ -125,13 +137,11 @@ class WienerGrid:
     @classmethod
     def generate(cls, seed: int, path_id: int, grid: TimeGrid,
                  r: int) -> "WienerGrid":
-        if path_id < 0:
-            raise UsageError("path_id must be >= 0")
+        ids = checked_path_ids([path_id])
         if r < 0:
             raise UsageError("noise dimension r must be >= 0")
-        steps = np.arange(grid.n_steps, dtype=np.uint64)
-        z = increments_for_step(seed, [path_id], steps, r, grid.dt)
-        return cls(seed=int(seed), path_id=int(path_id), grid=grid,
+        z = increments_for_step(seed, ids, np.arange(grid.n_steps), r, grid.dt)
+        return cls(seed=int(seed), path_id=int(ids[0]), grid=grid,
                    increments=z[:, 0])
 
     def path(self) -> Array:

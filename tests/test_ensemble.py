@@ -156,6 +156,14 @@ class TestDeterminism:
         assert np.array_equal(states[0], traj.states)
         assert dead[0] == -1
 
+    @pytest.mark.parametrize("path_ids", [[-1], [2 ** 64], [0.7], [0, 1.0],
+                                          [[0, 1]]])
+    def test_path_ids_outside_the_keys_are_refused(self, path_ids):
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), x0=tuple(info.x0))
+        with pytest.raises(UsageError, match="path ids must"):
+            integrate_paths(system, cfg, path_ids)
+
     def test_batch_size_does_not_change_paths(self, monkeypatch):
         system, info = build_model("hh-additive", sigma=0.2)
         grid = TimeGrid(0.0, 1.0, 100)

@@ -189,6 +189,20 @@ class TestWienerGrid:
             WienerGrid(seed=0, path_id=0, grid=grid,
                        increments=np.zeros((4, 1)))
 
+    # 2**64 would wrap to path 0 and 0.7 truncate to it
+    @pytest.mark.parametrize("path_id", [2 ** 64, 0.7, "3"])
+    def test_path_id_outside_the_keys_is_refused(self, path_id):
+        with pytest.raises(UsageError, match="path ids must"):
+            WienerGrid.generate(0, path_id, TimeGrid(0.0, 1.0, 5), 1)
+
+    def test_largest_path_id_is_a_key(self):
+        grid = TimeGrid(0.0, 1.0, 5)
+        top = WienerGrid.generate(0, 2 ** 64 - 1, grid, 2)
+        assert top.path_id == 2 ** 64 - 1
+        assert np.array_equal(top.increments, increments_for_step(
+            0, np.array([2 ** 64 - 1], dtype=np.uint64), np.arange(5), 2,
+            grid.dt)[:, 0])
+
     def test_moments_at_scale(self):
         grid = TimeGrid(0.0, 1.0, 20_000)
         wg = WienerGrid.generate(123, 0, grid, 1)
