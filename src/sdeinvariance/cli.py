@@ -11,12 +11,15 @@ Exit codes: 0 success (check: region satisfied), 2 check found a
 violation, 1 usage or model errors.
 
 Options may also come from a JSON config file (--config).  Its keys are
-the long option names with underscores (n_paths for --n-paths), its
-values are converted exactly as the flags' text is, and keys of other
-subcommands are ignored, so one file can serve every command.  A flag
-beats the file, which beats the default; the seed then falls back to
-$SDE_SEED, then 0.  Models are either registry names (hh-det,
-hh-additive, hh-logistic) or a path to a Python file exposing
+the long option names with underscores (n_paths for --n-paths).  Each
+value becomes its flag's text, which argparse alone converts and checks:
+an object as JSON, a list as "a,b,c", a float as its repr less a
+trailing ".0" (2.0 gives 2, -0.0 keeps its sign), anything else as str.
+So 2.5 or true for an integer option is an error, which names the file.
+Null values and other subcommands' keys are ignored, so one file serves
+every command.  A flag beats the file, which beats the default; the
+seed then falls back to $SDE_SEED, then 0.  Models are registry names
+(hh-det, hh-additive, hh-logistic) or a path to a Python file exposing
 build(sigma=..., interpretation=...) -> (SdeSystem, ModelInfo).
 """
 
@@ -63,12 +66,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _config_defaults(commands: dict, command: str, path: str) -> dict:
-    """The config file's values for one subcommand, converted as its flags.
+def _flag_text(value) -> str:
+    """A config value as its flag's text, by the module docstring's rule."""
+    if isinstance(value, dict):
+        return json.dumps(value)
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    text = str(value)
+    return text.removesuffix(".0") if isinstance(value, float) else text
 
-    A key is known when some subcommand has an option of that dest; the
-    keys of other subcommands are dropped, and so are null values.
-    """
+
+def _config_flags(commands: dict, command: str, path: str) -> list:
+    """The config file's entries for one subcommand as --long-name=text;
+    a key is known when some subcommand has an option of that dest, and
+    keys of other subcommands and null values are dropped."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     with open(path) as fh:
@@ -78,54 +89,34 @@ def _config_defaults(commands: dict, command: str, path: str) -> dict:
             raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    options = {name: {a.dest: a for a in sub._actions
+    options = {name: {a.dest: a.option_strings[0] for a in sub._actions
                       if a.option_strings and a.dest not in ("help", "config")}
                for name, sub in commands.items()}
     unknown = set(data).difference(*options.values())
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = {}
-    for key, value in data.items():
-        action = options[command].get(key)
-        if action is None or value is None:
-            continue
-        # argparse converts only string defaults, and checks no default
-        try:
-            value = (action.type or str)(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-            raise UsageError(f"config key {key}: {exc}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config key {key}: invalid choice {value!r} "
-                             f"(choose from {', '.join(action.choices)})")
-        defaults[key] = value
-    return defaults
+    return [f"{options[command][key]}={_flag_text(value)}"
+            for key, value in data.items()
+            if key in options[command] and value is not None]
 
 
-def _parse_sigma(value):
-    """A --sigma value, a number or a list or "a,b,c" text of numbers, as
-    the model builders take it: a float, or a tuple of several."""
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = value if isinstance(value, (list, tuple)) else [value]
+def _parse_sigma(text: str):
+    """--sigma's "a,b,c" text as the builders take it: a float or a tuple."""
     try:
-        sigma = tuple(float(v) for v in parts)
-    except (TypeError, ValueError):
+        sigma = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"sigma must be a number or a list of numbers, not {value!r}")
+            f"sigma must be a number or a list of numbers, not {text!r}")
     return sigma[0] if len(sigma) == 1 else sigma
 
 
-def _parse_box(value) -> Box:
-    """A --box value: a JSON object, or its text, with indices/lower/upper."""
+def _parse_box(text: str) -> Box:
+    """A --box value: a JSON object with indices/lower/upper."""
     try:
-        if isinstance(value, str):
-            value = json.loads(value)
+        value = json.loads(text)
         return Box(tuple(value["indices"]), tuple(value["lower"]),
                    tuple(value["upper"]))
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(f"box object is missing key {exc}")
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
             f"box must be a JSON object of indices/lower/upper: {exc}")
 
@@ -172,12 +163,18 @@ def _model_builder(name: str, sig
 
 def _parse(parser: argparse.ArgumentParser,
            argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """Flags over --config values over defaults, and the model to run."""
+    """Flags over --config values over defaults, and the model to run.
+
+    The file's flags go first, so the command line's win; those parsed
+    alone already, so an error in parsing both is the file's."""
+    argv = list(_sys.argv[1:] if argv is None else argv)
     ns = parser.parse_args(argv)
     if ns.config is not None:
-        parser.commands[ns.command].set_defaults(
-            **_config_defaults(parser.commands, ns.command, ns.config))
-        ns = parser.parse_args(argv)
+        flags = _config_flags(parser.commands, ns.command, ns.config)
+        try:
+            ns = parser.parse_args([argv[0], *flags, *argv[1:]])
+        except UsageError as exc:
+            raise UsageError(f"{ns.config}: {exc}")
     if ns.model is None:
         raise UsageError("no model given (use --model or a config file)")
     if ns.seed is None:
@@ -293,13 +290,9 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
             tee = _path_tee(ns.dump_paths, f"{system.name}-{nm}",
                             cfg.grid.times(), system.labels())
         results[nm] = run_ensemble(system, cfg, ns.n_paths, box, tol=ns.tol,
-                                   on_block=tee)
-    if len(results) == 1:
-        text = next(iter(results.values())).to_json(indent=2) + "\n"
-    else:
-        text = json.dumps({k: v.to_dict() for k, v in results.items()},
-                          indent=2) + "\n"
-    _write_text(ns.out, text)
+                                   on_block=tee).to_dict()
+    payload = results if len(names) > 1 else results[names[0]]
+    _write_text(ns.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import sdeinvariance
+from sdeinvariance import cli
 from sdeinvariance.cli import main
 from sdeinvariance.hodgkin_huxley import build_model
 
@@ -99,6 +100,14 @@ class TestErrors:
         assert code == 1
         assert "not both" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--dt", "0"), "dt must be positive"),
+        (("--t-end", "0.004"), "grid is shorter than one step"),
+    ])
+    def test_grids_without_a_step_are_refused(self, capsys, argv, message):
+        assert run_cli(capsys, "simulate", "--model", "hh-det",
+                       *argv) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, config", [
         (("check", "--model", "hh-logistic", "--sigma", "abc"), None),
         (("check", "--model", "hh-logistic", "--box",
@@ -111,6 +120,8 @@ class TestErrors:
           "--tol", "nan"), None),
         (("ensemble", "--model", "hh-additive", "--n-paths", "2",
           "--tol", "inf"), None),
+        (("simulate", "--model", "hh-det", "--t-end", "0.1",
+          "--path-id", str(2 ** 64)), None),
     ])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
                                                config):
@@ -341,6 +352,19 @@ class TestConfigAndEnvironment:
         assert code == 1
         assert "valid JSON" in err
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "config file not found: "),
+        ('["model", "hh-logistic"]', "config file must hold a JSON object"),
+    ])
+    def test_config_must_be_a_json_object_file(self, capsys, tmp_path,
+                                               content, message):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, "check", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDE_SEED", "123")
         code, out, err = run_cli(capsys, "ensemble", "--model",
@@ -391,6 +415,32 @@ class TestConfigAndEnvironment:
         assert json.loads(out)["config_echo"]["n_face_samples"] == 128
         assert not (tmp_path / "unused").exists()
 
+    @pytest.mark.parametrize("command, config, flag", [
+        ("ensemble", {"n_paths": 2.5}, "--n-paths: invalid int value: '2.5'"),
+        ("check", {"samples": 100.7}, "--samples: invalid int value: '100.7'"),
+        ("ensemble", {"seed": True}, "--seed: invalid int value: 'True'"),
+        ("check", {"t_max_check": True},
+         "--t-max-check: invalid float value: 'True'"),
+        ("ensemble", {"interpretation": "Ito"},
+         "--interpretation: invalid choice: 'Ito'"),
+    ])
+    def test_config_values_are_refused_as_their_flags_are(
+            self, capsys, tmp_path, command, config, flag):
+        # argparse converts the file's values, and the error names the file
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "hh-logistic", **config}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {cfg}: argument {flag}")
+
+    def test_negative_zero_keeps_its_sign(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "hh-logistic", "sigma": 0.2,
+                                   "t0": -0.0, "t_end": 0.1, "n_paths": 2}))
+        code, out, err = run_cli(capsys, "ensemble", "--config", str(cfg))
+        assert code == 0, err
+        assert '"t0": -0.0' in out
+
     def test_unparseable_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDE_SEED", "lots")
         code, out, err = run_cli(capsys, "ensemble", "--model",
@@ -398,6 +448,56 @@ class TestConfigAndEnvironment:
                                  "--t-end", "0.1", "--n-paths", "2")
         assert code == 1
         assert "SDE_SEED" in err
+
+
+# one valid value for each option type: (config value, the flag's text)
+PARITY_VALUES = {
+    int: (3, "3"),
+    float: (0.25, "0.25"),
+    None: ("run-output", "run-output"),
+    cli._parse_sigma: ([0.1, 0.2, 0.3], "0.1,0.2,0.3"),
+    cli._parse_box: ({"indices": [1], "lower": [0.25], "upper": [0.75]},
+                     '{"indices": [1], "lower": [0.25], "upper": [0.75]}'),
+}
+
+
+def _options():
+    """(subcommand, action) for every option a config file may set."""
+    for command, sub in cli.build_parser().commands.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help",
+                                                             "config"):
+                yield command, action
+
+
+class TestConfigFlagParity:
+    """Every option of every subcommand parses to the same namespace from
+    a config entry as from its flag; a new option is covered as soon as
+    it has a type in PARITY_VALUES or choices."""
+
+    @pytest.mark.parametrize("command, dest", [
+        (command, action.dest) for command, action in _options()])
+    def test_config_entry_parses_as_its_flag(self, tmp_path, monkeypatch,
+                                             command, dest):
+        monkeypatch.delenv("SDE_SEED", raising=False)
+        action = next(a for c, a in _options()
+                      if (c, a.dest) == (command, dest))
+        if action.choices is not None:
+            value = text = action.choices[-1]
+        else:
+            value, text = PARITY_VALUES[action.type]
+        flags = {"--model": "hh-det", action.option_strings[0]: text}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "hh-det", dest: value}))
+
+        def parsed(*argv):
+            ns = vars(cli._parse(cli.build_parser(), [command, *argv]))
+            return {k: v for k, v in ns.items() if k not in ("config",
+                                                             "build")}
+
+        from_flags = parsed(*(w for pair in flags.items() for w in pair))
+        assert from_flags[dest] != action.default
+        assert parsed("--config", str(cfg)) == from_flags
 
 
 def _as_flags(options):
@@ -675,6 +775,37 @@ class TestPluginModels:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
+
+    @pytest.fixture
+    def boxless(self, tmp_path):
+        path = tmp_path / "boxless_model.py"
+        path.write_text(PLUGIN_SOURCE.replace(
+            "ModelInfo(box=Box((0,), (0.0,), (2.0,)),", "ModelInfo(box=None,"))
+        return str(path)
+
+    def test_check_of_a_model_without_a_region_asks_for_box(self, capsys,
+                                                            boxless):
+        assert run_cli(capsys, "check", "--model", boxless, *QUICK_CHECK) == (
+            1, "", "error: model declares no region; pass --box\n")
+        code, out, err = run_cli(capsys, "check", "--model", boxless,
+                                 "--box", '{"indices": [0], "lower": [0], '
+                                 '"upper": [2]}', *QUICK_CHECK)
+        assert code == 0, err
+
+    def test_convert_of_a_model_without_a_region_skips_the_verdicts(
+            self, capsys, boxless):
+        code, out, err = run_cli(capsys, "convert", "--model", boxless)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[-1] == "no region declared; skipping verdict comparison"
+        assert lines[-2] == "  x = (0.5)  ->  h/2 = (0)"
+
+    def test_plugin_build_must_return_a_pair(self, capsys, tmp_path):
+        path = tmp_path / "single_model.py"
+        path.write_text(PLUGIN_SOURCE.replace("return system, info",
+                                              "return system"))
+        assert run_cli(capsys, "simulate", "--model", str(path)) == (
+            1, "", "error: model build() must return (SdeSystem, ModelInfo)\n")
 
     def test_plugin_without_build_function(self, capsys, tmp_path):
         path = tmp_path / "empty_model.py"
