@@ -540,6 +540,17 @@ class TestPolyhedron:
             with pytest.raises(UsageError, match="finite"):
                 check_polyhedron(sys2, quadrant, QUICK, interior_point=point)
 
+    def test_polyhedron_of_another_dimension_rejected(self):
+        with pytest.raises(UsageError, match="lives in dimension 2"):
+            check_polyhedron(constant_drift_system(3, [1.0] * 3, r=0),
+                             triangle(), QUICK)
+
+    @pytest.mark.parametrize("point", [(0.0, 0.25), (2.0, 2.0)])
+    def test_interior_point_on_or_outside_a_face_rejected(self, point):
+        sys2 = constant_drift_system(2, [1.0, 1.0], r=0)
+        with pytest.raises(UsageError, match="not strictly interior"):
+            check_polyhedron(sys2, triangle(), QUICK, interior_point=point)
+
     def test_infeasible_polyhedron_rejected(self):
         empty_strip = Polyhedron((
             Halfspace((1.0,), (1.0,)),   # x >= 1

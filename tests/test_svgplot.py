@@ -47,3 +47,18 @@ def test_labels_are_escaped():
     assert "a<b&c" not in svg
     assert "a&lt;b&amp;c" in svg
     assert "x &gt; y" in svg
+
+
+def _y_ticks(svg):
+    # the y-axis tick labels, bottom to top
+    return [float(line.rsplit(">", 2)[-2].split("<")[0])
+            for line in svg.split("\n") if 'text-anchor="end"' in line]
+
+
+@pytest.mark.parametrize("y, ticks", [
+    ([np.nan] * 3, [-1.0, -0.5, 0.0, 0.5, 1.0]),  # nothing finite: 0 +- 1
+    ([5.0] * 3, [4.5, 4.75, 5.0, 5.25, 5.5]),  # constant: 5 +- 10%
+])
+def test_flat_or_empty_series_get_a_padded_axis(y, ticks):
+    svg = line_chart(np.array([0.0, 1.0, 2.0]), [("y", y)])
+    assert _y_ticks(svg) == ticks
