@@ -423,7 +423,8 @@ class TestConfigAndEnvironment:
          "--t-max-check: invalid float value: 'True'"),
         ("ensemble", {"interpretation": "Ito"},
          "--interpretation: invalid choice: 'Ito'"),
-    ])
+    ], ids=["n_paths-2.5", "samples-100.7", "seed-true", "t_max_check-true",
+            "interpretation-Ito"])
     def test_config_values_are_refused_as_their_flags_are(
             self, capsys, tmp_path, command, config, flag):
         # argparse converts the file's values, and the error names the file
