@@ -292,6 +292,60 @@ class TestEnsemble:
         assert len(calls) == 2 * plain
 
 
+# one-dimensional logistic noise with no diffusion_jacobian, so convert
+# takes the central-difference branch
+LOGISTIC_1D_SOURCE = '''\
+from sdeinvariance import Box, ModelInfo, SdeSystem
+
+
+def build(sigma=None, interpretation=None):
+    s = 0.5 if sigma is None else sigma
+    kwargs = {}
+    if interpretation is not None:
+        kwargs["interpretation"] = interpretation
+    system = SdeSystem(m=1, r=1, drift=lambda t, x: [0.5 - x[0]],
+                       diffusion=lambda t, x: [[s * x[0] * (1.0 - x[0])]],
+                       name="logistic1d", **kwargs)
+    info = ModelInfo(box=Box.unit((0,)), x0=(0.3,), horizon=1.0)
+    return system, info
+'''
+
+# convert arguments -> sha256 of stdout and of the --out file
+PINNED_CONVERTS = {
+    "hh-det": (
+        ("--model", "hh-det"),
+        {"stdout": "92df39ddd75c3db374b0629211ceb56b"
+                   "7fdec0c523c31dad50bfb60f19dc35ec",
+         "out": "4bddcd9b3f3bab0d81ca476b871918f1"
+                "0573b98cba634aa6e8e3c48b8f58f1e0"}),
+    "hh-additive": (
+        ("--model", "hh-additive"),
+        {"stdout": "51ea186d94e1641834bf0cb4739f28f2"
+                   "355587b4964950dd7f866adfed08314e",
+         "out": "4370d7c03e7fb1d89c7379d6d0186852"
+                "9b80c5ce0deed0b8a26eb3de488b90b8"}),
+    "hh-logistic": (
+        ("--model", "hh-logistic"),
+        {"stdout": "e05427edd2b20e7e52db80190d2173e1"
+                   "2342a964d912b2bf3d3149c1a1d121f0",
+         "out": "bf8b5e496d88df8cba33313d3b260aca"
+                "6670f48aba2c39a9a9c27e20cf175648"}),
+    "hh-logistic-box": (
+        ("--model", "hh-logistic", "--sigma", "0.2,0.4,0.6", "--box",
+         '{"indices": [0, 2], "lower": [0.1, 0.2], "upper": [0.9, 0.7]}'),
+        {"stdout": "2aac191364b9eacd7eb37ec90caef49a"
+                   "0615f3a7f368899782895853068ab38b",
+         "out": "99bf7afc59b64f59f45a3d0beffe1307"
+                "510208f5558a013ace7577061202f61b"}),
+    "plugin-central-difference": (
+        ("--model", "logistic1d.py"),
+        {"stdout": "5e540a1a6c717b669cd5097b246092d9"
+                   "d924e5dbaf38719efd374c1d306d06c7",
+         "out": "9092adfd01d9052a0c5f1175f07cbc6b"
+                "abb40c5bbc0a972e460739a683ef1569"}),
+}
+
+
 class TestConvert:
     def test_builtin_models_report_equal_verdicts(self, capsys):
         code, out, err = run_cli(capsys, "convert", "--model",
@@ -319,6 +373,19 @@ class TestConvert:
             assert code == 1
             assert err.startswith("error:")
             assert out == ""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CONVERTS))
+    def test_output_digests(self, capsys, tmp_path, monkeypatch, case):
+        argv, digests = PINNED_CONVERTS[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logistic1d.py").write_text(LOGISTIC_1D_SOURCE)
+        code, out, err = run_cli(capsys, "convert", *argv, *QUICK_CHECK,
+                                 "--out", "conv.json")
+        assert code == 0, err
+        assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+                "out": hashlib.sha256(
+                    (tmp_path / "conv.json").read_bytes()).hexdigest()
+                } == digests
 
 
 class TestConfigAndEnvironment:
