@@ -20,7 +20,7 @@ import numpy as np
 
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
                            SimConfig, TimeGrid, WienerGrid, build_model,
-                           check_box, correction, simulate,
+                           check_box, correction_batch, simulate,
                            stratonovich_to_ito)
 
 ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
@@ -30,15 +30,15 @@ ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
 # =========================
 system, info = build_model("hh-logistic", sigma=0.5)
 print("correction h on the logistic model (V component is always 0):")
-for x1 in (0.0, 0.25, 0.5, 0.75, 1.0):
-    x = np.array([x1, 0.25, 0.75, -60.0])
-    h = correction(system, 0.0, x, ANALYTIC)
+x1s = (0.0, 0.25, 0.5, 0.75, 1.0)
+states = np.array([[x1, 0.25, 0.75, -60.0] for x1 in x1s])
+for x1, h in zip(x1s, correction_batch(system, 0.0, states, ANALYTIC)):
     closed_form = 0.25 * x1 * (1 - x1) * (1 - 2 * x1)
     print(f"  x_1 = {x1:4.2f}: h_1 = {h[0]:+.6f} "
           f"(closed form {closed_form:+.6f})")
 
 additive, _ = build_model("hh-additive", sigma=0.5)
-h = correction(additive, 0.0, np.asarray(info.x0), ANALYTIC)
+h = correction_batch(additive, 0.0, np.array([info.x0]), ANALYTIC)
 print(f"additive model: max |h| = {np.abs(h).max():.1e}")
 
 # =========================

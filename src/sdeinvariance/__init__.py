@@ -16,19 +16,17 @@ study, and drift-correction utilities translate systems between their
 Ito and Stratonovich forms.
 """
 
-from .conversion import (JacobianMode, JacobianPolicy, correction,
+from .conversion import (JacobianMode, JacobianPolicy, correction_batch,
                          ito_to_stratonovich, stratonovich_to_ito)
 from .core import (Box, Halfspace, IntegrationError, Interpretation,
                    ModelEvaluationError, ModelInfo, Polyhedron, SdeSystem,
-                   TimeGrid, Trajectory, UsageError, eval_diffusion,
-                   eval_drift)
+                   TimeGrid, Trajectory, UsageError)
 from .ensemble import (EnsembleStats, compare_interpretations,
                        integrate_paths, run_ensemble)
 from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, NoiseSpec,
                              build_model, hh_metadata, hh_system, rate_alpha,
                              rate_beta, resting_state)
-from .integrators import (SimConfig, simulate, simulate_deterministic,
-                          trajectory_csv_text, write_trajectory_csv)
+from .integrators import SimConfig, simulate, write_trajectory_csv
 from .invariance import (CheckConfig, CheckReport, FaceReport, Verdict,
                          Witness, check_box, check_comparison,
                          check_polyhedron, check_positivity)
@@ -45,10 +43,9 @@ __all__ = [
     "Polyhedron", "SdeSystem", "SimConfig", "TimeGrid",
     "Trajectory", "UsageError", "Verdict", "WienerGrid", "Witness",
     "build_model", "check_box", "check_comparison", "check_polyhedron",
-    "check_positivity", "compare_interpretations", "correction",
-    "eval_diffusion", "eval_drift", "hh_metadata", "hh_system",
-    "integrate_paths", "ito_to_stratonovich", "line_chart", "normal_stream",
-    "rate_alpha", "rate_beta", "resting_state", "run_ensemble", "simulate",
-    "simulate_deterministic", "stratonovich_to_ito", "trajectory_csv_text",
+    "check_positivity", "compare_interpretations", "correction_batch",
+    "hh_metadata", "hh_system", "integrate_paths", "ito_to_stratonovich",
+    "line_chart", "normal_stream", "rate_alpha", "rate_beta",
+    "resting_state", "run_ensemble", "simulate", "stratonovich_to_ito",
     "uniform_stream", "write_trajectory_csv",
 ]

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conversion import (JacobianMode, JacobianPolicy, correction,
+from .conversion import (JacobianMode, JacobianPolicy, correction_batch,
                          stratonovich_to_ito)
 from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
                    ModelInfo, SdeSystem, TimeGrid, UsageError)
@@ -303,16 +303,15 @@ def cmd_convert(ns: argparse.Namespace) -> int:
               else JacobianPolicy(JacobianMode.CENTRAL_DIFFERENCE))
     lines = [f"model: {system.name} (stratonovich reading of (f, g))",
              f"jacobian mode: {policy.mode.value}"]
-    samples = [np.array(info.x0, dtype=float)]
+    samples = np.array([info.x0], dtype=float)
     if box is not None:  # five points along the box's diagonal
         lo, hi = np.array(box.lower), np.array(box.upper)
-        samples = [samples[0].copy() for _ in range(5)]
-        for frac, x in zip((0.0, 0.25, 0.5, 0.75, 1.0), samples):
-            x[list(box.indices)] = lo + frac * (hi - lo)
+        frac = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
+        samples = samples.repeat(5, axis=0)
+        samples[:, list(box.indices)] = lo + frac * (hi - lo)
     lines.append("drift correction h/2 at t=0:")
     sample_rows = []
-    for x in samples:
-        h = correction(system, 0.0, x, policy)
+    for x, h in zip(samples, correction_batch(system, 0.0, samples, policy)):
         half = 0.5 * h
         xs = ", ".join(f"{v:.4g}" for v in x)
         hs = ", ".join(f"{v:.6g}" for v in half)

@@ -82,19 +82,6 @@ def correction_batch(sys: SdeSystem, t: float, states: Array,
     return np.einsum("nikj,njk->ni", jac, g)
 
 
-def correction(sys: SdeSystem, t: float, x,
-               policy: JacobianPolicy = JacobianPolicy()) -> Array:
-    """The correction vector h(t, x), shape (m,).
-
-    Raises ModelEvaluationError with the offending (i, k, j) index when a
-    Jacobian entry comes out non-finite.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.m,):
-        raise UsageError(f"state must have shape ({sys.m},), got {x.shape}")
-    return correction_batch(sys, t, x[None, :], policy)[0]
-
-
 def _shifted_drift(sys: SdeSystem, policy: JacobianPolicy, sign: float):
     base = sys.drift
 

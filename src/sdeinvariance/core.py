@@ -158,48 +158,6 @@ def _shaped(out, what: str, shape: Tuple[int, ...]) -> Array:
     return out
 
 
-def _eval_point(sys: SdeSystem, what: str, fn, t: float, x,
-                shape: Tuple[int, ...]) -> Array:
-    """fn(t, x) at one validated point, shape- and finiteness-checked."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.m,):
-        raise UsageError(f"state must have shape ({sys.m},), got {x.shape}")
-    if t < 0:
-        raise UsageError("time must be >= 0")
-    out = _shaped(fn(t, x), what, shape)
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        index = tuple(int(v) for v in bad[0])
-        if len(index) == 1:
-            index, where = index[0], f"component {index[0]}"
-        else:
-            where = f"entry {index}"
-        raise ModelEvaluationError(f"{what} {where} is not finite at t={t}",
-                                   t=t, x=x, index=index)
-    return out
-
-
-def eval_drift(sys: SdeSystem, t: float, x) -> Array:
-    """Evaluate f(t, x) with shape and finiteness checks.
-
-    Raises:
-        UsageError: x has the wrong length, t < 0, or the drift returned
-            the wrong shape.
-        ModelEvaluationError: the drift returned a non-finite entry.
-    """
-    return _eval_point(sys, "drift", sys.drift, t, x, (sys.m,))
-
-
-def eval_diffusion(sys: SdeSystem, t: float, x) -> Array:
-    """Evaluate g(t, x) with shape and finiteness checks.
-
-    Same error contract as :func:`eval_drift`; the index attached to a
-    non-finite entry is the (row, column) pair.
-    """
-    return _eval_point(sys, "diffusion", sys.diffusion, t, x,
-                       (sys.m, sys.r))
-
-
 def _eval_batch(sys: SdeSystem, what: str, fn, t: float, states,
                 shape: Tuple[int, ...]) -> Array:
     """fn on a (n, m) batch of states, shape (n,) + shape.
@@ -309,13 +267,6 @@ class Box:
             if math.isfinite(b):
                 out.append((i, "upper", b))
         return tuple(out)
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        for i, a, b in zip(self.indices, self.lower, self.upper):
-            if not a - tol <= x[i] <= b + tol:
-                return False
-        return True
 
     def as_polyhedron(self, m: int) -> "Polyhedron":
         """The same region as an intersection of half-spaces in R^m."""

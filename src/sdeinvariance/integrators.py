@@ -40,8 +40,7 @@ consumers copy states and never write to them.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,18 +199,6 @@ def simulate(sys: SdeSystem, cfg: SimConfig, noise: WienerGrid) -> Trajectory:
     return Trajectory(cfg.grid, states[0], path_id=noise.path_id)
 
 
-def simulate_deterministic(sys: SdeSystem, cfg: SimConfig) -> Trajectory:
-    """Integrate the drift alone by forward Euler.
-
-    This is simulate by Euler-Maruyama, on the Ito tag, with every Wiener
-    increment zero, so the diffusion drops out wherever it is finite.
-    """
-    noise = WienerGrid(seed=cfg.seed, path_id=0, grid=cfg.grid,
-                       increments=np.zeros((cfg.grid.n_steps, sys.r)))
-    return simulate(replace(sys, interpretation=Interpretation.ITO), cfg,
-                    noise)
-
-
 def write_trajectory_csv(traj: Trajectory, target,
                          coord_names: Optional[Sequence[str]] = None) -> None:
     """Write a trajectory as CSV: header t,x_1,...,x_m, one row per time.
@@ -247,10 +234,3 @@ def write_csv_rows(fh, times: Array, states: Array,
         writer.writerow(["t"] + list(header))
     for t, row in zip(times, states):
         writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-
-def trajectory_csv_text(traj: Trajectory,
-                        coord_names: Optional[Sequence[str]] = None) -> str:
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf, coord_names)
-    return buf.getvalue()

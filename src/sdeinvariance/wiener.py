@@ -143,9 +143,3 @@ class WienerGrid:
         z = increments_for_step(seed, ids, np.arange(grid.n_steps), r, grid.dt)
         return cls(seed=int(seed), path_id=int(ids[0]), grid=grid,
                    increments=z[:, 0])
-
-    def path(self) -> Array:
-        """Sampled Wiener path W at the grid times, shape (n_steps + 1, r)."""
-        out = np.zeros((self.grid.n_steps + 1, self.increments.shape[1]))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out

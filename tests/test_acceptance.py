@@ -16,10 +16,9 @@ import sdeinvariance.ensemble as ensemble
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
                            MODEL_REGISTRY, SdeSystem, SimConfig, TimeGrid,
                            Verdict, WienerGrid, build_model, check_box,
-                           check_comparison, correction, rate_alpha,
+                           check_comparison, correction_batch, rate_alpha,
                            rate_beta, run_ensemble, simulate,
                            stratonovich_to_ito)
-from sdeinvariance.conversion import correction_batch
 from sdeinvariance.core import drift_batch
 from sdeinvariance.integrators import integrate_batch
 from sdeinvariance.wiener import increments_for_step
@@ -150,8 +149,8 @@ def test_criterion_4_correction_consistency_and_verdict_parity():
         for pin in (0.0, 1.0):
             x = np.array([0.5, 0.5, 0.5, -60.0])
             x[i] = pin
-            h = correction(system, 0.0, x,
-                           JacobianPolicy(JacobianMode.ANALYTIC))
+            h = correction_batch(system, 0.0, [x],
+                                 JacobianPolicy(JacobianMode.ANALYTIC))[0]
             face_worst = max(face_worst, float(np.abs(h).max()))
     faces_ok = face_worst <= 1e-8
 

@@ -3,7 +3,7 @@ import pytest
 
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
                            ModelEvaluationError, NoiseSpec, SdeSystem,
-                           UsageError, correction, hh_system,
+                           UsageError, correction_batch, hh_system,
                            ito_to_stratonovich, stratonovich_to_ito)
 from helpers import gbm_system
 
@@ -29,7 +29,7 @@ class TestCorrection:
         # g = b x, dg/dx = b, so h = b^2 x
         system = gbm_system(a=0.5, b=0.7)
         for x in (0.5, 1.0, 3.0):
-            h = correction(system, 0.0, [x], ANALYTIC)
+            h = correction_batch(system, 0.0, [[x]], ANALYTIC)[0]
             assert h[0] == pytest.approx(0.7 ** 2 * x, rel=1e-14)
 
     def test_logistic_analytic_matches_hand_formula(self):
@@ -37,7 +37,7 @@ class TestCorrection:
         system = hh_system(noise=NoiseSpec.multiplicative(sigma))
         for gates in ([0.1, 0.5, 0.9], [0.25, 0.75, 0.5]):
             x = np.array(gates + [-60.0])
-            h = correction(system, 0.0, x, ANALYTIC)
+            h = correction_batch(system, 0.0, [x], ANALYTIC)[0]
             expected = logistic_correction_by_hand(sigma, gates)
             assert np.allclose(h[:3], expected, rtol=1e-13)
             assert h[3] == 0.0
@@ -47,28 +47,29 @@ class TestCorrection:
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = np.append(rng.uniform(0.05, 0.95, 3), rng.uniform(-80, -20))
-            ha = correction(system, 0.0, x, ANALYTIC)
-            hc = correction(system, 0.0, x, CENTRAL)
+            ha = correction_batch(system, 0.0, [x], ANALYTIC)[0]
+            hc = correction_batch(system, 0.0, [x], CENTRAL)[0]
             assert np.allclose(hc, ha, rtol=1e-6, atol=1e-9)
 
     def test_additive_noise_has_zero_correction(self):
         system = hh_system(noise=NoiseSpec.additive(0.5))
         x = np.array([0.3, 0.4, 0.5, -55.0])
-        assert np.array_equal(correction(system, 0.0, x, ANALYTIC),
-                              np.zeros(4))
-        assert np.allclose(correction(system, 0.0, x, CENTRAL), 0.0,
+        assert np.array_equal(correction_batch(system, 0.0, [x], ANALYTIC),
+                              np.zeros((1, 4)))
+        assert np.allclose(correction_batch(system, 0.0, [x], CENTRAL), 0.0,
                            atol=1e-12)
 
     def test_state_shape_validated(self):
         system = gbm_system(a=0.1, b=0.2)
+        # the diffusion of a two-wide state comes back the wrong shape
         with pytest.raises(UsageError):
-            correction(system, 0.0, [1.0, 2.0], ANALYTIC)
+            correction_batch(system, 0.0, [[1.0, 2.0]], ANALYTIC)
 
     def test_analytic_needs_jacobian(self):
         system = SdeSystem(m=1, r=1, drift=lambda t, x: x,
                            diffusion=lambda t, x: np.ones((1, 1)))
         with pytest.raises(UsageError):
-            correction(system, 0.0, [1.0], ANALYTIC)
+            correction_batch(system, 0.0, [[1.0]], ANALYTIC)
 
     def test_nonfinite_jacobian_reported_with_index(self):
         def sqrt_diffusion(t, x):
@@ -79,7 +80,7 @@ class TestCorrection:
                            diffusion=sqrt_diffusion)
         # central difference at 0 evaluates sqrt of a negative shift
         with pytest.raises(ModelEvaluationError):
-            correction(system, 0.0, [0.0], CENTRAL)
+            correction_batch(system, 0.0, [[0.0]], CENTRAL)
 
     def test_policy_validation(self):
         with pytest.raises(UsageError):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sdeinvariance import (Box, Halfspace, ModelEvaluationError, ModelInfo,
-                           Polyhedron, SdeSystem, TimeGrid, Trajectory,
-                           UsageError, check_box, eval_diffusion, eval_drift)
+import sdeinvariance
+from sdeinvariance import (Box, Halfspace, ModelInfo, Polyhedron, SdeSystem,
+                           TimeGrid, Trajectory, UsageError, check_box)
 from sdeinvariance.core import diffusion_batch, drift_batch, jacobian_batch
 
 
@@ -56,47 +56,11 @@ class TestSdeSystem:
         with pytest.raises(UsageError):
             simple_system(coord_ranges=((0.0, 1.0), (2.0, 2.0)))
 
-    def test_eval_drift_checks_shape_and_time(self):
-        sys2 = simple_system()
-        out = eval_drift(sys2, 0.0, [1.0, 2.0])
-        assert np.array_equal(out, [-1.0, -2.0])
-        with pytest.raises(UsageError):
-            eval_drift(sys2, 0.0, [1.0])
-        with pytest.raises(UsageError):
-            eval_drift(sys2, -0.5, [1.0, 2.0])
-
-    def test_eval_drift_flags_nonfinite_component(self):
-        def bad(t, x):
-            return np.array([1.0, np.nan])
-
-        sys2 = SdeSystem(m=2, r=0, drift=bad,
-                         diffusion=lambda t, x: np.zeros((2, 0)))
-        with pytest.raises(ModelEvaluationError) as err:
-            eval_drift(sys2, 1.0, [0.0, 0.0])
-        assert err.value.index == 1
-        assert err.value.t == 1.0
-        assert err.value.x == (0.0, 0.0)
-
-    def test_eval_diffusion_shape_and_nonfinite_index(self):
-        sys2 = simple_system()
-        out = eval_diffusion(sys2, 0.0, [0.0, 0.0])
-        assert out.shape == (2, 1)
-
-        def bad(t, x):
-            g = np.ones((2, 1))
-            g[1, 0] = np.inf
-            return g
-
-        sys_bad = SdeSystem(m=2, r=1, drift=lambda t, x: x, diffusion=bad)
-        with pytest.raises(ModelEvaluationError) as err:
-            eval_diffusion(sys_bad, 0.0, [0.0, 0.0])
-        assert err.value.index == (1, 0)
-
     def test_wrong_output_shape_is_usage_error(self):
         sys_bad = SdeSystem(m=2, r=1, drift=lambda t, x: np.zeros(3),
                             diffusion=lambda t, x: np.zeros((2, 1)))
         with pytest.raises(UsageError):
-            eval_drift(sys_bad, 0.0, [0.0, 0.0])
+            drift_batch(sys_bad, 0.0, [[0.0, 0.0]])
 
 
 class TestBatchAdapters:
@@ -130,7 +94,7 @@ class TestBatchAdapters:
                                        lambda t, x: np.zeros(3)])
     def test_loop_fallback_checks_each_row_shape(self, wrong):
         # a scalar must not broadcast into a row, nor a (3,) raise a bare
-        # numpy error: both are the UsageError eval_drift raises
+        # numpy error: both are a UsageError
         pts = np.zeros((3, 2))
         bad_drift = SdeSystem(m=2, r=1, drift=wrong,
                               diffusion=lambda t, x: np.zeros((2, 1)))
@@ -179,13 +143,6 @@ class TestBox:
         b = Box.unit((1,))
         assert b.bound(1) == (0.0, 1.0)
         assert b.bound(0) == (-math.inf, math.inf)
-
-    def test_contains_with_tolerance(self):
-        b = Box.unit((0,))
-        assert b.contains([0.5, 99.0])
-        assert not b.contains([1.0 + 1e-9, 0.0])
-        assert b.contains([1.0 + 1e-9, 0.0], tol=1e-8)
-        assert not b.contains([np.nan])
 
     def test_as_polyhedron_normals_point_inward(self):
         poly = Box.unit((0,)).as_polyhedron(2)
@@ -271,3 +228,12 @@ class TestModelInfo:
         assert info.panels == (("state", (0, 1)),)
         with pytest.raises(UsageError):
             ModelInfo(box=None, x0=[1.0], horizon=1.0, panels=(("v", (1,)),))
+
+
+def test_every_exported_name_resolves_once():
+    names = sdeinvariance.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(sdeinvariance, name) for name in names)
+    star = {}
+    exec("from sdeinvariance import *", star)
+    assert set(names) <= set(star)

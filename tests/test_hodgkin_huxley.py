@@ -397,5 +397,7 @@ class TestRestingState:
 
     def test_metadata_start_state_inside_box(self):
         info = hh_metadata()
-        assert info.box.contains(info.x0)
+        for i, lo, hi in zip(info.box.indices, info.box.lower,
+                             info.box.upper):
+            assert lo <= info.x0[i] <= hi
         assert (info.x0[:3] > 0).all() and (info.x0[:3] < 1).all()

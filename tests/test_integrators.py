@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from sdeinvariance import (IntegrationError, Interpretation, SdeSystem,
                            SimConfig, TimeGrid, Trajectory, UsageError,
                            WienerGrid, build_model, run_ensemble, simulate,
-                           simulate_deterministic, stratonovich_to_ito,
-                           trajectory_csv_text, write_trajectory_csv)
+                           stratonovich_to_ito, write_trajectory_csv)
 import sdeinvariance.integrators as integrators
 from sdeinvariance.conversion import JacobianMode, JacobianPolicy
 from sdeinvariance.ensemble import integrate_paths
@@ -34,6 +33,17 @@ def decay_system(lam: float) -> SdeSystem:
 
     return SdeSystem(m=1, r=1, drift=drift, diffusion=diffusion,
                      vectorized=True, name="decay")
+
+
+def zero_noise(grid: TimeGrid, r: int = 1) -> WienerGrid:
+    return WienerGrid(seed=0, path_id=0, grid=grid,
+                      increments=np.zeros((grid.n_steps, r)))
+
+
+def csv_text(traj: Trajectory, coord_names=None) -> str:
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, coord_names)
+    return buf.getvalue()
 
 
 def zero_increments(n_paths: int, r: int):
@@ -64,7 +74,7 @@ class TestDeterministicAccuracy:
         lam, n = 2.0, 50
         grid = TimeGrid(0.0, 1.0, n)
         cfg = SimConfig(grid=grid, x0=(1.0,))
-        traj = simulate_deterministic(decay_system(lam), cfg)
+        traj = simulate(decay_system(lam), cfg, zero_noise(grid))
         # forward Euler on linear decay is exactly x -> x (1 - lam dt)
         factor = 1.0 - lam * grid.dt
         expected = 1.0
@@ -77,19 +87,23 @@ class TestDeterministicAccuracy:
         for n in (100, 1000):
             grid = TimeGrid(0.0, 1.0, n)
             cfg = SimConfig(grid=grid, x0=(1.0,))
-            traj = simulate_deterministic(decay_system(lam), cfg)
+            traj = simulate(decay_system(lam), cfg, zero_noise(grid))
             err = abs(traj.end[0] - np.exp(-lam))
             assert err < grid.dt  # first order, constant ~ e^-1 / 2
 
     def test_noise_free_wiener_equals_deterministic(self):
-        system = decay_system(0.7)
+        # with dW = 0 either scheme is forward Euler on the drift alone,
+        # though g is not zero
+        system = gbm_system(-0.7, 0.4)
         grid = TimeGrid(0.0, 2.0, 40)
         cfg = SimConfig(grid=grid, x0=(3.0,))
-        det = simulate_deterministic(system, cfg)
-        zero_noise = WienerGrid(seed=0, path_id=0, grid=grid,
-                                increments=np.zeros((40, 1)))
-        stoch = simulate(system, cfg, zero_noise)
-        assert np.array_equal(det.states, stoch.states)
+        euler = [3.0]
+        for _ in range(40):
+            euler.append(euler[-1] + (-0.7 * euler[-1]) * grid.dt)
+        for reading in Interpretation:
+            traj = simulate(replace(system, interpretation=reading), cfg,
+                            zero_noise(grid))
+            assert np.array_equal(traj.states[:, 0], euler)
 
 
 class TestStrongAccuracy:
@@ -188,8 +202,6 @@ class TestSimulateValidation:
         cfg = SimConfig(grid=grid, x0=(1.0, 2.0))
         with pytest.raises(UsageError):
             simulate(system, cfg, WienerGrid.generate(0, 0, grid, 1))
-        with pytest.raises(UsageError):
-            simulate_deterministic(system, cfg)
 
     def test_trajectory_carries_path_id(self):
         system = gbm_system(0.1, 0.2)
@@ -215,10 +227,8 @@ class TestFailureHandling:
     def test_blow_up_raises_with_location(self):
         grid = TimeGrid(0.0, 10.0, 100)
         cfg = SimConfig(grid=grid, x0=(10.0,))
-        noise = WienerGrid(seed=0, path_id=0, grid=grid,
-                           increments=np.zeros((100, 1)))
         with pytest.raises(IntegrationError) as err:
-            simulate(self.cubic(), cfg, noise)
+            simulate(self.cubic(), cfg, zero_noise(grid))
         assert err.value.step >= 1
         assert err.value.t == pytest.approx(err.value.step * grid.dt)
         assert np.isfinite(err.value.last_state).all()
@@ -256,7 +266,7 @@ class TestFailureHandling:
         grid = TimeGrid(0.0, 10.0, 100)
         cfg = SimConfig(grid=grid, x0=(10.0,))
         with pytest.raises(IntegrationError):
-            simulate_deterministic(self.cubic(), cfg)
+            simulate(self.cubic(), cfg, zero_noise(grid))
 
     # x0 -> (message, step, t, hex bytes of the last finite state)
     BLOW_UPS = {
@@ -268,18 +278,19 @@ class TestFailureHandling:
               "6b9d6a4f431a7166"),
     }
 
-    @pytest.mark.parametrize("run", ["simulate", "simulate_deterministic"])
+    # with dW = 0 Euler-Heun is forward Euler too, so the pins hold for
+    # either reading
+    @pytest.mark.parametrize("run", ["simulate", "simulate-stratonovich"])
     @pytest.mark.parametrize("x0", sorted(BLOW_UPS))
     def test_blow_up_error_is_pinned(self, x0, run):
         grid = TimeGrid(0.0, 10.0, 100)
         cfg = SimConfig(grid=grid, x0=(x0,))
-        noise = WienerGrid(seed=0, path_id=0, grid=grid,
-                           increments=np.zeros((100, 1)))
+        system = self.cubic()
+        if run == "simulate-stratonovich":
+            system = replace(system,
+                             interpretation=Interpretation.STRATONOVICH)
         with pytest.raises(IntegrationError) as err:
-            if run == "simulate":
-                simulate(self.cubic(), cfg, noise)
-            else:
-                simulate_deterministic(self.cubic(), cfg)
+            simulate(system, cfg, zero_noise(grid))
         message, step, t, state_hex = self.BLOW_UPS[x0]
         assert str(err.value) == message
         assert err.value.step == step
@@ -491,7 +502,7 @@ class TestCsvOutput:
                                           [0.25, 3.0]]))
 
     def test_exact_text(self):
-        text = trajectory_csv_text(self.golden_trajectory())
+        text = csv_text(self.golden_trajectory())
         assert text == ("t,x_1,x_2\n"
                         "0.0,1.0,-2.0\n"
                         "0.5,0.5,0.125\n"
@@ -511,7 +522,7 @@ class TestCsvOutput:
         grid = TimeGrid(0.0, 1.0, 50)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0))
         traj = simulate(system, cfg, WienerGrid.generate(21, 0, grid, 3))
-        text = trajectory_csv_text(traj, system.labels())
+        text = csv_text(traj, system.labels())
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["t", "x_1", "x_2", "x_3", "V"]
         parsed = np.array([[float(v) for v in row] for row in rows[1:]])
@@ -527,7 +538,7 @@ def test_csv_round_trip_recovers_exact_floats(values):
     grid = TimeGrid(0.0, 1.0, 1)
     states = np.array(values).reshape(2, 2)
     traj = Trajectory(grid, states)
-    rows = list(csv.reader(io.StringIO(trajectory_csv_text(traj))))
+    rows = list(csv.reader(io.StringIO(csv_text(traj))))
     parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     assert np.array_equal(parsed, states)
 

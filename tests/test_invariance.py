@@ -14,8 +14,7 @@ from sdeinvariance import (MODEL_REGISTRY, Box, CheckConfig, Halfspace,
                            ModelEvaluationError, Polyhedron, SdeSystem,
                            UsageError, Verdict, build_model, check_box,
                            check_comparison, check_polyhedron,
-                           check_positivity, eval_diffusion, eval_drift,
-                           stratonovich_to_ito)
+                           check_positivity, stratonovich_to_ito)
 from sdeinvariance.core import diffusion_batch, drift_batch
 from sdeinvariance import invariance as inv
 from helpers import constant_drift_system
@@ -132,7 +131,7 @@ class TestWitnesses:
         assert report.witnesses
         for w in report.witnesses:
             assert w.kind == "diffusion_nonzero"
-            g_row = eval_diffusion(system, w.t, np.array(w.x))[w.face_index]
+            g_row = diffusion_batch(system, w.t, [w.x])[0, w.face_index]
             assert np.abs(g_row).max() > QUICK.eps_diff
             pin = 0.0 if w.side == "lower" else 1.0
             assert w.x[w.face_index] == pin
@@ -141,7 +140,7 @@ class TestWitnesses:
         sys1 = drift_only(1, lambda t, x: np.asarray(x, dtype=float) - 0.5)
         report = check_box(sys1, Box.unit((0,)), QUICK)
         for w in report.witnesses:
-            f = eval_drift(sys1, w.t, np.array(w.x))[w.face_index]
+            f = drift_batch(sys1, w.t, [w.x])[0, w.face_index]
             assert w.value == f
             if w.side == "lower":
                 assert f < -QUICK.eps_drift
@@ -413,8 +412,8 @@ class TestComparison:
         for w in report.witnesses:
             assert w.partner is not None
             # the witness pair really does differ in diffusion row i
-            ga = eval_diffusion(a, w.t, np.array(w.x))[w.face_index]
-            gb = eval_diffusion(b, w.t, np.array(w.partner))[w.face_index]
+            ga = diffusion_batch(a, w.t, [w.x])[0, w.face_index]
+            gb = diffusion_batch(b, w.t, [w.partner])[0, w.face_index]
             assert np.abs(ga - gb).max() > QUICK.eps_diff
 
     def test_drift_domination_failure_found(self):

@@ -167,14 +167,6 @@ class TestWienerGrid:
         assert not np.array_equal(a.increments, b.increments)
         assert not np.array_equal(a.increments, c.increments)
 
-    def test_path_cumsum_starts_at_zero(self):
-        grid = TimeGrid(0.0, 1.0, 5)
-        wg = WienerGrid.generate(0, 0, grid, 2)
-        w = wg.path()
-        assert w.shape == (6, 2)
-        assert np.array_equal(w[0], [0.0, 0.0])
-        assert np.allclose(w[-1], wg.increments.sum(axis=0))
-
     def test_increments_are_readonly(self):
         grid = TimeGrid(0.0, 1.0, 5)
         wg = WienerGrid.generate(0, 0, grid, 1)
