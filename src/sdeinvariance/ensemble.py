@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Array, Box, Interpretation, SdeSystem, UsageError
 from .integrators import SimConfig, integrate_batch, march
-from .wiener import checked_path_ids, increments_for_step
+from .wiener import checked_keys, increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
 # bytes of keyed noise and states run_ensemble holds at once; the states
@@ -137,7 +137,8 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
     turns non-finite is frozen at its last finite state.  Path ids must be
     integers in [0, 2**64).
     """
-    x0, increments = _keyed_start(sys, cfg, checked_path_ids(path_ids))
+    ids = checked_keys(path_ids, "path ids")
+    x0, increments = _keyed_start(sys, cfg, ids)
     return integrate_batch(sys, cfg.grid, x0, increments_for=increments)
 
 

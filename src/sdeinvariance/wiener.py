@@ -52,7 +52,7 @@ def _mix64(z) -> Array:
 
 @functools.lru_cache(maxsize=64)
 def _seed_word(seed: int) -> Array:
-    return _mix64((int(seed) + _GAMMA) % 2 ** 64)[()]
+    return _mix64((seed + _GAMMA) % 2 ** 64)[()]
 
 
 def uniform_stream(seed: int, path_ids, steps, components) -> Array:
@@ -60,9 +60,10 @@ def uniform_stream(seed: int, path_ids, steps, components) -> Array:
 
     The three index arguments broadcast against each other; the result has
     the broadcast shape.  Each output element depends only on the tuple
-    (seed, path_id, step, component).
+    (seed, path_id, step, component).  The seed is a key like a path id
+    (UsageError otherwise), checked before the cache, where 0.0 == 0.
     """
-    h = _seed_word(seed)
+    h = _seed_word(int(checked_keys([seed], "seeds")[0]))
     for index in (path_ids, steps, components):
         h = _mix64(h ^ np.asarray(index, dtype=np.uint64))
     h >>= _SHIFTS[3]
@@ -77,15 +78,16 @@ def normal_stream(seed: int, path_ids, steps, components) -> Array:
     return ndtri(uniform_stream(seed, path_ids, steps, components))
 
 
-def checked_path_ids(path_ids) -> Array:
-    """path_ids as a uint64 array, each an integer in [0, 2**64)."""
+def checked_keys(values, what: str) -> Array:
+    """values as a uint64 array of 64-bit keys (seeds, path ids): each an
+    integer in [0, 2**64), else UsageError naming what they are."""
     try:
-        ids = [operator.index(p) for p in path_ids]
+        keys = [operator.index(v) for v in values]
     except TypeError as exc:
-        raise UsageError(f"path ids must be integers: {exc}")
-    if not all(0 <= p < 2 ** 64 for p in ids):
-        raise UsageError("path ids must lie in [0, 2**64)")
-    return np.array(ids, dtype=np.uint64)
+        raise UsageError(f"{what} must be integers: {exc}")
+    if not all(0 <= k < 2 ** 64 for k in keys):
+        raise UsageError(f"{what} must lie in [0, 2**64)")
+    return np.array(keys, dtype=np.uint64)
 
 
 def increments_for_step(seed: int, path_ids: Array, step, r: int,
@@ -137,7 +139,7 @@ class WienerGrid:
     @classmethod
     def generate(cls, seed: int, path_id: int, grid: TimeGrid,
                  r: int) -> "WienerGrid":
-        ids = checked_path_ids([path_id])
+        ids = checked_keys([path_id], "path ids")
         if r < 0:
             raise UsageError("noise dimension r must be >= 0")
         z = increments_for_step(seed, ids, np.arange(grid.n_steps), r, grid.dt)

@@ -187,6 +187,17 @@ class TestWienerGrid:
         with pytest.raises(UsageError, match="path ids must"):
             WienerGrid.generate(0, path_id, TimeGrid(0.0, 1.0, 5), 1)
 
+    # 2**64 would draw the noise of seed 0, -1 that of 2**64 - 1, and 0.7
+    # or 0.0 that of 0, also once seed 0 is cached
+    @pytest.mark.parametrize("seed", [2 ** 64, -1, 0.7, 0.0])
+    def test_seed_outside_the_keys_is_refused(self, seed):
+        grid = TimeGrid(0.0, 1.0, 5)
+        WienerGrid.generate(0, 0, grid, 1)
+        with pytest.raises(UsageError, match="seeds must"):
+            WienerGrid.generate(seed, 0, grid, 1)
+        with pytest.raises(UsageError, match="seeds must"):
+            uniform_stream(seed, 0, 0, 0)
+
     def test_largest_path_id_is_a_key(self):
         grid = TimeGrid(0.0, 1.0, 5)
         top = WienerGrid.generate(0, 2 ** 64 - 1, grid, 2)
