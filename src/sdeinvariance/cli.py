@@ -155,6 +155,9 @@ def _model_builder(name: str, sig
         try:
             system, info = result
         except (TypeError, ValueError):
+            system = info = None
+        if not (isinstance(system, SdeSystem)
+                and isinstance(info, ModelInfo)):
             raise UsageError(
                 "model build() must return (SdeSystem, ModelInfo)")
         return system, info

@@ -509,6 +509,18 @@ class TestConfigAndEnvironment:
         assert code == 0, err
         assert '"t0": -0.0' in out
 
+    # seeds are 64-bit keys: 2**64 would wrap to seed 0, -1 to 2**64 - 1
+    @pytest.mark.parametrize("flags, env", [
+        (("--seed=18446744073709551616",), None), ((), "-1")])
+    def test_seed_outside_the_keys_is_refused(self, capsys, monkeypatch,
+                                              flags, env):
+        monkeypatch.delenv("SDE_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SDE_SEED", env)
+        assert run_cli(capsys, "simulate", "--model", "hh-additive",
+                       "--t-end", "0.1", *flags) == (
+            1, "", "error: seeds must lie in [0, 2**64)\n")
+
     def test_unparseable_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDE_SEED", "lots")
         code, out, err = run_cli(capsys, "ensemble", "--model",
@@ -869,11 +881,15 @@ class TestPluginModels:
         assert lines[-2] == "  x = (0.5)  ->  h/2 = (0)"
 
     def test_plugin_build_must_return_a_pair(self, capsys, tmp_path):
-        path = tmp_path / "single_model.py"
-        path.write_text(PLUGIN_SOURCE.replace("return system, info",
-                                              "return system"))
-        assert run_cli(capsys, "simulate", "--model", str(path)) == (
-            1, "", "error: model build() must return (SdeSystem, ModelInfo)\n")
+        # a lone system, and a pair that is not (SdeSystem, ModelInfo)
+        for name, result in (("single", "system"), ("ints", "1, 2")):
+            path = tmp_path / f"{name}_model.py"
+            path.write_text(PLUGIN_SOURCE.replace("return system, info",
+                                                  f"return {result}"))
+            for command in ("check", "simulate"):
+                assert run_cli(capsys, command, "--model", str(path)) == (
+                    1, "", "error: model build() must return "
+                    "(SdeSystem, ModelInfo)\n")
 
     def test_plugin_without_build_function(self, capsys, tmp_path):
         path = tmp_path / "empty_model.py"
