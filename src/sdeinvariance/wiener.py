@@ -60,8 +60,8 @@ def uniform_stream(seed: int, path_ids, steps, components) -> Array:
 
     The three index arguments broadcast against each other; the result has
     the broadcast shape.  Each output element depends only on the tuple
-    (seed, path_id, step, component).  The seed is a key like a path id
-    (UsageError otherwise), checked before the cache, where 0.0 == 0.
+    (seed, path_id, step, component).  The seed must be a key like a
+    path id (UsageError otherwise).
     """
     h = _seed_word(int(checked_keys([seed], "seeds")[0]))
     for index in (path_ids, steps, components):

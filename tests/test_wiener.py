@@ -188,7 +188,7 @@ class TestWienerGrid:
             WienerGrid.generate(0, path_id, TimeGrid(0.0, 1.0, 5), 1)
 
     # 2**64 would draw the noise of seed 0, -1 that of 2**64 - 1, and 0.7
-    # or 0.0 that of 0, also once seed 0 is cached
+    # or 0.0 that of 0; seed 0 is drawn first, so its word is cached
     @pytest.mark.parametrize("seed", [2 ** 64, -1, 0.7, 0.0])
     def test_seed_outside_the_keys_is_refused(self, seed):
         grid = TimeGrid(0.0, 1.0, 5)
