@@ -122,12 +122,51 @@ class TestDeterminism:
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=3)
         return run_ensemble(system, cfg, 64, info.box, on_block=on_block)
 
+    @staticmethod
+    def scalar_64(on_block=None):
+        # m = 1: dX = -X dt + 0.3 X dW from x0 = 1, 50 steps on [0, 1]
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(1.0,), seed=0)
+        return run_ensemble(gbm_system(-1.0, 0.3), cfg, 64, Box.unit((0,)),
+                            on_block=on_block)
+
+    @staticmethod
+    def noise_free_64(on_block=None):
+        # r = 0: dX = (1 - X) dt from x0 = 0, 50 steps on [0, 1]
+        def drift(t, x):
+            return 1.0 - np.asarray(x, dtype=float)
+
+        def diffusion(t, x):
+            return np.zeros(np.shape(x)[:-1] + (1, 0))
+
+        system = SdeSystem(m=1, r=0, drift=drift, diffusion=diffusion,
+                           vectorized=True, name="relax")
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(0.0,), seed=0)
+        return run_ensemble(system, cfg, 64, Box.unit((0,)),
+                            on_block=on_block)
+
+    # the stats of each one-coordinate run at the default block width
+    LOW_DIMENSIONAL = {
+        "scalar": (scalar_64,
+                   "9e525f1e55e4141cd1b5224dc758ba44"
+                   "e48e69dbb155d0e499921a08a007d5a2"),
+        "noise-free": (noise_free_64,
+                       "0124a3793c4191e62e480e9f4c6bb503"
+                       "59cbe8f0d72501f2d20545109b8e4efe"),
+    }
+
     def test_stats_digest_with_exits_and_blow_ups(self):
         stats = self.additive_64()
         assert stats.n_violating == 64
         assert len(stats.nonfinite_paths) == 54
         assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
                 == self.ADDITIVE_64_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(LOW_DIMENSIONAL))
+    def test_low_dimensional_stats_digest(self, name):
+        run, digest = self.LOW_DIMENSIONAL[name]
+        stats = run()
+        assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
+                == digest)
 
     def test_block_width_does_not_change_stats(self, monkeypatch):
         # one step per block, 7 steps (which do not divide the 3001 grid
