@@ -5,11 +5,10 @@ noise stream, so the ensemble is a pure function of (system, config,
 n_paths): rerunning a subset or changing the batch cannot change a single
 bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
-so the block width cannot change a bit either.  Only one block of states
-is held at a time: memory is O(P * m * width + N * m) for P paths, N
-steps and m coordinates, with the width set by a fixed byte budget.  The
-keyed noise is drawn several steps at a time, and that buffer is charged
-to the same budget.
+so the block width cannot change a bit either.  One fixed byte budget
+sets the width: a block of steps holds its states and its keyed noise,
+m + max(1, r) words per path-step for P paths, m coordinates and r noise
+components, so memory is O(P * (m + r) * width + N * m) for N steps.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -29,11 +28,8 @@ from .integrators import SimConfig, integrate_batch, march
 from .wiener import checked_keys, increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
-# bytes of keyed noise and states run_ensemble holds at once; the states
-# get what the noise block leaves, which sets the block width
-_BLOCK_BYTES = 4 * 2 ** 20
-# bytes of keyed noise drawn at once; sets how many steps one draw covers
-_NOISE_BYTES = 192 * 2 ** 10
+# bytes of states and keyed noise in one block of steps (see _block_steps)
+_BLOCK_BYTES = 448 * 2 ** 10
 # EnsembleStats.scheme: the scheme march takes for each reading
 _SCHEME_NAMES = {Interpretation.ITO: "euler-maruyama",
                  Interpretation.STRATONOVICH: "euler-heun"}
@@ -93,27 +89,24 @@ class EnsembleStats:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _noise_draw(n_paths: int, r: int, n_steps: int) -> Tuple[int, int]:
-    """(steps, peak bytes) of one keyed-noise draw.  It covers >= 1 step
-    and _NOISE_BYTES of hashes, max(1, r) words per path-step; its peak
-    adds a shift temporary as large, the previous hash (a word per
-    path-step), the step indices and numpy's two ufunc buffers."""
-    w = max(1, r)
-    k = max(1, min(n_steps, _NOISE_BYTES // (8 * max(1, n_paths) * w)))
-    return k, 8 * (k * (n_paths * (2 * w + 1) + 1) + 2 * np.getbufsize())
+def _block_steps(n_paths: int, m: int, r: int, n_steps: int) -> int:
+    """Steps in one block: at least 1, at most n_steps, and within
+    _BLOCK_BYTES at m + max(1, r) words per path-step."""
+    words = max(1, n_paths) * (m + max(1, r))
+    return max(1, min(n_steps, _BLOCK_BYTES // (8 * words)))
 
 
 def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
                  ) -> Tuple[Array, Callable[[int], Array]]:
     """(x0, increments_for) that start the keyed paths ids at cfg.x0.
 
-    increments_for draws the noise of _noise_draw's steps in one
-    call and serves the step asked for from that block; the last
-    block stops at the end of the grid.
+    increments_for draws the noise of _block_steps steps in one call
+    and serves the step asked for from that block; the last block
+    stops at the end of the grid.
     """
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
     n_steps = cfg.grid.n_steps
-    per_draw, _ = _noise_draw(ids.size, r, n_steps)
+    per_draw = _block_steps(ids.size, sys.m, r, n_steps)
     start, block = 0, None  # block[k] holds the increments of step start + k
 
     def for_step(step: int) -> Array:
@@ -177,8 +170,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         raise UsageError("tol must be finite and >= 0")
     times = cfg.grid.times()
     n_grid, m = times.size, sys.m
-    states_bytes = _BLOCK_BYTES - _noise_draw(n_paths, sys.r, n_grid - 1)[1]
-    width = max(1, min(n_grid, states_bytes // (8 * n_paths * m)))
+    width = _block_steps(n_paths, m, sys.r, n_grid)
     block = np.empty((n_paths, width, m))
     mean = np.empty((n_grid, m))
     ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)
@@ -199,7 +191,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         states = block[:, :stop - start]
         if on_block is not None:
             on_block(start, states)
-        mean[start:stop] = states.mean(axis=0)
+        # path by path at any width: numpy sums a 1-D reduction pairwise
+        mean[start:stop] = np.cumsum(states, axis=0)[-1] / n_paths
         if box is not None:
             outside = np.zeros(states.shape[:2], dtype=bool)
             for i, a, b in zip(box.indices, box.lower, box.upper):

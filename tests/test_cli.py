@@ -702,18 +702,16 @@ PINNED_DUMPS = {
 class TestPinnedDumps:
     """The bytes of every --dump-paths file, at any ensemble block width."""
 
-    # 5 paths x 4 coordinates x 8 bytes: 160 bytes is a 1-step block and
-    # 1120 a 7-step one, which divides neither grid; with the noise drawn
-    # one step at a time, the budget also pays the peak of one draw
-    @pytest.mark.parametrize("block_bytes", [None, 160, 1120])
+    # 5 paths x 4 coordinates x 8 bytes: 160 bytes of states is a 1-step
+    # block and 1120 a 7-step one, which divides neither grid; the budget
+    # adds the block's noise, 3 words a path-step beside the states' 4
+    @pytest.mark.parametrize("states_bytes", [None, 160, 1120])
     @pytest.mark.parametrize("run", sorted(PINNED_DUMPS))
     def test_dump_digests(self, capsys, tmp_path, monkeypatch, run,
-                          block_bytes):
-        ensemble = sdeinvariance.ensemble
-        if block_bytes is not None:
-            monkeypatch.setattr(ensemble, "_NOISE_BYTES", 0)
-            _, noise = ensemble._noise_draw(5, 3, 1)
-            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes + noise)
+                          states_bytes):
+        if states_bytes is not None:
+            monkeypatch.setattr(sdeinvariance.ensemble, "_BLOCK_BYTES",
+                                states_bytes // 4 * 7)
         runs = []  # the block widths of each reading's run
         tee = sdeinvariance.cli._path_tee
 
@@ -733,8 +731,8 @@ class TestPinnedDumps:
         code, out, err = run_cli(capsys, "ensemble", *options,
                                  "--dump-paths", str(target))
         assert code == 0, err
-        if block_bytes is not None:  # the widths the budget names
-            width = block_bytes // 160
+        if states_bytes is not None:  # the widths the budget names
+            width = states_bytes // 160
             assert runs
             for widths in runs:
                 assert widths[:-1] == [width] * (len(widths) - 1)

@@ -168,22 +168,30 @@ class TestDeterminism:
         assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
                 == digest)
 
-    def test_block_width_does_not_change_stats(self, monkeypatch):
-        # one step per block, 7 steps (which do not divide the 3001 grid
-        # points), and the whole grid in one block; each budget also pays
-        # for the peak of a keyed-noise draw
-        row = 8 * 64 * 4
-        _, noise = ensemble._noise_draw(64, 3, 3000)
-        for budget, width in ((0, 1), (noise + 7 * row, 7),
-                              (noise + 3001 * row, 3001)):
-            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", budget)
+    @staticmethod
+    def assert_width_is_invisible(monkeypatch, run, digest, words, n_grid):
+        # one step per block, 7 steps (which divide neither grid), and the
+        # whole grid in one block; words is 64 paths x (m + max(1, r))
+        for width in (1, 7, n_grid):
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * words * width)
             widths = []
-            stats = self.additive_64(
-                lambda start, states: widths.append(states.shape[1]))
-            full, rest = divmod(3001, width)
+            stats = run(lambda start, states: widths.append(states.shape[1]))
+            full, rest = divmod(n_grid, width)
             assert widths == [width] * full + ([rest] if rest else [])
             assert (hashlib.sha256(stats.to_json().encode()).hexdigest()
-                    == self.ADDITIVE_64_SHA256)
+                    == digest)
+
+    def test_block_width_does_not_change_stats(self, monkeypatch):
+        self.assert_width_is_invisible(monkeypatch, self.additive_64,
+                                       self.ADDITIVE_64_SHA256, 64 * 7, 3001)
+
+    # a block of one step of one coordinate is the case numpy would sum
+    # pairwise, not path by path
+    @pytest.mark.parametrize("name", sorted(LOW_DIMENSIONAL))
+    def test_block_width_does_not_change_low_dimensional_stats(
+            self, monkeypatch, name):
+        run, digest = self.LOW_DIMENSIONAL[name]
+        self.assert_width_is_invisible(monkeypatch, run, digest, 64 * 2, 51)
 
     def test_single_path_matches_simulate(self):
         system, info = build_model("hh-logistic", sigma=0.5)
@@ -207,10 +215,11 @@ class TestDeterminism:
         system, info = build_model("hh-additive", sigma=0.2)
         grid = TimeGrid(0.0, 1.0, 100)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=5)
-        # the default noise draws; for the 6 paths, 144 bytes is one step a
-        # draw and 1008 is 7 steps, which do not divide the 100
-        for noise_bytes in (ensemble._NOISE_BYTES, 144, 1008):
-            monkeypatch.setattr(ensemble, "_NOISE_BYTES", noise_bytes)
+        # the default noise draws; for the 6 paths at 4 + 3 words a
+        # path-step, 336 bytes is one step a draw and 2352 is 7 steps,
+        # which do not divide the 100
+        for block_bytes in (ensemble._BLOCK_BYTES, 336, 2352):
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes)
             wide, _ = integrate_paths(system, cfg, range(6))
             for pid in range(6):
                 narrow, _ = integrate_paths(system, cfg, [pid])
@@ -290,7 +299,7 @@ class TestAllDead:
 
     def test_no_keyed_draw_after_the_last_death(self, monkeypatch):
         # one step a draw: steps 0..5 are drawn, the other 94 are not
-        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 0)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 0)
         shapes = TestKeyedNoiseBlocks.draws(monkeypatch)
         stats = run_ensemble(*self.cubic(), 8, None)
         assert shapes == [(1, 8, 1)] * 6
@@ -317,9 +326,10 @@ class TestKeyedNoiseBlocks:
         return shapes
 
     def test_steps_are_served_from_blocks(self, monkeypatch):
-        # 5 paths x 3 components x 8 bytes: 960 bytes is 8 steps a draw,
-        # so 13 steps take one block of 8 and a ragged one of 5
-        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 960)
+        # 5 paths x (4 coordinates + 3 components) x 8 bytes: 2240 bytes
+        # is 8 steps a draw, so 13 steps take one block of 8 and a ragged
+        # one of 5
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 2240)
         shapes = self.draws(monkeypatch)
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 0.13, 13), x0=tuple(info.x0),
@@ -332,12 +342,14 @@ class TestKeyedNoiseBlocks:
         assert shapes == [(8, 5, 3), (5, 5, 3)]
 
     # one step per draw, 7 steps (which do not divide the 3000), and the
-    # whole grid in one draw
+    # whole grid in one draw, named by the bytes of one draw's noise; the
+    # budget adds the states, 4 words a path-step beside the noise's 3
     @pytest.mark.parametrize("noise_bytes",
                              [None, 0, 7 * 64 * 3 * 8, 3000 * 64 * 3 * 8])
     def test_each_normal_is_drawn_once(self, monkeypatch, noise_bytes):
         if noise_bytes is not None:
-            monkeypatch.setattr(ensemble, "_NOISE_BYTES", noise_bytes)
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES",
+                                noise_bytes // 3 * 7)
         shapes = self.draws(monkeypatch)
         stats = TestDeterminism.additive_64()
         assert sum(int(np.prod(shape)) for shape in shapes) == 64 * 3000 * 3
@@ -348,7 +360,7 @@ class TestKeyedNoiseBlocks:
                                                               monkeypatch):
         # both readings march on one provider: n_paths * n_steps * r
         # normals, not twice that, in blocks of 8, 8 and 4 steps
-        monkeypatch.setattr(ensemble, "_NOISE_BYTES", 8 * 6 * 3 * 8)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * 6 * 7 * 8)
         shapes = self.draws(monkeypatch)
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 0.2, 20), x0=tuple(info.x0))
@@ -383,25 +395,42 @@ class TestMemory:
         outputs = 4 * 800 * 4 * 8  # growth of the mean and three quantiles
         assert growth <= 2 * outputs
 
-    # the peak of one keyed-noise draw, as _keyed_start makes it, against
-    # the bytes run_ensemble charges for it; a noise-free system (r = 0)
-    # is drawn in bounded blocks too, not the whole grid at once
+    # one keyed-noise draw, as _keyed_start makes it, covers the steps of
+    # one block, and the block's states and noise fit the budget; a
+    # noise-free system (r = 0) is drawn in bounded blocks too, not the
+    # whole grid at once
     @pytest.mark.parametrize("n_paths", [1, 64, 1000])
     @pytest.mark.parametrize("r", [0, 1, 3])
-    def test_noise_draw_stays_within_its_charge(self, r, n_paths):
+    def test_block_steps_stay_within_the_budget(self, monkeypatch, r,
+                                                n_paths):
         system = constant_drift_system(1, [0.0], r=r)
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 5000), x0=(0.0,))
-        steps, charge = ensemble._noise_draw(n_paths, r, 5000)
-        assert 8 * n_paths * max(1, r) * steps <= ensemble._NOISE_BYTES
+        steps = ensemble._block_steps(n_paths, 1, r, 5000)
+        assert 8 * n_paths * (1 + max(1, r)) * steps <= ensemble._BLOCK_BYTES
+        shapes = TestKeyedNoiseBlocks.draws(monkeypatch)
         _, for_step = ensemble._keyed_start(
             system, cfg, np.arange(n_paths, dtype=np.uint64))
+        for_step(0)
+        assert shapes == [(steps, n_paths, r)]
+
+    # The traced peak of a whole run: its outputs, plus the block's states
+    # and noise (one _BLOCK_BYTES together), plus the transient copies of
+    # one of them (the cumulative sum behind the mean copies the states;
+    # a keyed-noise draw peaks at about 2.3 times its output), plus
+    # numpy's ufunc buffers (128 KiB) and march's few (P, m) rows each
+    # step.  That is under 3 budgets; 1.6-1.8 were measured at P = 10 to
+    # 1000 paths (numpy 2.4).
+    def test_run_ensemble_peak_is_bounded_by_the_budget(self):
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 8.0, 800), x0=tuple(info.x0))
         tracemalloc.start()
         try:
-            for_step(0)
+            run_ensemble(system, cfg, 200, info.box)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= charge
+        outputs = 4 * 801 * 4 * 8 + 801 * 8  # 4 (N+1, m) arrays, the times
+        assert peak <= outputs + 3 * ensemble._BLOCK_BYTES
 
     def test_compare_interpretations_keeps_only_endpoints(self):
         growth = self.peak_growth(
