@@ -180,7 +180,7 @@ def _parse(parser: argparse.ArgumentParser,
             raise UsageError(f"{ns.config}: {exc}")
     if ns.model is None:
         raise UsageError("no model given (use --model or a config file)")
-    if ns.seed is None:
+    if "seed" in ns and ns.seed is None:
         env = os.environ.get("SDE_SEED", "0")
         try:
             ns.seed = int(env)
@@ -363,13 +363,14 @@ def _add_command(sub, name: str, func, help: str,
                        default="ito", help="reading of (f, g); paths "
                        "integrate by Euler-Maruyama for ito, Euler-Heun "
                        "for stratonovich")
-    p.add_argument("--seed", type=int,
-                   help="stream seed (default: $SDE_SEED, else 0)")
     p.add_argument("--out", help="output file (default: stdout)")
     return p
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
+    """The grid options and the seed of the keyed noise."""
+    p.add_argument("--seed", type=int,
+                   help="stream seed (default: $SDE_SEED, else 0)")
     p.add_argument("--t0", type=float, default=0.0,
                    help="grid start (default %(default)s)")
     p.add_argument("--t-end", type=float,

@@ -521,6 +521,22 @@ class TestConfigAndEnvironment:
                        "--t-end", "0.1", *flags) == (
             1, "", "error: seeds must lie in [0, 2**64)\n")
 
+    # only simulate and ensemble draw noise, so only they take a seed
+    @pytest.mark.parametrize("command", ["check", "convert"])
+    def test_seed_is_not_an_option_without_noise(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--model", "hh-det",
+                                 "--seed", "1", *QUICK_CHECK)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_check_does_not_read_the_seed_env_var(self, capsys, monkeypatch):
+        monkeypatch.delenv("SDE_SEED", raising=False)
+        unset = run_cli(capsys, "check", "--model", "hh-det", *QUICK_CHECK)
+        monkeypatch.setenv("SDE_SEED", "abc")
+        assert run_cli(capsys, "check", "--model", "hh-det",
+                       *QUICK_CHECK) == unset
+        assert unset[0] == 0
+
     def test_unparseable_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDE_SEED", "lots")
         code, out, err = run_cli(capsys, "ensemble", "--model",
