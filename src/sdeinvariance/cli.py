@@ -43,7 +43,8 @@ from .ensemble import run_ensemble
 from .hodgkin_huxley import build_model
 from .integrators import (SimConfig, simulate, write_csv_rows,
                           write_trajectory_csv)
-from .invariance import CheckConfig, Verdict, check_box
+from .invariance import (CheckConfig, Verdict, _coord_windows,
+                         _face_interval, check_box)
 from .svgplot import line_chart
 from .wiener import WienerGrid
 
@@ -308,7 +309,12 @@ def cmd_convert(ns: argparse.Namespace) -> int:
              f"jacobian mode: {policy.mode.value}"]
     samples = np.array([info.x0], dtype=float)
     if box is not None:  # five points along the box's diagonal
-        lo, hi = np.array(box.lower), np.array(box.upper)
+        # an infinite end takes the interval check_box samples there
+        windows = _coord_windows(system, _check_config(ns))
+        ends = zip(box.indices, box.lower, box.upper)
+        lo, hi = np.array([(a, b) if np.isfinite([a, b]).all()
+                           else _face_interval(a, b, windows[i])
+                           for i, a, b in ends]).T
         frac = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
         samples = samples.repeat(5, axis=0)
         samples[:, list(box.indices)] = lo + frac * (hi - lo)

@@ -374,6 +374,18 @@ class TestConvert:
             assert err.startswith("error:")
             assert out == ""
 
+    # the box's diagonal has an infinite end; the samples take check_box's
+    # interval there instead of turning NaN
+    @pytest.mark.filterwarnings("error")
+    def test_one_sided_box(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "--model", "hh-logistic", "--box",
+            '{"indices": [0], "lower": [0], "upper": [Infinity]}',
+            *QUICK_CHECK)
+        assert code == 0, err
+        assert "check verdict, stratonovich form: satisfied\n" in out
+        assert "check verdict, converted ito form: satisfied\n" in out
+
     @pytest.mark.parametrize("case", sorted(PINNED_CONVERTS))
     def test_output_digests(self, capsys, tmp_path, monkeypatch, case):
         argv, digests = PINNED_CONVERTS[case]
