@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdeinvariance import (MODEL_REGISTRY, Box, CheckConfig, Halfspace,
@@ -1147,3 +1148,127 @@ def test_constant_drift_verdict_matches_sign_analysis(c, lo):
     verdict = check_box(sys1, box, cfg).verdict
     expected = Verdict.SATISFIED if c >= -1e-12 else Verdict.VIOLATED
     assert verdict is expected
+
+
+# A closed-form oracle for the box checker.  Each member is a diagonal
+# system on a finite box [a, b] inside the sampling window: the drift is
+# affine, f_i = p_i + sum_k q_ik x_k, and the diffusion is diagonal,
+# g_ii = c_i (x_i - a_i)(b_i - x_i) + d_i, which is d_i on both faces of
+# coordinate i.  So a face of coordinate i holds exactly when
+# |d_i| <= eps_diff and f_i, over the face's corners, points inward
+# within eps_drift.  p and the q_ii are solved from a drawn slack per
+# face: the lower face's minimum of f_i is s_lo, the upper face's
+# maximum is -s_hi, and a slack below -eps_drift breaks the face on the
+# fraction that _broken_fraction gives.
+ORACLE_CFG = CheckConfig(n_face_samples=256, n_time_samples=2)
+# 256 independent uniform points miss 6% of a face with odds below 1e-6
+BROKEN_ENOUGH = 0.06
+
+
+def _broken_fraction(alphas, tau):
+    """P(sum_k alpha_k u_k < tau) for independent u_k ~ U[0, 1] and
+    alpha_k > 0: a simplex corner cut from a box, by inclusion-exclusion."""
+    n = len(alphas)
+    if n == 0:
+        return float(tau > 0)
+    volume = sum((-1) ** len(subset) * max(tau - sum(subset), 0.0) ** n
+                 for k in range(n + 1)
+                 for subset in itertools.combinations(alphas, k))
+    return min(max(volume / (math.factorial(n) * math.prod(alphas)), 0.0),
+               1.0)
+
+
+def _signed(lo, hi):
+    return st.floats(lo, hi).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def diagonal_members(draw, m, intact):
+    """(system, box, oracle) for one member of dimension m, which holds on
+    every face within the tolerances if intact; oracle(coordinate, side,
+    x) gives the inward drift margin and the diffusion g_ii at x, and
+    oracle.broken maps each (coordinate, side) face to the fraction of
+    it on which a face condition fails."""
+
+    def row(strategy):
+        return np.array(draw(st.lists(strategy, min_size=m, max_size=m)))
+
+    a = row(st.floats(-5.0, 4.0))
+    b = a + row(st.floats(0.5, 5.0))
+    q = np.array([row(st.one_of(st.just(0.0), _signed(0.01, 3.0)))
+                  for _ in range(m)])
+    slack = st.one_of(st.sampled_from([0.0, -5e-10]), st.floats(1e-6, 2.0))
+    tiny = st.sampled_from([0.0, 5e-13, -5e-13])
+    if not intact:
+        slack = st.one_of(slack, st.floats(-2.0, -1e-3))
+    s_lo, s_hi = row(slack), row(slack)
+    c = row(st.floats(-3.0, 3.0))
+    d = row(tiny if intact else st.one_of(tiny, _signed(1e-6, 1.0)))
+    eps_drift, eps_diff = ORACLE_CFG.eps_drift, ORACLE_CFG.eps_diff
+    p = np.empty(m)
+    broken = {}
+    for i in range(m):
+        off = [k for k in range(m) if k != i]
+        q[i, i] = 0.0
+        low, high = np.minimum(q[i] * a, q[i] * b), np.maximum(q[i] * a,
+                                                               q[i] * b)
+        q[i, i] = (-s_hi[i] - s_lo[i] - (high - low).sum()) / (b[i] - a[i])
+        p[i] = s_lo[i] - q[i, i] * a[i] - low.sum()
+        alphas = [abs(q[i, k]) * (b[k] - a[k]) for k in off if q[i, k]]
+        for side, s in (("lower", s_lo[i]), ("upper", s_hi[i])):
+            broken[i, side] = (1.0 if abs(d[i]) > eps_diff
+                               else _broken_fraction(alphas, -s - eps_drift))
+
+    def drift(t, x):
+        return p + np.asarray(x, dtype=float) @ q.T
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (m,))
+        out[..., range(m), range(m)] = c * (x - a) * (b - x) + d
+        return out
+
+    def oracle(i, side, x):
+        f_i = p[i] + sum(q[i, k] * x[k] for k in range(m))
+        g_ii = c[i] * (x[i] - a[i]) * (b[i] - x[i]) + d[i]
+        return (f_i if side == "lower" else -f_i), g_ii
+
+    oracle.broken = broken
+    system = SdeSystem(m=m, r=m, drift=drift, diffusion=diffusion,
+                       vectorized=True, autonomous=True, name="diagonal")
+    return system, Box(tuple(range(m)), tuple(a), tuple(b)), oracle
+
+
+@pytest.mark.parametrize("intact", [True, False])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@settings(derandomize=True, max_examples=15)
+@given(data=st.data())
+def test_box_verdicts_match_the_closed_form(m, intact, data):
+    system, box, oracle = data.draw(diagonal_members(m, intact))
+    cfg = ORACLE_CFG
+    reports = {"box": check_box(system, box, cfg),
+               "polyhedron": check_polyhedron(
+                   system, box.as_polyhedron(system.m), cfg,
+                   interior_point=np.add(box.lower, box.upper) / 2)}
+    for kind, report in reports.items():
+        for w in report.witnesses:  # each re-evaluates to a real break
+            if kind == "box":
+                i, side = w.face_index, w.side
+            else:  # as_polyhedron lists each coordinate's lower, upper
+                i, side = divmod(w.face_index, 2)
+                side = ("lower", "upper")[side]
+            pin = box.bound(i)[side == "upper"]
+            assert w.x[i] == pytest.approx(pin, abs=1e-9)
+            margin, g_ii = oracle(i, side, w.x)
+            if w.kind == "drift_sign":
+                assert margin < -cfg.eps_drift + 1e-12
+            else:
+                assert abs(g_ii) > cfg.eps_diff
+    fractions = oracle.broken.values()
+    if not any(fractions):
+        assert reports["box"].verdict is Verdict.SATISFIED
+    if max(fractions) >= BROKEN_ENOUGH:
+        assert reports["box"].verdict is Verdict.VIOLATED
+    if all(f == 0.0 or f >= BROKEN_ENOUGH for f in fractions):
+        assert (reports["polyhedron"].verdict
+                is reports["box"].verdict)
