@@ -413,13 +413,14 @@ class TestMemory:
         for_step(0)
         assert shapes == [(steps, n_paths, r)]
 
-    # The traced peak of a whole run: its outputs, plus the block's states
-    # and noise (one _BLOCK_BYTES together), plus the transient copies of
-    # one of them (the cumulative sum behind the mean copies the states;
-    # a keyed-noise draw peaks at about 2.3 times its output), plus
-    # numpy's ufunc buffers (128 KiB) and march's few (P, m) rows each
-    # step.  That is under 3 budgets; 1.6-1.8 were measured at P = 10 to
-    # 1000 paths (numpy 2.4).
+    # The traced peak of a whole run is its outputs plus under three
+    # budgets: one for the block's states and noise together, at most one
+    # more for the transients of one of them (the cumulative sum behind
+    # the mean copies the m words of states; a keyed-noise draw's hashes
+    # add r + 1 words to its r, which is m + r words at most), and the
+    # rest for numpy's 128 KiB of ufunc buffers (0.29 budgets) and
+    # march's few (P, m) rows a step.  1.6-1.8 budgets were measured at
+    # 10 to 1000 paths.
     def test_run_ensemble_peak_is_bounded_by_the_budget(self):
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 8.0, 800), x0=tuple(info.x0))
