@@ -23,29 +23,28 @@ from .core import (Box, Halfspace, IntegrationError, Interpretation,
                    TimeGrid, Trajectory, UsageError)
 from .ensemble import (EnsembleStats, compare_interpretations,
                        integrate_paths, run_ensemble)
-from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, NoiseSpec,
-                             build_model, hh_metadata, hh_system, rate_alpha,
-                             rate_beta, resting_state)
+from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, build_model,
+                             hh_metadata, rate_alpha, rate_beta,
+                             resting_state)
 from .integrators import SimConfig, simulate, write_trajectory_csv
 from .invariance import (CheckConfig, CheckReport, FaceReport, Verdict,
                          Witness, check_box, check_comparison,
                          check_polyhedron, check_positivity)
 from .svgplot import line_chart
-from .wiener import WienerGrid, normal_stream, uniform_stream
+from .wiener import WienerGrid, uniform_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "CheckConfig", "CheckReport", "EnsembleStats",
-    "FaceReport", "HHParams", "Halfspace", "IntegrationError",
-    "Interpretation", "JacobianMode", "JacobianPolicy", "MODEL_REGISTRY",
-    "ModelEvaluationError", "ModelInfo", "NoiseKind", "NoiseSpec",
-    "Polyhedron", "SdeSystem", "SimConfig", "TimeGrid",
-    "Trajectory", "UsageError", "Verdict", "WienerGrid", "Witness",
-    "build_model", "check_box", "check_comparison", "check_polyhedron",
-    "check_positivity", "compare_interpretations", "correction_batch",
-    "hh_metadata", "hh_system", "integrate_paths", "ito_to_stratonovich",
-    "line_chart", "normal_stream", "rate_alpha", "rate_beta",
-    "resting_state", "run_ensemble", "simulate", "stratonovich_to_ito",
-    "uniform_stream", "write_trajectory_csv",
+    "Box", "CheckConfig", "CheckReport", "EnsembleStats", "FaceReport",
+    "HHParams", "Halfspace", "IntegrationError", "Interpretation",
+    "JacobianMode", "JacobianPolicy", "MODEL_REGISTRY",
+    "ModelEvaluationError", "ModelInfo", "NoiseKind", "Polyhedron",
+    "SdeSystem", "SimConfig", "TimeGrid", "Trajectory", "UsageError",
+    "Verdict", "WienerGrid", "Witness", "build_model", "check_box",
+    "check_comparison", "check_polyhedron", "check_positivity",
+    "compare_interpretations", "correction_batch", "hh_metadata",
+    "integrate_paths", "ito_to_stratonovich", "line_chart", "rate_alpha",
+    "rate_beta", "resting_state", "run_ensemble", "simulate",
+    "stratonovich_to_ito", "uniform_stream", "write_trajectory_csv",
 ]

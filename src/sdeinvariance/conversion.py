@@ -30,30 +30,27 @@ class JacobianMode(enum.Enum):
     CENTRAL_DIFFERENCE = "central-difference"
 
 
+_FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class JacobianPolicy:
     """How to obtain d g / d x for the drift correction.
 
-    Central differences use the step fd_step * max(1, |x_j|) in
-    coordinate j; analytic mode requires the system to carry a
-    diffusion_jacobian callable.
+    Central differences use the step 1e-6 * max(1, |x_j|) in coordinate
+    j; analytic mode requires the system to carry a diffusion_jacobian
+    callable.
     """
 
     mode: JacobianMode = JacobianMode.CENTRAL_DIFFERENCE
-    fd_step: float = 1e-6
-
-    def __post_init__(self):
-        if not self.fd_step > 0:
-            raise UsageError("fd_step must be positive")
 
 
-def _fd_jacobian_batch(sys: SdeSystem, t: float, states: Array,
-                       fd_step: float) -> Array:
+def _fd_jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
     """Central-difference d g / d x on a (n, m) batch, (n, m, r, m)."""
     n = states.shape[0]
     out = np.empty((n, sys.m, sys.r, sys.m))
     for j in range(sys.m):
-        delta = fd_step * np.maximum(1.0, np.abs(states[:, j]))
+        delta = _FD_STEP * np.maximum(1.0, np.abs(states[:, j]))
         plus = states.copy()
         minus = states.copy()
         plus[:, j] += delta
@@ -71,7 +68,7 @@ def correction_batch(sys: SdeSystem, t: float, states: Array,
     if policy.mode is JacobianMode.ANALYTIC:
         jac = jacobian_batch(sys, t, states)
     else:
-        jac = _fd_jacobian_batch(sys, t, states, policy.fd_step)
+        jac = _fd_jacobian_batch(sys, t, states)
     if not np.all(np.isfinite(jac)):
         b, i, k, j = (int(v) for v in np.argwhere(~np.isfinite(jac))[0])
         raise ModelEvaluationError(

@@ -13,8 +13,8 @@ and the voltage follows the current balance
 
 Noise enters only through the gating rows, gate i driven by Wiener
 component i alone; the voltage row of the diffusion matrix is
-identically zero.  g is therefore diagonal, and hh_system declares it
-(SdeSystem.diagonal_noise).  No field depends on t, which hh_system
+identically zero.  g is therefore diagonal, and build_model declares it
+(SdeSystem.diagonal_noise).  No field depends on t, which build_model
 declares as well (SdeSystem.autonomous).  Three variants are registered:
 
     hh-det        no noise (plain ODE)
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -150,45 +150,6 @@ class NoiseKind(enum.Enum):
     MULTIPLICATIVE = "multiplicative"
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """How noise enters the gating equations.
-
-    sigma holds one positive amplitude per gating component (a number
-    stands for all three); it is None for the noiseless kind.
-    """
-
-    kind: NoiseKind
-    sigma: Optional[Tuple[float, float, float]] = None
-
-    def __post_init__(self):
-        if self.kind is NoiseKind.NONE:
-            if self.sigma is not None:
-                raise UsageError("noiseless spec takes no sigma")
-            return
-        if self.sigma is None:
-            raise UsageError(f"{self.kind.value} noise needs sigma")
-        sig = ((float(self.sigma),) * 3 if np.isscalar(self.sigma)
-               else tuple(float(s) for s in self.sigma))
-        if len(sig) != 3:
-            raise UsageError("sigma must have one entry per gating variable")
-        if any(not 0 < s < np.inf for s in sig):
-            raise UsageError("sigma entries must be positive and finite")
-        object.__setattr__(self, "sigma", sig)
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(NoiseKind.NONE)
-
-    @classmethod
-    def additive(cls, sigma: Union[float, Sequence[float]]) -> "NoiseSpec":
-        return cls(NoiseKind.ADDITIVE, sigma)
-
-    @classmethod
-    def multiplicative(cls, sigma: Union[float, Sequence[float]]) -> "NoiseSpec":
-        return cls(NoiseKind.MULTIPLICATIVE, sigma)
-
-
 def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
     """Drift field for the four-state model; batch-friendly."""
 
@@ -212,18 +173,33 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
     return drift
 
 
-def hh_diffusion(noise: NoiseSpec) -> Callable[[float, Array], Array]:
-    """Diffusion field, shape (..., 4, 3); the voltage row is zero."""
-    sigma = None if noise.sigma is None else np.asarray(noise.sigma)
+def _amplitudes(sigma) -> Tuple[float, float, float]:
+    """sigma as one positive, finite amplitude per gate; a number stands
+    for all three."""
+    sig = ((float(sigma),) * 3 if np.isscalar(sigma)
+           else tuple(float(s) for s in sigma))
+    if len(sig) != 3:
+        raise UsageError("sigma must have one entry per gating variable")
+    if any(not 0 < s < np.inf for s in sig):
+        raise UsageError("sigma entries must be positive and finite")
+    return sig
+
+
+def hh_diffusion(kind: NoiseKind, sigma) -> Callable[[float, Array], Array]:
+    """Diffusion field, shape (..., 4, 3); the voltage row is zero.
+
+    sigma holds the three gate amplitudes; NoiseKind.NONE ignores it.
+    """
+    sigma = np.asarray(sigma)
 
     def diffusion(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3))
-        if noise.kind is NoiseKind.NONE:
+        if kind is NoiseKind.NONE:
             return out
         # entries (i, i), i < 3, sit 4 apart in each flat 12-entry block
         diagonal = out.reshape(x.shape[:-1] + (12,))[..., ::4]
-        if noise.kind is NoiseKind.ADDITIVE:
+        if kind is NoiseKind.ADDITIVE:
             diagonal[...] = sigma
         else:
             gates = x[..., :3]
@@ -233,14 +209,15 @@ def hh_diffusion(noise: NoiseSpec) -> Callable[[float, Array], Array]:
     return diffusion
 
 
-def hh_diffusion_jacobian(noise: NoiseSpec) -> Callable[[float, Array], Array]:
+def hh_diffusion_jacobian(kind: NoiseKind, sigma
+                          ) -> Callable[[float, Array], Array]:
     """Analytic d g[i, k] / d x[j], shape (..., 4, 3, 4)."""
-    sigma = None if noise.sigma is None else np.asarray(noise.sigma)
+    sigma = np.asarray(sigma)
 
     def jacobian(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3, 4))
-        if noise.kind is NoiseKind.MULTIPLICATIVE:
+        if kind is NoiseKind.MULTIPLICATIVE:
             # entries (i, i, i), i < 3, sit 17 apart in each 48-entry block
             diagonal = out.reshape(x.shape[:-1] + (48,))[..., ::17]
             np.multiply(sigma, 1.0 - 2.0 * x[..., :3], out=diagonal)
@@ -255,35 +232,6 @@ MODEL_REGISTRY: Dict[str, NoiseKind] = {
     "hh-additive": NoiseKind.ADDITIVE,
     "hh-logistic": NoiseKind.MULTIPLICATIVE,
 }
-
-
-def hh_system(params: Optional[HHParams] = None,
-              noise: Optional[NoiseSpec] = None,
-              interpretation: Interpretation = Interpretation.ITO,
-              name: Optional[str] = None) -> SdeSystem:
-    """Assemble the four-state membrane system for a given noise spec.
-
-    The name defaults to the MODEL_REGISTRY name of the noise kind.
-    """
-    params = params if params is not None else HHParams()
-    noise = noise if noise is not None else NoiseSpec.none()
-    if name is None:
-        name = next(key for key, kind in MODEL_REGISTRY.items()
-                    if kind is noise.kind)
-    return SdeSystem(
-        m=4,
-        r=3,
-        drift=hh_drift(params),
-        diffusion=hh_diffusion(noise),
-        diffusion_jacobian=hh_diffusion_jacobian(noise),
-        interpretation=interpretation,
-        name=name,
-        vectorized=True,
-        coord_names=COORD_NAMES,
-        coord_ranges=COORD_RANGES,
-        diagonal_noise=True,
-        autonomous=True,
-    )
 
 
 def resting_state(v: float = -60.0) -> Array:
@@ -311,14 +259,29 @@ _DEFAULT_SIGMA = 0.5
 def build_model(name: str, *, sigma=None, params: Optional[HHParams] = None,
                 interpretation: Interpretation = Interpretation.ITO,
                 ) -> Tuple[SdeSystem, ModelInfo]:
-    """Look a model up by registry name and build it.
+    """Build the four-state membrane system registered under name.
 
-    sigma defaults to 0.5 for the noisy variants and is ignored by hh-det.
+    sigma is a number or one amplitude per gate; it defaults to 0.5 for
+    the noisy variants and is ignored by hh-det.
     """
     if name not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise UsageError(f"unknown model {name!r}; registered models: {known}")
     kind = MODEL_REGISTRY[name]
-    noise = (NoiseSpec.none() if kind is NoiseKind.NONE else
-             NoiseSpec(kind, _DEFAULT_SIGMA if sigma is None else sigma))
-    return hh_system(params, noise, interpretation), hh_metadata()
+    sigma = (None if kind is NoiseKind.NONE
+             else _amplitudes(_DEFAULT_SIGMA if sigma is None else sigma))
+    system = SdeSystem(
+        m=4,
+        r=3,
+        drift=hh_drift(params if params is not None else HHParams()),
+        diffusion=hh_diffusion(kind, sigma),
+        diffusion_jacobian=hh_diffusion_jacobian(kind, sigma),
+        interpretation=interpretation,
+        name=name,
+        vectorized=True,
+        coord_names=COORD_NAMES,
+        coord_ranges=COORD_RANGES,
+        diagonal_noise=True,
+        autonomous=True,
+    )
+    return system, hh_metadata()

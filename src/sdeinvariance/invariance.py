@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
@@ -417,7 +418,10 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
     """Best strictly-interior point from deterministic candidates.
 
     The pick is the first candidate with the largest minimum face margin;
-    a NaN margin never wins.
+    a NaN margin never wins.  When no candidate is strictly interior, the
+    pick is the Chebyshev centre of the faces and the window: the point
+    whose distance to every face and window bound is largest, by linear
+    programming.
     """
     m = lo.size
     eng = qmc.Halton(d=m, scramble=True, seed=_child_rng(cfg, 3))
@@ -427,11 +431,20 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
     worst = _margins(cands, anchors, normals).min(axis=1)
     worst[np.isnan(worst)] = -math.inf
     k = int(np.argmax(worst))
-    if not worst[k] > 0.0:
-        raise UsageError(
-            "could not find a strictly interior point of the polyhedron "
-            "within the sampling window; pass interior_point= explicitly")
-    return cands[k].copy()
+    if worst[k] > 0.0:
+        return cands[k].copy()
+    # maximise rho subject to <x - a_f, n_f> >= rho, lo + rho <= x <= hi - rho
+    eye = np.eye(m)
+    rows = np.hstack([np.vstack([-normals, -eye, eye]),
+                      np.ones((anchors.shape[0] + 2 * m, 1))])
+    rhs = np.concatenate([-np.einsum("fm,fm->f", anchors, normals), -lo, hi])
+    res = linprog(np.append(np.zeros(m), -1.0), A_ub=rows, b_ub=rhs,
+                  bounds=(None, None), method="highs")
+    if res.status == 0 and _margins(res.x[None, :m], anchors,
+                                    normals).min() > 0.0:
+        return res.x[:m]
+    raise UsageError("could not find a strictly interior point of the "
+                     "polyhedron within the sampling window")
 
 
 def _chord_limits(targets: Array, n_faces: int, lo: Array, hi: Array):
@@ -573,20 +586,20 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
 
 
 def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
-                     cfg: CheckConfig = CheckConfig(),
-                     interior_point=None) -> CheckReport:
+                     cfg: CheckConfig = CheckConfig()) -> CheckReport:
     """Check invariance of an intersection of half-spaces.
 
     For each half-space the checker needs points on the bounding
     hyperplane that also satisfy the remaining constraints.  It finds a
-    strictly interior point (sampled deterministically, or supplied via
-    interior_point), walks it onto each face, then explores the face with
-    a seeded hit-and-run walk confined to the plausibility window.  Each
-    face's walk draws from its own stream, keyed by (sampler_seed, 4,
-    face); all faces walk together but never share a draw, so a face's
-    points do not depend on the other faces being reachable.  On the
-    sampled points it requires <f, n> >= -eps_drift and
-    |<g_j, n>| <= eps_diff per noise column, with unit-normalized n.
+    strictly interior point inside the plausibility window (sampled
+    deterministically, else the Chebyshev centre of the faces and the
+    window; UsageError if there is none), walks it onto each face, then
+    explores the face with a seeded hit-and-run walk confined to the
+    window.  Each face's walk draws from its own stream, keyed by
+    (sampler_seed, 4, face); all faces walk together but never share a
+    draw, so a face's points do not depend on the other faces being
+    reachable.  On the sampled points it requires <f, n> >= -eps_drift
+    and |<g_j, n>| <= eps_diff per noise column, with unit-normalized n.
 
     A face that cannot be reached inside the window contributes no
     samples and is reported with n_samples = 0; with no witness on any
@@ -603,15 +616,7 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     normals = np.array([h.normal for h in poly.halfspaces], dtype=float)
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     lo, hi = np.array(_coord_windows(sys, cfg)).T
-    if interior_point is not None:
-        x0 = np.asarray(interior_point, dtype=float)
-        # a NaN margin would pass the interior test below
-        if x0.shape != (sys.m,) or not np.isfinite(x0).all():
-            raise UsageError("interior_point must be finite, of shape (m,)")
-        if _margins(x0[None], anchors, normals).min() <= 0.0:
-            raise UsageError("interior_point is not strictly interior")
-    else:
-        x0 = _find_interior(anchors, normals, lo, hi, cfg)
+    x0 = _find_interior(anchors, normals, lo, hi, cfg)
     reached, starts, rngs = [], [], []
     for nu in range(anchors.shape[0]):
         rng = _child_rng(cfg, 4, nu)

@@ -73,11 +73,6 @@ def uniform_stream(seed: int, path_ids, steps, components) -> Array:
     return u[()]  # a scalar for scalar indices
 
 
-def normal_stream(seed: int, path_ids, steps, components) -> Array:
-    """Standard normal draws addressed like :func:`uniform_stream`."""
-    return ndtri(uniform_stream(seed, path_ids, steps, components))
-
-
 def checked_keys(values, what: str) -> Array:
     """values as a uint64 array of 64-bit keys (seeds, path ids): each an
     integer in [0, 2**64), else UsageError naming what they are."""

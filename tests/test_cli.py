@@ -917,6 +917,11 @@ class TestPluginModels:
                     1, "", "error: model build() must return "
                     "(SdeSystem, ModelInfo)\n")
 
+    def test_missing_model_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.py")
+        assert run_cli(capsys, "check", "--model", path) == (
+            1, "", f"error: model file not found: {path}\n")
+
     def test_plugin_without_build_function(self, capsys, tmp_path):
         path = tmp_path / "empty_model.py"
         path.write_text("VALUE = 3\n")

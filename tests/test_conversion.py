@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
-                           ModelEvaluationError, NoiseSpec, SdeSystem,
-                           UsageError, correction_batch, hh_system,
+                           ModelEvaluationError, SdeSystem, UsageError,
+                           build_model, correction_batch,
                            ito_to_stratonovich, stratonovich_to_ito)
 from helpers import gbm_system
 
@@ -34,7 +34,7 @@ class TestCorrection:
 
     def test_logistic_analytic_matches_hand_formula(self):
         sigma = (0.5, 0.3, 0.2)
-        system = hh_system(noise=NoiseSpec.multiplicative(sigma))
+        system, _ = build_model("hh-logistic", sigma=sigma)
         for gates in ([0.1, 0.5, 0.9], [0.25, 0.75, 0.5]):
             x = np.array(gates + [-60.0])
             h = correction_batch(system, 0.0, [x], ANALYTIC)[0]
@@ -43,7 +43,7 @@ class TestCorrection:
             assert h[3] == 0.0
 
     def test_central_difference_agrees_with_analytic(self):
-        system = hh_system(noise=NoiseSpec.multiplicative(0.5))
+        system, _ = build_model("hh-logistic", sigma=0.5)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = np.append(rng.uniform(0.05, 0.95, 3), rng.uniform(-80, -20))
@@ -52,7 +52,7 @@ class TestCorrection:
             assert np.allclose(hc, ha, rtol=1e-6, atol=1e-9)
 
     def test_additive_noise_has_zero_correction(self):
-        system = hh_system(noise=NoiseSpec.additive(0.5))
+        system, _ = build_model("hh-additive", sigma=0.5)
         x = np.array([0.3, 0.4, 0.5, -55.0])
         assert np.array_equal(correction_batch(system, 0.0, [x], ANALYTIC),
                               np.zeros((1, 4)))
@@ -81,10 +81,6 @@ class TestCorrection:
         # central difference at 0 evaluates sqrt of a negative shift
         with pytest.raises(ModelEvaluationError):
             correction_batch(system, 0.0, [[0.0]], CENTRAL)
-
-    def test_policy_validation(self):
-        with pytest.raises(UsageError):
-            JacobianPolicy(fd_step=0.0)
 
 
 class TestRewrites:
@@ -127,8 +123,8 @@ class TestRewrites:
             ito_to_stratonovich(strat)
 
     def test_rewritten_drift_accepts_batches(self):
-        strat = hh_system(noise=NoiseSpec.multiplicative(0.5),
-                          interpretation=Interpretation.STRATONOVICH)
+        strat, _ = build_model("hh-logistic", sigma=0.5,
+                               interpretation=Interpretation.STRATONOVICH)
         ito = stratonovich_to_ito(strat, ANALYTIC)
         pts = np.array([[0.2, 0.4, 0.6, -60.0], [0.5, 0.5, 0.5, -40.0]])
         batch = ito.drift(0.0, pts)

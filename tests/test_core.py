@@ -55,6 +55,8 @@ class TestSdeSystem:
     def test_coord_ranges_need_order(self):
         with pytest.raises(UsageError):
             simple_system(coord_ranges=((0.0, 1.0), (2.0, 2.0)))
+        with pytest.raises(UsageError, match="length must equal m"):
+            simple_system(coord_ranges=((0.0, 1.0),))
 
     def test_wrong_output_shape_is_usage_error(self):
         sys_bad = SdeSystem(m=2, r=1, drift=lambda t, x: np.zeros(3),
@@ -133,6 +135,9 @@ class TestBox:
             Box((0,), (float("nan"),), (1.0,))
         with pytest.raises(UsageError):
             Box((-1,), (0.0,), (1.0,))
+        for lower, upper in (((0.0,), (1.0, 1.0)), ((0.0, 0.0), (1.0,))):
+            with pytest.raises(UsageError, match="match the number"):
+                Box((0, 1), lower, upper)
 
     def test_faces_ordering_and_one_sided(self):
         b = Box((2, 0), (0.0, -1.0), (math.inf, 1.0))

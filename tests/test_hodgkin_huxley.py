@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sdeinvariance import (HHParams, Interpretation, MODEL_REGISTRY,
-                           NoiseKind, NoiseSpec, UsageError, build_model,
-                           hh_metadata, hh_system, rate_alpha, rate_beta,
-                           resting_state)
+                           NoiseKind, UsageError, build_model, hh_metadata,
+                           rate_alpha, rate_beta, resting_state)
 from sdeinvariance.core import diffusion_batch, drift_batch
 
 _W = 1e-7  # the singular window of the frozen reference below
@@ -71,14 +70,14 @@ def _frozen_drift(params):
     return drift
 
 
-def _frozen_diffusion(noise):
+def _frozen_diffusion(kind, amplitudes):
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3))
-        if noise.kind is NoiseKind.NONE:
+        if kind is NoiseKind.NONE:
             return out
-        sigma = np.asarray(noise.sigma)
-        if noise.kind is NoiseKind.ADDITIVE:
+        sigma = np.asarray(amplitudes)
+        if kind is NoiseKind.ADDITIVE:
             for i in range(3):
                 out[..., i, i] = sigma[i]
         else:
@@ -90,12 +89,12 @@ def _frozen_diffusion(noise):
     return diffusion
 
 
-def _frozen_jacobian(noise):
+def _frozen_jacobian(kind, amplitudes):
     def jacobian(t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (4, 3, 4))
-        if noise.kind is NoiseKind.MULTIPLICATIVE:
-            sigma = np.asarray(noise.sigma)
+        if kind is NoiseKind.MULTIPLICATIVE:
+            sigma = np.asarray(amplitudes)
             gates = x[..., :3]
             slope = sigma * (1.0 - 2.0 * gates)
             for i in range(3):
@@ -178,7 +177,7 @@ class TestRates:
                       [0.5, 0.5, 0.5, 10.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f = hh_system().drift(0.0, x)
+            f = build_model("hh-det")[0].drift(0.0, x)
             assert rate_alpha(1, -35.0) == 1.0
             assert rate_alpha(2, -50.0) == 0.1
             b1, b2 = rate_beta(1, -35.0), rate_beta(2, -50.0)
@@ -205,8 +204,9 @@ def _pin_states():
     return list(rows) + [rows, rows.reshape(3, -1, 4)]
 
 
-_PIN_NOISES = (NoiseSpec.none(), NoiseSpec.additive((0.1, 0.2, 0.3)),
-               NoiseSpec.multiplicative((0.5, 0.25, 4.0)))
+# (model name, sigma); hh-det takes none
+_PIN_NOISES = (("hh-det", None), ("hh-additive", (0.1, 0.2, 0.3)),
+               ("hh-logistic", (0.5, 0.25, 4.0)))
 
 
 def _same_bits(got, want):
@@ -220,15 +220,20 @@ class TestKernelBits:
 
     def test_drift(self):
         params = HHParams()
-        drift, frozen = hh_system(params).drift, _frozen_drift(params)
+        drift = build_model("hh-det", params=params)[0].drift
+        frozen = _frozen_drift(params)
         for x in _pin_states():
             with np.errstate(all="ignore"):
                 assert _same_bits(drift(0.0, x), frozen(0.0, x)), x
 
-    @pytest.mark.parametrize("noise", _PIN_NOISES, ids=lambda n: n.kind.value)
-    def test_diffusion_and_jacobian(self, noise):
-        system = hh_system(noise=noise)
-        frozen_g, frozen_jac = _frozen_diffusion(noise), _frozen_jacobian(noise)
+    @pytest.mark.parametrize("name, sigma", _PIN_NOISES,
+                             ids=[MODEL_REGISTRY[name].value
+                                  for name, _ in _PIN_NOISES])
+    def test_diffusion_and_jacobian(self, name, sigma):
+        system, _ = build_model(name, sigma=sigma)
+        kind = MODEL_REGISTRY[name]
+        frozen_g = _frozen_diffusion(kind, sigma)
+        frozen_jac = _frozen_jacobian(kind, sigma)
         for x in _pin_states():
             with np.errstate(all="ignore"):
                 assert _same_bits(system.diffusion(0.0, x), frozen_g(0.0, x))
@@ -250,7 +255,7 @@ class TestKernelBits:
 
 class TestDriftStructure:
     def test_face_values_reduce_to_rates(self):
-        system = hh_system()
+        system, _ = build_model("hh-det")
         for v in np.linspace(-100.0, 60.0, 64):
             at_zero = np.array([0.0, 0.0, 0.0, v])
             at_one = np.array([1.0, 1.0, 1.0, v])
@@ -262,7 +267,7 @@ class TestDriftStructure:
 
     def test_voltage_equation(self):
         p = HHParams()
-        system = hh_system(p)
+        system, _ = build_model("hh-det", params=p)
         x = np.array([0.2, 0.4, 0.6, -55.0])
         expected = (p.i_app
                     - p.g_na * 0.2 ** 3 * 0.6 * (-55.0 - p.e_na)
@@ -271,7 +276,7 @@ class TestDriftStructure:
         assert system.drift(0.0, x)[3] == pytest.approx(expected, rel=1e-14)
 
     def test_vectorized_matches_scalar(self):
-        system = hh_system()
+        system, _ = build_model("hh-det")
         pts = np.array([[0.1, 0.2, 0.3, -70.0],
                         [0.9, 0.8, 0.7, -30.0],
                         [0.0, 1.0, 0.5, 10.0]])
@@ -282,36 +287,38 @@ class TestDriftStructure:
 
 class TestNoise:
     def test_spec_constructors(self):
-        assert NoiseSpec.none().kind is NoiseKind.NONE
-        add = NoiseSpec.additive(0.3)
-        assert add.sigma == (0.3, 0.3, 0.3)
-        mul = NoiseSpec.multiplicative((0.1, 0.2, 0.3))
-        assert mul.sigma == (0.1, 0.2, 0.3)
+        # the sigma given to build_model, read back off the built fields
+        x = np.array([0.0, 0.0, 0.0, -60.0])
+        det, _ = build_model("hh-det")
+        assert not det.diffusion(0.0, x).any()
+        add, _ = build_model("hh-additive", sigma=0.3)
+        assert tuple(np.diagonal(add.diffusion(0.0, x))) == (0.3, 0.3, 0.3)
+        mul, _ = build_model("hh-logistic", sigma=(0.1, 0.2, 0.3))
+        slopes = mul.diffusion_jacobian(0.0, x)[range(3), range(3), range(3)]
+        assert tuple(slopes) == (0.1, 0.2, 0.3)
 
     def test_spec_validation(self):
-        with pytest.raises(UsageError):
-            NoiseSpec(NoiseKind.NONE, (0.1, 0.1, 0.1))
-        with pytest.raises(UsageError):
-            NoiseSpec(NoiseKind.ADDITIVE, None)
-        with pytest.raises(UsageError):
-            NoiseSpec.additive((0.1, 0.2))
-        with pytest.raises(UsageError):
-            NoiseSpec.additive(0.0)
-        with pytest.raises(UsageError):
-            NoiseSpec.multiplicative(-0.5)
-        for bad in (np.inf, np.nan, (0.1, np.inf, 0.2)):
-            with pytest.raises(UsageError, match="finite"):
-                NoiseSpec.additive(bad)
+        # one sigma check serves both noisy models
+        for name in ("hh-additive", "hh-logistic"):
+            for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+                with pytest.raises(UsageError, match="one entry per gating"):
+                    build_model(name, sigma=bad)
+            for bad in (0.0, -0.5, (0.1, -0.2, 0.3)):
+                with pytest.raises(UsageError, match="positive"):
+                    build_model(name, sigma=bad)
+            for bad in (np.inf, np.nan, (0.1, np.inf, 0.2)):
+                with pytest.raises(UsageError, match="finite"):
+                    build_model(name, sigma=bad)
 
     def test_additive_diffusion_matrix(self):
-        system = hh_system(noise=NoiseSpec.additive((0.1, 0.2, 0.3)))
+        system, _ = build_model("hh-additive", sigma=(0.1, 0.2, 0.3))
         g = system.diffusion(0.0, np.array([0.5, 0.5, 0.5, -60.0]))
         expected = np.zeros((4, 3))
         expected[0, 0], expected[1, 1], expected[2, 2] = 0.1, 0.2, 0.3
         assert np.array_equal(g, expected)
 
     def test_multiplicative_diffusion_vanishes_on_faces(self):
-        system = hh_system(noise=NoiseSpec.multiplicative(0.5))
+        system, _ = build_model("hh-logistic", sigma=0.5)
         for gates in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)):
             g = system.diffusion(0.0, np.array(gates + (-60.0,)))
             assert np.array_equal(g, np.zeros((4, 3)))
@@ -319,14 +326,14 @@ class TestNoise:
         assert g_mid[0, 0] == 0.5 * 0.25
 
     def test_voltage_row_is_always_zero(self):
-        for spec in (NoiseSpec.additive(0.4), NoiseSpec.multiplicative(0.4)):
-            system = hh_system(noise=spec)
+        for name in ("hh-additive", "hh-logistic"):
+            system, _ = build_model(name, sigma=0.4)
             pts = np.array([[0.2, 0.4, 0.6, -50.0], [0.8, 0.1, 0.9, 0.0]])
             g = diffusion_batch(system, 0.0, pts)
             assert np.array_equal(g[:, 3, :], np.zeros((2, 3)))
 
     def test_jacobian_matches_difference_quotient(self):
-        system = hh_system(noise=NoiseSpec.multiplicative(0.5))
+        system, _ = build_model("hh-logistic", sigma=0.5)
         x = np.array([0.3, 0.6, 0.9, -40.0])
         jac = system.diffusion_jacobian(0.0, x)
         assert jac.shape == (4, 3, 4)
@@ -390,7 +397,7 @@ class TestRestingState:
         assert np.allclose(got[:3], expected, rtol=1e-12)
 
     def test_is_drift_equilibrium_for_gates(self):
-        system = hh_system()
+        system, _ = build_model("hh-det")
         x = resting_state(-60.0)
         f = system.drift(0.0, x)
         assert np.allclose(f[:3], 0.0, atol=1e-15)

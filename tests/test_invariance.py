@@ -517,48 +517,36 @@ class TestPolyhedron:
         assert report.verdict is Verdict.VIOLATED
         assert {w.kind for w in report.witnesses} == {"diffusion_nonzero"}
 
-    def test_explicit_interior_point_accepted(self):
-        def fn(t, x):
-            x = np.asarray(x, dtype=float)
-            return np.array([1.0 / 3.0, 1.0 / 3.0]) - x
-
-        sys2 = drift_only(2, fn)
-        report = check_polyhedron(sys2, triangle(), QUICK,
-                                  interior_point=(0.25, 0.25))
-        assert report.verdict is Verdict.SATISFIED
-
-    @pytest.mark.parametrize("point", [(math.nan, math.nan),
-                                       (math.inf, 1.0)])
-    def test_non_finite_interior_point_rejected(self, point):
-        # a NaN margin is not <= 0, so only a finiteness test stops the
-        # point; it must do so before any inf arithmetic warns
-        quadrant = Polyhedron((Halfspace((0.0, 0.0), (1.0, 0.0)),
-                               Halfspace((0.0, 0.0), (0.0, 1.0))))
-        sys2 = constant_drift_system(2, [1.0, 1.0], r=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(UsageError, match="finite"):
-                check_polyhedron(sys2, quadrant, QUICK, interior_point=point)
-
     def test_polyhedron_of_another_dimension_rejected(self):
         with pytest.raises(UsageError, match="lives in dimension 2"):
             check_polyhedron(constant_drift_system(3, [1.0] * 3, r=0),
                              triangle(), QUICK)
-
-    @pytest.mark.parametrize("point", [(0.0, 0.25), (2.0, 2.0)])
-    def test_interior_point_on_or_outside_a_face_rejected(self, point):
-        sys2 = constant_drift_system(2, [1.0, 1.0], r=0)
-        with pytest.raises(UsageError, match="not strictly interior"):
-            check_polyhedron(sys2, triangle(), QUICK, interior_point=point)
 
     def test_infeasible_polyhedron_rejected(self):
         empty_strip = Polyhedron((
             Halfspace((1.0,), (1.0,)),   # x >= 1
             Halfspace((0.0,), (-1.0,)),  # x <= 0
         ))
+        # x >= 20 is not empty, but the (-10, 10) window holds none of it
+        beyond = Polyhedron((Halfspace((20.0,), (1.0,)),))
         sys1 = constant_drift_system(1, [0.0], r=0)
-        with pytest.raises(UsageError, match="interior"):
-            check_polyhedron(sys1, empty_strip, QUICK)
+        for poly in (empty_strip, beyond):
+            with pytest.raises(UsageError, match="interior"):
+                check_polyhedron(sys1, poly, QUICK)
+
+    def test_small_box_away_from_the_origin_is_checked(self):
+        # the box holds 1.6e-5 of the (-10, 10)^3 window, so no sampled
+        # candidate lands in it; its Chebyshev centre is its midpoint
+        box = Box((0, 1, 2), (3.0,) * 3, (3.5,) * 3)
+        poly = box.as_polyhedron(3)
+        sys3 = constant_drift_system(3, [0.0, 0.0, 0.0])
+        anchors = np.array([h.anchor for h in poly.halfspaces])
+        normals = np.array([h.normal for h in poly.halfspaces])
+        lo, hi = np.full(3, -10.0), np.full(3, 10.0)
+        x0 = inv._find_interior(anchors, normals, lo, hi, QUICK)
+        assert x0 == pytest.approx([3.25] * 3, abs=1e-9)
+        assert check_polyhedron(sys3, poly).verdict is Verdict.SATISFIED
+        assert check_box(sys3, box).verdict is Verdict.SATISFIED
 
     def test_unreachable_face_reported_not_sampled(self):
         # the face at x = 50 lies outside the (-10, 10) plausibility
@@ -1247,8 +1235,7 @@ def test_box_verdicts_match_the_closed_form(m, intact, data):
     cfg = ORACLE_CFG
     reports = {"box": check_box(system, box, cfg),
                "polyhedron": check_polyhedron(
-                   system, box.as_polyhedron(system.m), cfg,
-                   interior_point=np.add(box.lower, box.upper) / 2)}
+                   system, box.as_polyhedron(system.m), cfg)}
     for kind, report in reports.items():
         for w in report.witnesses:  # each re-evaluates to a real break
             if kind == "box":

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from sdeinvariance import TimeGrid, UsageError, WienerGrid, uniform_stream
-from sdeinvariance.wiener import _mix64, increments_for_step, normal_stream
+from sdeinvariance.wiener import _mix64, increments_for_step
 
 # Reference values for the mixing function: the splitmix64 generator with
 # seed 0 emits these as its first outputs, and our finalizer applied to
@@ -71,7 +72,7 @@ def test_uniform_stream_stays_in_open_interval(seed, path, step):
 
 def test_normal_stream_moments():
     steps = np.arange(200_000, dtype=np.uint64)
-    z = normal_stream(3, 0, steps, 0)
+    z = ndtri(uniform_stream(3, 0, steps, 0))
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 0.02
@@ -103,8 +104,8 @@ def test_increments_match_normal_stream_bit_for_bit(seed):
     comps = np.arange(3, dtype=np.uint64)
     for step, dt in ((0, 0.05), (17, 0.01), (2 ** 33 + 5, 1.0 / 3.0)):
         got = increments_for_step(seed, _PIN_IDS, step, 3, dt)
-        want = normal_stream(seed, _PIN_IDS[:, None], np.uint64(step),
-                             comps) * np.sqrt(dt)
+        want = ndtri(uniform_stream(seed, _PIN_IDS[:, None],
+                                   np.uint64(step), comps)) * np.sqrt(dt)
         assert got.shape == want.shape == (_PIN_IDS.size, 3)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -177,6 +178,8 @@ class TestWienerGrid:
         grid = TimeGrid(0.0, 1.0, 5)
         with pytest.raises(UsageError):
             WienerGrid.generate(0, -1, grid, 1)
+        with pytest.raises(UsageError, match="r must be >= 0"):
+            WienerGrid.generate(0, 0, grid, -1)
         with pytest.raises(UsageError):
             WienerGrid(seed=0, path_id=0, grid=grid,
                        increments=np.zeros((4, 1)))
