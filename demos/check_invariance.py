@@ -9,9 +9,9 @@ additive noise does not.  The checker finds this from samples of the
 coefficient functions alone, with no simulation.
 """
 
-from sdeinvariance import (CheckConfig, Halfspace, Polyhedron, SdeSystem,
-                           build_model, check_box, check_polyhedron,
-                           check_positivity)
+from sdeinvariance import (Box, CheckConfig, Halfspace, Polyhedron,
+                           SdeSystem, build_model, check_box,
+                           check_polyhedron)
 
 import numpy as np
 
@@ -42,7 +42,7 @@ print(f"\nface (0, lower): {face.n_samples} samples, "
 # gates nonnegative; so does the deterministic one.
 for name in ("hh-det", "hh-logistic"):
     system, info = build_model(name, sigma=0.5)
-    report = check_positivity(system, indices=(0, 1, 2))
+    report = check_box(system, Box.positive((0, 1, 2)))
     print(f"positivity, {name}: {report.verdict.value}")
 
 # =========================

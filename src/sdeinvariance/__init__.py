@@ -29,7 +29,7 @@ from .hodgkin_huxley import (HHParams, MODEL_REGISTRY, NoiseKind, build_model,
 from .integrators import SimConfig, simulate, write_trajectory_csv
 from .invariance import (CheckConfig, CheckReport, FaceReport, Verdict,
                          Witness, check_box, check_comparison,
-                         check_polyhedron, check_positivity)
+                         check_polyhedron)
 from .svgplot import line_chart
 from .wiener import WienerGrid, uniform_stream
 
@@ -42,9 +42,9 @@ __all__ = [
     "ModelEvaluationError", "ModelInfo", "NoiseKind", "Polyhedron",
     "SdeSystem", "SimConfig", "TimeGrid", "Trajectory", "UsageError",
     "Verdict", "WienerGrid", "Witness", "build_model", "check_box",
-    "check_comparison", "check_polyhedron", "check_positivity",
-    "compare_interpretations", "correction_batch", "hh_metadata",
-    "integrate_paths", "ito_to_stratonovich", "line_chart", "rate_alpha",
-    "rate_beta", "resting_state", "run_ensemble", "simulate",
-    "stratonovich_to_ito", "uniform_stream", "write_trajectory_csv",
+    "check_comparison", "check_polyhedron", "compare_interpretations",
+    "correction_batch", "hh_metadata", "integrate_paths",
+    "ito_to_stratonovich", "line_chart", "rate_alpha", "rate_beta",
+    "resting_state", "run_ensemble", "simulate", "stratonovich_to_ito",
+    "uniform_stream", "write_trajectory_csv",
 ]

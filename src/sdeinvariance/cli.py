@@ -43,8 +43,8 @@ from .ensemble import run_ensemble
 from .hodgkin_huxley import build_model
 from .integrators import (SimConfig, simulate, write_csv_rows,
                           write_trajectory_csv)
-from .invariance import (CheckConfig, Verdict, _coord_windows,
-                         _face_interval, check_box)
+from .invariance import (CheckConfig, Verdict, _sampling_intervals,
+                         check_box)
 from .svgplot import line_chart
 from .wiener import WienerGrid
 
@@ -309,15 +309,16 @@ def cmd_convert(ns: argparse.Namespace) -> int:
              f"jacobian mode: {policy.mode.value}"]
     samples = np.array([info.x0], dtype=float)
     if box is not None:  # five points along the box's diagonal
-        # an infinite end takes the interval check_box samples there
-        windows = _coord_windows(system, _check_config(ns))
-        ends = zip(box.indices, box.lower, box.upper)
-        lo, hi = np.array([(a, b) if np.isfinite([a, b]).all()
-                           else _face_interval(a, b, windows[i])
-                           for i, a, b in ends]).T
+        # finite bounds as they are; a coordinate with an infinite end
+        # takes its sampling interval (see CheckConfig)
+        idx = list(box.indices)
+        lo, hi = _sampling_intervals(system, _check_config(ns), box)
+        finite = np.isfinite(box.lower) & np.isfinite(box.upper)
+        lo = np.where(finite, box.lower, lo[idx])
+        hi = np.where(finite, box.upper, hi[idx])
         frac = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
         samples = samples.repeat(5, axis=0)
-        samples[:, list(box.indices)] = lo + frac * (hi - lo)
+        samples[:, idx] = lo + frac * (hi - lo)
     lines.append("drift correction h/2 at t=0:")
     sample_rows = []
     for x, h in zip(samples, correction_batch(system, 0.0, samples, policy)):
@@ -441,10 +442,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-
-
-def app() -> None:
-    raise SystemExit(main(_sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -174,15 +174,20 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
 
 
 def _amplitudes(sigma) -> Tuple[float, float, float]:
-    """sigma as one positive, finite amplitude per gate; a number stands
-    for all three."""
-    sig = ((float(sigma),) * 3 if np.isscalar(sigma)
-           else tuple(float(s) for s in sigma))
-    if len(sig) != 3:
+    """sigma as one positive, finite amplitude per gate; a number (or a
+    0-d array) stands for all three."""
+    try:
+        sig = np.asarray(sigma, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(
+            f"sigma must be a number or numbers, not {sigma!r}") from None
+    if sig.ndim == 0:
+        sig = np.full(3, sig)
+    if sig.shape != (3,):
         raise UsageError("sigma must have one entry per gating variable")
-    if any(not 0 < s < np.inf for s in sig):
+    if not ((0 < sig) & (sig < np.inf)).all():
         raise UsageError("sigma entries must be positive and finite")
-    return sig
+    return tuple(float(s) for s in sig)
 
 
 def hh_diffusion(kind: NoiseKind, sigma) -> Callable[[float, Array], Array]:

@@ -60,13 +60,17 @@ class CheckConfig:
 
     eps_drift is a one-sided slack on the inward-drift inequalities; a
     margin exactly at the tolerance still counts as satisfied.  eps_diff
-    bounds |diffusion| on faces two-sidedly.  Coordinates that the region
-    leaves free are sampled from the system's declared coord_ranges, or
-    from fallback_range when the system declares none.  Sampling windows
-    are always finite: a coord_ranges entry infinite on one side becomes
-    its finite end plus or minus the span of fallback_range, (lo, inf)
+    bounds |diffusion| on faces two-sidedly.
+
+    Every checker samples each coordinate on one finite interval.  Its
+    window is the system's coord_ranges entry, or fallback_range when the
+    system declares none; an entry infinite on one side becomes its
+    finite end plus or minus the span of fallback_range, (lo, inf)
     becoming (lo, lo + span), and one infinite on both sides becomes
-    fallback_range.
+    fallback_range.  A box coordinate with bounds [a, b] takes the window
+    clipped to them; where the two share no more than a point it takes
+    [a, b] itself, a half-line cut to the window's width w: [a, a + w] or
+    [b - w, b].
 
     n_time_samples check times are spread evenly over [0, t_max_check]
     (one means t = 0 alone).  A system that declares autonomous is
@@ -172,36 +176,30 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _coord_windows(sys: SdeSystem, cfg: CheckConfig) -> Tuple[Tuple[float, float], ...]:
-    """The finite sampling window of every coordinate (see CheckConfig)."""
-    if sys.coord_ranges is None:
-        return (cfg.fallback_range,) * sys.m
+def _sampling_intervals(sys: SdeSystem, cfg: CheckConfig,
+                        box: Optional[Box] = None) -> Tuple[Array, Array]:
+    """The finite sampling interval of every coordinate, as arrays lo and
+    hi, by the rule CheckConfig states."""
     span = cfg.fallback_range[1] - cfg.fallback_range[0]
-    windows = []
-    for lo, hi in sys.coord_ranges:  # lo < hi: lo is never +inf
-        if math.isinf(lo) and math.isinf(hi):
-            lo, hi = cfg.fallback_range
-        elif math.isinf(lo):
-            lo = hi - span
-        elif math.isinf(hi):
-            hi = lo + span
-        windows.append((lo, hi))
-    return tuple(windows)
-
-
-def _face_interval(a: float, b: float,
-                   window: Tuple[float, float]) -> Tuple[float, float]:
-    """Sampling interval for one coordinate inside bounds [a, b]: the window
-    clipped to them, else the bounds, a half-line cut to the window's span."""
-    lo, hi = window
-    if max(a, lo) < min(b, hi):
-        return (max(a, lo), min(b, hi))
-    span = hi - lo
-    if math.isinf(b):
-        return (a, a + span)
-    if math.isinf(a):
-        return (b - span, b)
-    return (a, b)
+    lo, hi = np.array(sys.coord_ranges or (cfg.fallback_range,) * sys.m).T
+    both = np.isinf(lo) & np.isinf(hi)  # lo < hi: lo is never +inf
+    lo, hi = (np.where(both, cfg.fallback_range[0],
+                       np.where(np.isinf(lo), hi - span, lo)),
+              np.where(both, cfg.fallback_range[1],
+                       np.where(np.isinf(hi), lo + span, hi)))
+    if box is None:
+        return lo, hi
+    if max(box.indices) >= sys.m:
+        raise UsageError("box constrains a coordinate outside the state")
+    idx = list(box.indices)
+    a, b = np.full(sys.m, -math.inf), np.full(sys.m, math.inf)
+    a[idx], b[idx] = box.lower, box.upper
+    inside = np.maximum(a, lo) < np.minimum(b, hi)
+    width = hi - lo
+    return (np.where(inside, np.maximum(a, lo),
+                     np.where(np.isinf(a), b - width, a)),
+            np.where(inside, np.minimum(b, hi),
+                     np.where(np.isinf(b), a + width, b)))
 
 
 def _child_rng(cfg: CheckConfig, *key: int) -> np.random.Generator:
@@ -292,20 +290,13 @@ def _report(faces: Sequence[FaceReport], cfg: CheckConfig) -> CheckReport:
 
 def _box_face_points(sys: SdeSystem, box: Box, cfg: CheckConfig,
                      coord: int, pin: float, ordinal: int) -> Array:
-    m = sys.m
-    free = [j for j in range(m) if j != coord]
-    if not free:
-        x = np.empty((1, 1))
-        x[0, 0] = pin
-        return x
-    u = _halton(cfg, len(free), 1, ordinal)
-    windows = _coord_windows(sys, cfg)
-    pts = np.empty((u.shape[0], m))
+    lo, hi = _sampling_intervals(sys, cfg, box)
+    free = [j for j in range(sys.m) if j != coord]
+    pts = np.empty((1 if not free else cfg.n_face_samples, sys.m))
     pts[:, coord] = pin
-    for col, j in enumerate(free):
-        a, b = box.bound(j)
-        lo, hi = _face_interval(a, b, windows[j])
-        pts[:, j] = lo + u[:, col] * (hi - lo)
+    if free:
+        u = _halton(cfg, len(free), 1, ordinal)
+        pts[:, free] = lo[free] + u * (hi - lo)[free]
     return pts
 
 
@@ -314,15 +305,14 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
     """Check invariance of a box region for a system.
 
     Each finite face is sampled with a scrambled Halton sequence (pinned
-    coordinate fixed, free coordinates drawn inside the box intersected
-    with the plausibility windows) at times spread over [0, t_max_check].
-    Both interpretations are handled identically because the face
+    coordinate fixed, free coordinates drawn from their sampling intervals,
+    see CheckConfig) at times spread over [0, t_max_check].  A one-sided
+    box such as Box.positive(indices), the cone x_i >= 0, has lower faces
+    only.  Both interpretations are handled identically because the face
     conditions are interpretation-independent.  An autonomous system is
     evaluated once per face, its first face once more as a check of the
     declaration (see _scan_face).
     """
-    if max(box.indices) >= sys.m:
-        raise UsageError("box constrains a coordinate outside the state")
     faces = []
     for ordinal, (i, side, pin) in enumerate(box.faces()):
         pts = _box_face_points(sys, box, cfg, i, pin, ordinal)
@@ -340,16 +330,6 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
                                 autonomous=sys.autonomous,
                                 verify=ordinal == 0))
     return _report(faces, cfg)
-
-
-def check_positivity(sys: SdeSystem, indices: Sequence[int],
-                     cfg: CheckConfig = CheckConfig()) -> CheckReport:
-    """Check invariance of the cone {x_i >= 0 for i in indices}.
-
-    Delegates to :func:`check_box` with one-sided bounds [0, inf); only
-    the lower faces exist, so only they are sampled.
-    """
-    return check_box(sys, Box.positive(tuple(indices)), cfg)
 
 
 def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
@@ -373,7 +353,7 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
         raise UsageError("comparison needs at least one coupled coordinate")
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= m:
         raise UsageError("comparison indices must be distinct and in range")
-    lo, hi = np.array(_coord_windows(sys_a, cfg)).T
+    lo, hi = _sampling_intervals(sys_a, cfg)
     span = hi - lo
     free = [j for j in range(m) if j not in idx]
     autonomous = sys_a.autonomous and sys_b.autonomous
@@ -615,7 +595,7 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     anchors = np.array([h.anchor for h in poly.halfspaces], dtype=float)
     normals = np.array([h.normal for h in poly.halfspaces], dtype=float)
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    lo, hi = np.array(_coord_windows(sys, cfg)).T
+    lo, hi = _sampling_intervals(sys, cfg)
     x0 = _find_interior(anchors, normals, lo, hi, cfg)
     reached, starts, rngs = [], [], []
     for nu in range(anchors.shape[0]):

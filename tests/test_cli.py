@@ -386,6 +386,17 @@ class TestConvert:
         assert "check verdict, stratonovich form: satisfied\n" in out
         assert "check verdict, converted ito form: satisfied\n" in out
 
+    def test_box_outside_the_state_is_a_usage_error(self, capsys):
+        for upper in ("1", "Infinity"):
+            code, out, err = run_cli(
+                capsys, "convert", "--model", "hh-logistic", "--box",
+                f'{{"indices": [7], "lower": [0], "upper": [{upper}]}}',
+                *QUICK_CHECK)
+            assert code == 1
+            assert err == ("error: box constrains a coordinate outside "
+                           "the state\n")
+            assert out == ""
+
     @pytest.mark.parametrize("case", sorted(PINNED_CONVERTS))
     def test_output_digests(self, capsys, tmp_path, monkeypatch, case):
         argv, digests = PINNED_CONVERTS[case]

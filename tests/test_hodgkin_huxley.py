@@ -300,15 +300,23 @@ class TestNoise:
     def test_spec_validation(self):
         # one sigma check serves both noisy models
         for name in ("hh-additive", "hh-logistic"):
-            for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+            for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), [[0.1, 0.2, 0.3]]):
                 with pytest.raises(UsageError, match="one entry per gating"):
                     build_model(name, sigma=bad)
+            with pytest.raises(UsageError, match="number or numbers"):
+                build_model(name, sigma="abc")
             for bad in (0.0, -0.5, (0.1, -0.2, 0.3)):
                 with pytest.raises(UsageError, match="positive"):
                     build_model(name, sigma=bad)
             for bad in (np.inf, np.nan, (0.1, np.inf, 0.2)):
                 with pytest.raises(UsageError, match="finite"):
                     build_model(name, sigma=bad)
+            # a 0-d array is a number
+            x = np.array([0.2, 0.4, 0.6, -60.0])
+            zero_d, _ = build_model(name, sigma=np.array(0.5))
+            number, _ = build_model(name, sigma=0.5)
+            assert np.array_equal(zero_d.diffusion(0.0, x),
+                                  number.diffusion(0.0, x))
 
     def test_additive_diffusion_matrix(self):
         system, _ = build_model("hh-additive", sigma=(0.1, 0.2, 0.3))

@@ -15,7 +15,7 @@ from sdeinvariance import (MODEL_REGISTRY, Box, CheckConfig, Halfspace,
                            ModelEvaluationError, Polyhedron, SdeSystem,
                            UsageError, Verdict, build_model, check_box,
                            check_comparison, check_polyhedron,
-                           check_positivity, stratonovich_to_ito)
+                           stratonovich_to_ito)
 from sdeinvariance.core import diffusion_batch, drift_batch
 from sdeinvariance import invariance as inv
 from helpers import constant_drift_system
@@ -122,6 +122,38 @@ class TestCheckBoxAgainstBruteForce:
         free = np.concatenate(seen)[:, 1]
         assert np.isfinite(free).all()
         assert ((window[0] <= free) & (free <= window[1])).all()
+
+
+class TestSamplingIntervals:
+    """inv._sampling_intervals against intervals written out by hand."""
+
+    def test_windows_without_coord_ranges_are_the_fallback(self):
+        lo, hi = inv._sampling_intervals(drift_only(2, np.zeros_like),
+                                         CheckConfig())
+        assert (lo.tolist(), hi.tolist()) == ([-10.0, -10.0], [10.0, 10.0])
+
+    def test_every_case_of_the_rule(self):
+        ranges = ((0.0, 1.0), (2.0, math.inf), (-math.inf, -3.0),
+                  (-math.inf, math.inf), (-100.0, 60.0), (-100.0, 60.0),
+                  (-100.0, 60.0))
+        system = drift_only(7, np.zeros_like, coord_ranges=ranges)
+        lo, hi = inv._sampling_intervals(system, CheckConfig())
+        # one-sided ranges take the fallback span, 20; two-sided the range
+        assert lo.tolist() == [0.0, 2.0, -23.0, -10.0, -100.0, -100.0, -100.0]
+        assert hi.tolist() == [1.0, 22.0, -3.0, 10.0, 60.0, 60.0, 60.0]
+        box = Box((0, 1, 4, 5, 6), (0.5, 0.0, 70.0, -math.inf, 70.0),
+                  (2.0, math.inf, 80.0, -150.0, math.inf))
+        lo, hi = inv._sampling_intervals(system, CheckConfig(), box)
+        # 0: window clipped to the bounds; 1: a half-line over the window;
+        # 2, 3: free; 4: bounds outside the window; 5, 6: half-lines
+        # outside it, cut to its width 160
+        assert lo.tolist() == [0.5, 2.0, -23.0, -10.0, 70.0, -310.0, 70.0]
+        assert hi.tolist() == [1.0, 22.0, -3.0, 10.0, 80.0, -150.0, 230.0]
+
+    def test_box_outside_the_state_is_refused(self):
+        with pytest.raises(UsageError, match="outside the state"):
+            inv._sampling_intervals(drift_only(2, np.zeros_like),
+                                    CheckConfig(), Box.unit((2,)))
 
 
 class TestWitnesses:
@@ -329,7 +361,7 @@ class TestPositivity:
         sys1 = SdeSystem(m=1, r=1,
                          drift=lambda t, x: 1.0 - np.asarray(x, dtype=float),
                          diffusion=diffusion, vectorized=True)
-        report = check_positivity(sys1, [0], QUICK)
+        report = check_box(sys1, Box.positive([0]), QUICK)
         assert report.verdict is Verdict.SATISFIED
 
     def test_additive_noise_breaks_cone(self):
@@ -340,7 +372,7 @@ class TestPositivity:
         sys1 = SdeSystem(m=1, r=1,
                          drift=lambda t, x: 1.0 - np.asarray(x, dtype=float),
                          diffusion=diffusion, vectorized=True)
-        report = check_positivity(sys1, [0], QUICK)
+        report = check_box(sys1, Box.positive([0]), QUICK)
         assert report.verdict is Verdict.VIOLATED
         assert {w.kind for w in report.witnesses} == {"diffusion_nonzero"}
 
@@ -352,9 +384,10 @@ class TestPositivity:
             return out
 
         sys2 = drift_only(2, fn)
-        assert check_positivity(sys2, [0], QUICK).verdict is Verdict.SATISFIED
-        assert check_positivity(sys2, [0, 1],
-                                QUICK).verdict is Verdict.VIOLATED
+        assert (check_box(sys2, Box.positive([0]), QUICK).verdict
+                is Verdict.SATISFIED)
+        assert (check_box(sys2, Box.positive([0, 1]), QUICK).verdict
+                is Verdict.VIOLATED)
 
 
 def own_coordinate_diffusion(t, x):
@@ -834,7 +867,7 @@ class TestAutonomous:
     def test_time_dependent_system_is_evaluated_at_every_time(self):
         system = drift_only(1, _late_drift)
         cfg = CheckConfig(n_time_samples=16)
-        report = check_positivity(system, (0,), cfg)
+        report = check_box(system, Box.positive((0,)), cfg)
         times = np.linspace(0.0, cfg.t_max_check, 16)
         assert [w.t for w in report.witnesses] == list(times[times < 50.0])
         assert report.faces[0].min_drift_margin == -50.0
