@@ -213,7 +213,10 @@ def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
         step = 0.01 if ns.dt is None else ns.dt
         if not step > 0:
             raise UsageError("dt must be positive")
-        n_steps = int(round((t_end - ns.t0) / step))
+        n_steps = (t_end - ns.t0) / step
+        if not np.isfinite(n_steps):
+            raise UsageError(f"t0, t_end and dt give {n_steps} steps")
+        n_steps = int(round(n_steps))
         if n_steps < 1:
             raise UsageError("grid is shorter than one step")
     return SimConfig(grid=TimeGrid(ns.t0, t_end, n_steps), x0=tuple(info.x0),

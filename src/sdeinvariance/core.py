@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -79,7 +80,7 @@ class SdeSystem:
         m: state dimension (>= 1).
         r: number of independent Wiener components (>= 0).
         drift: callable (t, x) -> array of shape (m,).
-        diffusion: callable (t, x) -> array of shape (m, r).
+        diffusion: callable (t, x) -> (m, r) array; but see diagonal_noise.
         interpretation: Ito or Stratonovich reading of (f, g).
         name: label used in reports and file output.
         vectorized: if True, drift/diffusion also accept a batch of states
@@ -95,11 +96,10 @@ class SdeSystem:
             the checkers when a coordinate is not pinned by the region under
             test.
         diagonal_noise: if True, g[i, k] == 0 whenever i != k, so Wiener
-            component k drives coordinate k alone (needs r <= m).  The
-            integrators then add g[i, i] dW_i to the first r coordinates
-            instead of contracting the whole matrix; the diffusion callable
-            is evaluated as before, and the first evaluation of a run is
-            checked against the declaration.
+            component k drives coordinate k alone (needs r <= m), and the
+            diffusion returns only g[i, i], i < r: shape (r,), or (n, r)
+            for a batch, checked at every evaluation.  diffusion_batch
+            places it in the (n, m, r) matrix that the checkers read.
         autonomous: if True, drift and diffusion do not depend on t, so
             they return the same bits at every time.  The invariance
             checkers then evaluate each face once and replay the result
@@ -181,10 +181,22 @@ def drift_batch(sys: SdeSystem, t: float, states: Array) -> Array:
     return _eval_batch(sys, "drift", sys.drift, t, states, (sys.m,))
 
 
+def declared_diffusion_batch(sys: SdeSystem, t: float, states: Array
+                             ) -> Array:
+    """The diffusion on a (n, m) batch in its declared shape, (n, r) for
+    diagonal_noise, else (n, m, r)."""
+    shape = (sys.r,) if sys.diagonal_noise else (sys.m, sys.r)
+    return _eval_batch(sys, "diffusion", sys.diffusion, t, states, shape)
+
+
 def diffusion_batch(sys: SdeSystem, t: float, states: Array) -> Array:
     """Evaluate the diffusion on a (n, m) batch, shape (n, m, r)."""
-    return _eval_batch(sys, "diffusion", sys.diffusion, t, states,
-                       (sys.m, sys.r))
+    g = declared_diffusion_batch(sys, t, states)
+    if not sys.diagonal_noise:
+        return g
+    dense = np.zeros((len(g), sys.m, sys.r))
+    dense[:, range(sys.r), range(sys.r)] = g
+    return dense
 
 
 def jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
@@ -195,6 +207,15 @@ def jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
             "jacobian")
     return _eval_batch(sys, "diffusion jacobian", sys.diffusion_jacobian, t,
                        states, (sys.m, sys.r, sys.m))
+
+
+def checked_indices(values, what: str) -> Tuple[int, ...]:
+    """values read by operator.index, so a non-integer such as 2.7 is a
+    UsageError naming what."""
+    try:
+        return tuple(operator.index(i) for i in values)
+    except TypeError as exc:
+        raise UsageError(f"{what} must be integers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -211,7 +232,7 @@ class Box:
     upper: Tuple[float, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = checked_indices(self.indices, "box indices")
         lo = tuple(float(v) for v in self.lower)
         hi = tuple(float(v) for v in self.upper)
         if not idx:
@@ -268,10 +289,14 @@ class Box:
                 out.append((i, "upper", b))
         return tuple(out)
 
+    def require_within(self, m: int) -> None:
+        """UsageError unless every constrained coordinate is one of m."""
+        if max(self.indices) >= m:
+            raise UsageError("box constrains a coordinate outside the state")
+
     def as_polyhedron(self, m: int) -> "Polyhedron":
         """The same region as an intersection of half-spaces in R^m."""
-        if max(self.indices) >= m:
-            raise UsageError("box indices exceed the requested dimension")
+        self.require_within(m)
         halves = []
         for i, a, b in zip(self.indices, self.lower, self.upper):
             for pin, sign in ((a, 1.0), (b, -1.0)):

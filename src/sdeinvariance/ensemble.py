@@ -168,6 +168,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         raise UsageError("n_paths must be >= 1")
     if not 0 <= tol < np.inf:
         raise UsageError("tol must be finite and >= 0")
+    if box is not None:
+        box.require_within(sys.m)
     times = cfg.grid.times()
     n_grid, m = times.size, sys.m
     width = _block_steps(n_paths, m, sys.r, n_grid)

@@ -13,9 +13,9 @@ and the voltage follows the current balance
 
 Noise enters only through the gating rows, gate i driven by Wiener
 component i alone; the voltage row of the diffusion matrix is
-identically zero.  g is therefore diagonal, and build_model declares it
-(SdeSystem.diagonal_noise).  No field depends on t, which build_model
-declares as well (SdeSystem.autonomous).  Three variants are registered:
+identically zero.  g is therefore diagonal: the diffusion returns the
+three gate entries g[i, i] alone (SdeSystem.diagonal_noise).  No field
+depends on t (SdeSystem.autonomous).  Three variants are registered:
 
     hh-det        no noise (plain ODE)
     hh-additive   constant sigma_i on gating component i
@@ -191,25 +191,17 @@ def _amplitudes(sigma) -> Tuple[float, float, float]:
 
 
 def hh_diffusion(kind: NoiseKind, sigma) -> Callable[[float, Array], Array]:
-    """Diffusion field, shape (..., 4, 3); the voltage row is zero.
-
-    sigma holds the three gate amplitudes; NoiseKind.NONE ignores it.
-    """
+    """Diffusion g[i, i] of each gate i, shape (..., 3); sigma holds the
+    three gate amplitudes, which NoiseKind.NONE ignores."""
     sigma = np.asarray(sigma)
 
     def diffusion(t: float, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4, 3))
+        gates = np.asarray(x, dtype=float)[..., :3]
         if kind is NoiseKind.NONE:
-            return out
-        # entries (i, i), i < 3, sit 4 apart in each flat 12-entry block
-        diagonal = out.reshape(x.shape[:-1] + (12,))[..., ::4]
+            return np.zeros(gates.shape)
         if kind is NoiseKind.ADDITIVE:
-            diagonal[...] = sigma
-        else:
-            gates = x[..., :3]
-            np.multiply(sigma * gates, 1.0 - gates, out=diagonal)
-        return out
+            return np.full(gates.shape, sigma)
+        return sigma * gates * (1.0 - gates)
 
     return diffusion
 

@@ -15,12 +15,12 @@ averaged in the Heun corrector.  With state-independent diffusion the two
 schemes therefore coincide step by step.
 
 g dW is a contraction of the (m, r) matrix with the r increments.  For a
-system that declares diagonal_noise it is g[i, i] dW_i on the first r
-coordinates, added in place from a strided view of the diagonal, and the
-Heun average is taken over the diagonal alone.  The dense contraction
-only adds exact zeros to those products, so the states are the same bits
-(a sum of exact zeros can turn a -0.0 into +0.0, which changes a state
-only where the Euler drift step gave exactly -0.0).
+system that declares diagonal_noise, whose diffusion returns only the r
+diagonal entries, it is g[i, i] dW_i added in place to the first r
+coordinates, and the Heun average is taken over the diagonal alone.  The
+dense contraction only adds exact zeros to those products, so the states
+are the same bits (a sum of exact zeros can turn a -0.0 into +0.0, which
+changes a state only where the Euler drift step gave exactly -0.0).
 
 The system's interpretation tag is the only thing that picks the scheme:
 Euler-Maruyama for Ito, Euler-Heun for Stratonovich.  To apply the other
@@ -46,8 +46,8 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (Array, IntegrationError, Interpretation, SdeSystem,
-                   TimeGrid, Trajectory, UsageError, diffusion_batch,
-                   drift_batch)
+                   TimeGrid, Trajectory, UsageError,
+                   declared_diffusion_batch, drift_batch)
 from .wiener import WienerGrid
 
 
@@ -83,9 +83,8 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
     its last finite state from there on.  Once no path is alive (at once
     with no paths), march calls neither the model nor increments_for and
     yields the same frozen x at every remaining index; until then each x
-    is fresh.  Consumers copy x and never write to it.  For a system that
-    declares diagonal_noise, only the first diffusion evaluation is
-    checked for exact zeros off the diagonal (UsageError if not).
+    is fresh.  Consumers copy x and never write to it.  A diffusion not in
+    its declared shape (see SdeSystem.diagonal_noise) is a UsageError.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != sys.m:
@@ -115,29 +114,16 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
 def _step(sys: SdeSystem, t: float, t_next: float, dt: float, x: Array,
           dw: Array, first: bool) -> Array:
     """One Euler-Maruyama step from (t, x), Heun-corrected for Stratonovich;
-    with first, also checks the shape of dw and a declared diagonal g."""
+    with first, also checks the shape of dw."""
     if first and np.shape(dw) != (len(x), sys.r):
         raise UsageError(f"increments have shape {np.shape(dw)}, "
                          f"not ({len(x)}, {sys.r})")
     euler = x + drift_batch(sys, t, x) * dt
-    g = _noise_matrix(sys, t, x, first)
+    g = declared_diffusion_batch(sys, t, x)
     if sys.interpretation is Interpretation.STRATONOVICH:
         pred = _add_noise(euler.copy(), g, dw)
-        g = 0.5 * (g + _noise_matrix(sys, t_next, pred, False))
+        g = 0.5 * (g + declared_diffusion_batch(sys, t_next, pred))
     return _add_noise(euler, g, dw)
-
-
-def _noise_matrix(sys: SdeSystem, t: float, x: Array, check: bool) -> Array:
-    """The (n, m, r) diffusion at (t, x), or for diagonal_noise the (n, r)
-    view of g[:, i, i], i < r; with check, UsageError unless g is zero
-    off that diagonal."""
-    g = diffusion_batch(sys, t, x)
-    if not sys.diagonal_noise:
-        return g
-    if check:
-        _require_diagonal(g)
-    n, m, r = g.shape  # the diagonal is every (r + 1)-th entry of a row
-    return g.reshape(n, m * r)[:, :r * (r + 1):r + 1]
 
 
 def _add_noise(x: Array, g: Array, dw: Array) -> Array:
@@ -148,14 +134,6 @@ def _add_noise(x: Array, g: Array, dw: Array) -> Array:
     else:
         x += np.einsum("pmr,pr->pm", g, dw)
     return x
-
-
-def _require_diagonal(g: Array) -> None:
-    """UsageError unless the (n, m, r) diffusion g is zero off the diagonal."""
-    off = ~np.eye(g.shape[1], g.shape[2], dtype=bool)
-    if (g[:, off] != 0).any():
-        raise UsageError("system declares diagonal_noise, but its diffusion "
-                         "has a non-zero entry off the diagonal")
 
 
 def integrate_batch(sys: SdeSystem, grid: TimeGrid, x0: Array,

@@ -41,7 +41,7 @@ from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
-                   UsageError, diffusion_batch, drift_batch)
+                   UsageError, checked_indices, diffusion_batch, drift_batch)
 
 _INTERIOR_BUDGET = 4096
 _ANCHOR_TRIES = 64
@@ -189,8 +189,7 @@ def _sampling_intervals(sys: SdeSystem, cfg: CheckConfig,
                        np.where(np.isinf(hi), lo + span, hi)))
     if box is None:
         return lo, hi
-    if max(box.indices) >= sys.m:
-        raise UsageError("box constrains a coordinate outside the state")
+    box.require_within(sys.m)
     idx = list(box.indices)
     a, b = np.full(sys.m, -math.inf), np.full(sys.m, math.inf)
     a[idx], b[idx] = box.lower, box.upper
@@ -348,7 +347,7 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
         raise UsageError("compared systems must share state and noise "
                          "dimensions")
     m = sys_a.m
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(checked_indices(indices, "comparison indices")))
     if not idx:
         raise UsageError("comparison needs at least one coupled coordinate")
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= m:

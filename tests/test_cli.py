@@ -103,6 +103,11 @@ class TestErrors:
     @pytest.mark.parametrize("argv, message", [
         (("--dt", "0"), "dt must be positive"),
         (("--t-end", "0.004"), "grid is shorter than one step"),
+        (("--t-end", "inf"), "t0, t_end and dt give inf steps"),
+        (("--t-end", "nan"), "t0, t_end and dt give nan steps"),
+        (("--t0", "nan"), "t0, t_end and dt give nan steps"),
+        (("--t-end", "1e308", "--dt", "1e-308"),
+         "t0, t_end and dt give inf steps"),
     ])
     def test_grids_without_a_step_are_refused(self, capsys, argv, message):
         assert run_cli(capsys, "simulate", "--model", "hh-det",
@@ -112,6 +117,8 @@ class TestErrors:
         (("check", "--model", "hh-logistic", "--sigma", "abc"), None),
         (("check", "--model", "hh-logistic", "--box",
           '{"indices": [0], "lower": ["a"], "upper": [1]}'), None),
+        (("check", "--model", "hh-logistic", "--box",
+          '{"indices": [2.7], "lower": [0], "upper": [1]}'), None),
         (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
         (("check", "--model", "hh-additive", "--t-max-check", "inf"), None),
         (("check", "--model", "hh-det", "--sampler-seed", "-1"), None),
@@ -257,6 +264,19 @@ class TestEnsemble:
         assert code == 0, err
         assert json.loads(stats_file.read_text())["nonfinite_paths"]
         assert len(list(target.iterdir())) == 5
+
+    def test_box_outside_the_state_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "paths"
+        stats_file = tmp_path / "stats.json"
+        code, out, err = run_cli(
+            capsys, "ensemble", "--model", "hh-logistic", "--n-paths", "2",
+            "--t-end", "0.1", "--box",
+            '{"indices": [7], "lower": [0], "upper": [1]}',
+            "--dump-paths", str(target), "--out", str(stats_file))
+        assert (code, out) == (1, "")
+        assert err == "error: box constrains a coordinate outside the state\n"
+        assert not target.exists()
+        assert not stats_file.exists()
 
     def test_large_dump_warns_on_stderr(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "ensemble", "--model",

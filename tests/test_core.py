@@ -139,6 +139,15 @@ class TestBox:
             with pytest.raises(UsageError, match="match the number"):
                 Box((0, 1), lower, upper)
 
+    def test_indices_are_read_as_integers(self):
+        for bad in ((2.7,), (1.0,), ("1",), (None,)):
+            with pytest.raises(UsageError, match="box indices must be "
+                               "integers"):
+                Box(bad, (0.0,), (1.0,))
+        box = Box((np.int64(2), np.uint8(0)), (0, 0), (1, 1))
+        assert box.indices == (2, 0)
+        assert all(type(i) is int for i in box.indices)
+
     def test_faces_ordering_and_one_sided(self):
         b = Box((2, 0), (0.0, -1.0), (math.inf, 1.0))
         assert b.faces() == ((0, "lower", -1.0), (0, "upper", 1.0),
@@ -159,7 +168,8 @@ class TestBox:
         assert upper.normal == (-1.0, 0.0)
 
     def test_as_polyhedron_dimension_check(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="box constrains a coordinate "
+                           "outside the state"):
             Box.unit((3,)).as_polyhedron(2)
 
 

@@ -109,6 +109,28 @@ class TestRunEnsemble:
             with pytest.raises(UsageError, match="tol"):
                 run_ensemble(sys1, cfg, 2, None, tol=tol)
 
+    def test_box_outside_the_state_is_refused_before_any_work(self):
+        calls = []
+
+        def drift(t, x):
+            calls.append("drift")
+            return np.zeros_like(x)
+
+        def diffusion(t, x):
+            calls.append("diffusion")
+            return np.zeros(np.shape(x)[:-1] + (1, 1))
+
+        sys1 = SdeSystem(m=1, r=1, drift=drift, diffusion=diffusion,
+                         vectorized=True)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), x0=(0.5,))
+        for box in (Box((1,), (0.0,), (1.0,)), Box((0, 3), (0, 0), (1, 1))):
+            with pytest.raises(UsageError, match="box constrains a "
+                               "coordinate outside the state"):
+                run_ensemble(sys1, cfg, 2, box,
+                             on_block=lambda start, states: calls.append(
+                                 "block"))
+        assert calls == []
+
 
 class TestDeterminism:
     ADDITIVE_64_SHA256 = (

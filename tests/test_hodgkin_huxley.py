@@ -236,7 +236,14 @@ class TestKernelBits:
         frozen_jac = _frozen_jacobian(kind, sigma)
         for x in _pin_states():
             with np.errstate(all="ignore"):
-                assert _same_bits(system.diffusion(0.0, x), frozen_g(0.0, x))
+                dense = frozen_g(0.0, x)
+                # the callable returns the diagonal, diffusion_batch the
+                # whole matrix
+                assert _same_bits(system.diffusion(0.0, x),
+                                  np.diagonal(dense, axis1=-2, axis2=-1))
+                assert _same_bits(
+                    diffusion_batch(system, 0.0, np.reshape(x, (-1, 4))),
+                    dense.reshape(-1, 4, 3))
                 assert _same_bits(system.diffusion_jacobian(0.0, x),
                                   frozen_jac(0.0, x))
 
@@ -292,7 +299,7 @@ class TestNoise:
         det, _ = build_model("hh-det")
         assert not det.diffusion(0.0, x).any()
         add, _ = build_model("hh-additive", sigma=0.3)
-        assert tuple(np.diagonal(add.diffusion(0.0, x))) == (0.3, 0.3, 0.3)
+        assert tuple(add.diffusion(0.0, x)) == (0.3, 0.3, 0.3)
         mul, _ = build_model("hh-logistic", sigma=(0.1, 0.2, 0.3))
         slopes = mul.diffusion_jacobian(0.0, x)[range(3), range(3), range(3)]
         assert tuple(slopes) == (0.1, 0.2, 0.3)
@@ -320,18 +327,22 @@ class TestNoise:
 
     def test_additive_diffusion_matrix(self):
         system, _ = build_model("hh-additive", sigma=(0.1, 0.2, 0.3))
-        g = system.diffusion(0.0, np.array([0.5, 0.5, 0.5, -60.0]))
+        x = np.array([0.5, 0.5, 0.5, -60.0])
         expected = np.zeros((4, 3))
         expected[0, 0], expected[1, 1], expected[2, 2] = 0.1, 0.2, 0.3
-        assert np.array_equal(g, expected)
+        assert np.array_equal(system.diffusion(0.0, x), (0.1, 0.2, 0.3))
+        assert np.array_equal(diffusion_batch(system, 0.0, [x]),
+                              expected[None])
 
     def test_multiplicative_diffusion_vanishes_on_faces(self):
         system, _ = build_model("hh-logistic", sigma=0.5)
         for gates in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)):
-            g = system.diffusion(0.0, np.array(gates + (-60.0,)))
-            assert np.array_equal(g, np.zeros((4, 3)))
+            x = np.array(gates + (-60.0,))
+            assert np.array_equal(system.diffusion(0.0, x), np.zeros(3))
+            assert np.array_equal(diffusion_batch(system, 0.0, [x]),
+                                  np.zeros((1, 4, 3)))
         g_mid = system.diffusion(0.0, np.array([0.5, 0.5, 0.5, -60.0]))
-        assert g_mid[0, 0] == 0.5 * 0.25
+        assert g_mid[0] == 0.5 * 0.25
 
     def test_voltage_row_is_always_zero(self):
         for name in ("hh-additive", "hh-logistic"):
@@ -349,8 +360,8 @@ class TestNoise:
         for j in range(4):
             shifted = x.copy()
             shifted[j] += eps
-            approx = (system.diffusion(0.0, shifted)
-                      - system.diffusion(0.0, x)) / eps
+            approx = (diffusion_batch(system, 0.0, [shifted])[0]
+                      - diffusion_batch(system, 0.0, [x])[0]) / eps
             assert np.allclose(jac[:, :, j], approx, atol=1e-6)
 
 
@@ -366,7 +377,7 @@ class TestModelRegistry:
         assert info.box.indices == (0, 1, 2)
         assert info.horizon == 100.0
         g = system.diffusion(0.0, np.array([0.5, 0.5, 0.5, -60.0]))
-        assert g[0, 0] == 0.5 * 0.25  # default sigma 0.5
+        assert g[0] == 0.5 * 0.25  # default sigma 0.5
 
     def test_each_model_carries_its_registry_name(self):
         for name in MODEL_REGISTRY:

@@ -3,18 +3,21 @@ import hashlib
 import io
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdeinvariance import (IntegrationError, Interpretation, SdeSystem,
-                           SimConfig, TimeGrid, Trajectory, UsageError,
-                           WienerGrid, build_model, run_ensemble, simulate,
+from sdeinvariance import (Box, CheckConfig, IntegrationError,
+                           Interpretation, SdeSystem, SimConfig, TimeGrid,
+                           Trajectory, UsageError, WienerGrid, build_model,
+                           check_box, run_ensemble, simulate,
                            stratonovich_to_ito, write_trajectory_csv)
-import sdeinvariance.integrators as integrators
-from sdeinvariance.conversion import JacobianMode, JacobianPolicy
+from sdeinvariance.conversion import (JacobianMode, JacobianPolicy,
+                                      correction_batch)
+from sdeinvariance.core import diffusion_batch
 from sdeinvariance.ensemble import integrate_paths
 from sdeinvariance.integrators import integrate_batch, march
 from sdeinvariance.wiener import increments_for_step
@@ -369,6 +372,13 @@ class TestBatchShapes:
                     zero_increments(1, 1), "freeze")
 
 
+def dense_twin(system: SdeSystem) -> SdeSystem:
+    """The same vectorized system with its declared diagonal expanded into
+    the (n, m, r) matrix, so march takes the dense contraction."""
+    return replace(system, diffusion=partial(diffusion_batch, system),
+                   diagonal_noise=False)
+
+
 class TestDiagonalNoise:
     """A declared-diagonal g gives the bits of the dense contraction."""
 
@@ -377,7 +387,7 @@ class TestDiagonalNoise:
     def test_hh_models_match_the_dense_contraction(self, name, reading):
         system, info = build_model(name, sigma=0.5, interpretation=reading)
         assert system.diagonal_noise
-        dense = replace(system, diagonal_noise=False)
+        dense = dense_twin(system)
         died = 0
         for n_steps in (2000, 400):  # at dt = 0.05 noisy paths blow up
             cfg = SimConfig(grid=TimeGrid(0.0, 20.0, n_steps),
@@ -391,21 +401,22 @@ class TestDiagonalNoise:
         assert (died > 0) == (name != "hh-det")
 
     @staticmethod
-    def square(off: float) -> SdeSystem:
-        """m = r = 2, declared diagonal; g[0, 1] = off."""
+    def square(dense: bool = False, vectorized: bool = True) -> SdeSystem:
+        """m = r = 2, declared diagonal; with dense, the diffusion returns
+        the whole (2, 2) matrix against its declaration.  The zero
+        Jacobian only lets the analytic correction reach the diffusion."""
         def drift(t, x):
             return -np.asarray(x, dtype=float)
 
         def diffusion(t, x):
             x = np.asarray(x, dtype=float)
-            g = np.zeros(x.shape[:-1] + (2, 2))
-            g[..., 0, 0] = np.sin(x[..., 1])
-            g[..., 1, 1] = 0.3 * x[..., 0]
-            g[..., 0, 1] = off
-            return g
+            g = np.stack([np.sin(x[..., 1]), 0.3 * x[..., 0]], axis=-1)
+            return g[..., None] * np.eye(2) if dense else g
 
         return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
-                         vectorized=True, diagonal_noise=True)
+                         vectorized=vectorized, diagonal_noise=True,
+                         diffusion_jacobian=lambda t, x: np.zeros(
+                             np.shape(x)[:-1] + (2, 2, 2)))
 
     @pytest.mark.parametrize("reading", list(Interpretation))
     def test_square_system_matches_the_dense_contraction(self, reading):
@@ -416,34 +427,40 @@ class TestDiagonalNoise:
         def incr(step):
             return increments_for_step(8, ids, step, 2, grid.dt)
 
-        system = replace(self.square(0.0), interpretation=reading)
+        system = replace(self.square(), interpretation=reading)
         states, _ = integrate_batch(system, grid, x0, incr)
-        want, _ = integrate_batch(replace(system, diagonal_noise=False),
-                                  grid, x0, incr)
+        want, _ = integrate_batch(dense_twin(system), grid, x0, incr)
         assert states.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("off", [0.1, np.nan])
-    def test_off_diagonal_entry_is_usage_error(self, off):
-        grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(UsageError, match="diagonal"):
-            integrate_batch(self.square(off), grid, np.ones((3, 2)),
-                            zero_increments(3, 2))
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_dense_shape_is_usage_error_at_first_evaluation(self,
+                                                            vectorized):
+        system = self.square(dense=True, vectorized=vectorized)
+        calls = []
 
-    def test_declaration_is_checked_once_per_march(self, monkeypatch):
-        checked = []
-        check = integrators._require_diagonal
+        def counted(t, x):
+            calls.append(t)
+            return system.diffusion(t, x)
 
-        def counted(g):
-            checked.append(g.shape)
-            check(g)
-
-        monkeypatch.setattr(integrators, "_require_diagonal", counted)
-        grid = TimeGrid(0.0, 1.0, 10)
-        square = self.square(0.0)
-        for reading in Interpretation:
-            integrate_batch(replace(square, interpretation=reading), grid,
-                            np.ones((3, 2)), zero_increments(3, 2))
-        assert checked == [(3, 2, 2)] * 2
+        counting = replace(system, diffusion=counted)
+        expected = (r"expected \(3, 2\)" if vectorized
+                    else r"expected \(2,\)")
+        box = Box.unit((0, 1))
+        runs = (
+            lambda: integrate_batch(counting, TimeGrid(0.0, 1.0, 10),
+                                    np.ones((3, 2)), zero_increments(3, 2)),
+            lambda: check_box(counting, box, CheckConfig(n_face_samples=3)),
+            lambda: correction_batch(counting, 0.0, np.ones((3, 2)),
+                                     ANALYTIC),
+            lambda: correction_batch(counting, 0.0, np.ones((3, 2)),
+                                     JacobianPolicy()),
+        )
+        for run in runs:
+            calls.clear()
+            with pytest.raises(UsageError, match="diffusion returned "
+                               "shape .*" + expected):
+                run()
+            assert len(calls) == 1
 
 
 class TestPinnedDenseStates:

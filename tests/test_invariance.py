@@ -484,6 +484,12 @@ class TestComparison:
             check_comparison(a, b, [0, 2], QUICK)
         with pytest.raises(UsageError):
             check_comparison(a, b, [0, 0], QUICK)
+        # 0.9 and 1.2 used to be truncated to coordinates 0 and 1
+        with pytest.raises(UsageError, match="comparison indices must be "
+                           "integers"):
+            check_comparison(a, b, (0.9, 1.2), QUICK)
+        assert (check_comparison(a, b, (np.int64(1),), QUICK).to_json()
+                == check_comparison(a, b, (1,), QUICK).to_json())
 
 
 def triangle() -> Polyhedron:
@@ -1180,7 +1186,12 @@ def test_constant_drift_verdict_matches_sign_analysis(c, lo):
 # within eps_drift.  p and the q_ii are solved from a drawn slack per
 # face: the lower face's minimum of f_i is s_lo, the upper face's
 # maximum is -s_hi, and a slack below -eps_drift breaks the face on the
-# fraction that _broken_fraction gives.
+# fraction that _broken_fraction gives.  The diffusion is declared
+# diagonal, so the checkers read it through diffusion_batch's expansion,
+# and its analytic Jacobian is J[i, i, i] = c_i (a_i + b_i - 2 x_i).  The
+# correction of row i on a face of coordinate i is then J[i, i, i] d_i,
+# at most about 4e-12 where |d_i| <= eps_diff, so a Stratonovich member
+# and its Ito conversion share their verdict, as the paper says.
 ORACLE_CFG = CheckConfig(n_face_samples=256, n_time_samples=2)
 # 256 independent uniform points miss 6% of a face with odds below 1e-6
 BROKEN_ENOUGH = 0.06
@@ -1245,8 +1256,12 @@ def diagonal_members(draw, m, intact):
 
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (m,))
-        out[..., range(m), range(m)] = c * (x - a) * (b - x) + d
+        return c * (x - a) * (b - x) + d
+
+    def jacobian(t, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (m, m, m))
+        out[..., range(m), range(m), range(m)] = c * (a + b - 2.0 * x)
         return out
 
     def oracle(i, side, x):
@@ -1255,12 +1270,13 @@ def diagonal_members(draw, m, intact):
         return (f_i if side == "lower" else -f_i), g_ii
 
     system = SdeSystem(m=m, r=m, drift=drift, diffusion=diffusion,
-                       vectorized=True, autonomous=True, name="diagonal")
+                       vectorized=True, autonomous=True, name="diagonal",
+                       diagonal_noise=True, diffusion_jacobian=jacobian)
     return system, Box(tuple(range(m)), tuple(a), tuple(b)), oracle, broken
 
 
 @pytest.mark.parametrize("intact", [True, False])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @settings(derandomize=True, max_examples=15)
 @given(data=st.data())
 def test_box_verdicts_match_the_closed_form(m, intact, data):
@@ -1291,3 +1307,8 @@ def test_box_verdicts_match_the_closed_form(m, intact, data):
     if all(f == 0.0 or f >= BROKEN_ENOUGH for f in fractions):
         assert (reports["polyhedron"].verdict
                 is reports["box"].verdict)
+    strat = replace(system, interpretation=Interpretation.STRATONOVICH)
+    converted = stratonovich_to_ito(strat,
+                                    JacobianPolicy(JacobianMode.ANALYTIC))
+    assert (check_box(converted, box, cfg).verdict
+            is check_box(strat, box, cfg).verdict)
