@@ -117,8 +117,6 @@ class TestErrors:
         (("check", "--model", "hh-logistic", "--sigma", "abc"), None),
         (("check", "--model", "hh-logistic", "--box",
           '{"indices": [0], "lower": ["a"], "upper": [1]}'), None),
-        (("check", "--model", "hh-logistic", "--box",
-          '{"indices": [2.7], "lower": [0], "upper": [1]}'), None),
         (("ensemble",), {"model": "hh-logistic", "n_paths": "many"}),
         (("check", "--model", "hh-additive", "--t-max-check", "inf"), None),
         (("check", "--model", "hh-det", "--sampler-seed", "-1"), None),
@@ -129,6 +127,8 @@ class TestErrors:
           "--tol", "inf"), None),
         (("simulate", "--model", "hh-det", "--t-end", "0.1",
           "--path-id", str(2 ** 64)), None),
+        (("check", "--model", "hh-logistic", "--box",
+          '{"indices": [2.7], "lower": [0], "upper": [1]}'), None),
     ])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv,
                                                config):
