@@ -948,6 +948,20 @@ class TestPluginModels:
                     1, "", "error: model build() must return "
                     "(SdeSystem, ModelInfo)\n")
 
+    def test_every_reading_of_a_plugin_is_type_checked(self, capsys,
+                                                       tmp_path):
+        # a good pair for the Ito reading, a lone system for Stratonovich
+        path = tmp_path / "half_model.py"
+        path.write_text(PLUGIN_SOURCE.replace(
+            "return system, info",
+            "return system if interpretation.value == 'stratonovich' "
+            "else (system, info)"))
+        assert run_cli(capsys, "ensemble", "--model", str(path),
+                       "--interpretation", "both", "--t-end", "1.0",
+                       "--dt", "0.25", "--n-paths", "2") == (
+            1, "", "error: model build() must return "
+            "(SdeSystem, ModelInfo)\n")
+
     def test_missing_model_file(self, capsys, tmp_path):
         path = str(tmp_path / "missing.py")
         assert run_cli(capsys, "check", "--model", path) == (

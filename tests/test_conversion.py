@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,15 @@ class TestRewrites:
 
     def test_interpretation_tag_enforced(self):
         ito = gbm_system(a=0.1, b=0.2)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError) as exc:
             stratonovich_to_ito(ito)
+        assert str(exc.value) == ("stratonovich_to_ito expects a "
+                                  "Stratonovich system")
         strat = gbm_system(a=0.1, b=0.2,
                            interpretation=Interpretation.STRATONOVICH)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError) as exc:
             ito_to_stratonovich(strat)
+        assert str(exc.value) == "ito_to_stratonovich expects an Ito system"
 
     def test_rewritten_drift_accepts_batches(self):
         strat, _ = build_model("hh-logistic", sigma=0.5,
@@ -131,3 +136,17 @@ class TestRewrites:
         assert batch.shape == (2, 4)
         for k, row in enumerate(pts):
             assert np.allclose(batch[k], ito.drift(0.0, row), rtol=1e-14)
+
+    @pytest.mark.parametrize("policy", [ANALYTIC, CENTRAL])
+    def test_single_states_match_the_vectorized_batch(self, policy):
+        strat, _ = build_model("hh-logistic", sigma=0.5,
+                               interpretation=Interpretation.STRATONOVICH)
+        assert strat.vectorized
+        batch_form = stratonovich_to_ito(strat, policy)
+        row_form = stratonovich_to_ito(replace(strat, vectorized=False),
+                                       policy)
+        pts = np.array([[0.2, 0.4, 0.6, -60.0], [0.5, 0.5, 0.5, -40.0],
+                        [0.05, 0.9, 0.3, 10.0]])
+        batch = batch_form.drift(0.0, pts)
+        for k, row in enumerate(pts):
+            assert row_form.drift(0.0, row).tobytes() == batch[k].tobytes()
