@@ -1217,7 +1217,9 @@ def _signed(lo, hi):
 @st.composite
 def diagonal_members(draw, m, intact):
     """(system, box, oracle, broken) for one member of dimension m, which
-    holds on every face within the tolerances if intact.  oracle(i, side,
+    holds on every face within the tolerances if intact is True.  With
+    intact "drift", every drift condition holds and exactly one |d_i|
+    exceeds eps_diff; with False, any face may break.  oracle(i, side,
     x) gives the inward drift margin and the diffusion g_ii at x, and
     broken maps each face (i, side) to the fraction of it on which a
     face condition fails."""
@@ -1236,6 +1238,8 @@ def diagonal_members(draw, m, intact):
     s_lo, s_hi = row(slack), row(slack)
     c = row(st.floats(-3.0, 3.0))
     d = row(tiny if intact else st.one_of(tiny, _signed(1e-6, 1.0)))
+    if intact == "drift":
+        d[draw(st.integers(0, m - 1))] = draw(_signed(1e-6, 1.0))
     eps_drift, eps_diff = ORACLE_CFG.eps_drift, ORACLE_CFG.eps_diff
     p = np.empty(m)
     broken = {}
@@ -1275,7 +1279,7 @@ def diagonal_members(draw, m, intact):
     return system, Box(tuple(range(m)), tuple(a), tuple(b)), oracle, broken
 
 
-@pytest.mark.parametrize("intact", [True, False])
+@pytest.mark.parametrize("intact", [True, False, "drift"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @settings(derandomize=True, max_examples=15)
 @given(data=st.data())
