@@ -138,39 +138,14 @@ def _load_plugin(path: str):
     return build
 
 
-def _model_builder(name: str, sig
-                   ) -> Callable[[Interpretation], Tuple[SdeSystem, ModelInfo]]:
-    """build(interpretation) -> (SdeSystem, ModelInfo) for a model name.
-
-    A name ending in .py is a plugin file, executed here, once; any other
-    name goes to build_model, which rejects one it does not know.
-    """
-    if not name.endswith(".py"):
-        def build(interpretation):
-            return build_model(name, sigma=sig, interpretation=interpretation)
-        return build
-    plugin = _load_plugin(name)
-
-    def build(interpretation):
-        result = plugin(sigma=sig, interpretation=interpretation)
-        try:
-            system, info = result
-        except (TypeError, ValueError):
-            system = info = None
-        if not (isinstance(system, SdeSystem)
-                and isinstance(info, ModelInfo)):
-            raise UsageError(
-                "model build() must return (SdeSystem, ModelInfo)")
-        return system, info
-    return build
-
-
 def _parse(parser: argparse.ArgumentParser,
            argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """Flags over --config values over defaults, and the model to run.
 
     The file's flags go first, so the command line's win; those parsed
-    alone already, so an error in parsing both is the file's."""
+    alone already, so an error in parsing both is the file's.  A model
+    name ending in .py is a plugin file, executed here, once, into
+    ns.plugin; a registry name leaves ns.plugin None."""
     argv = list(_sys.argv[1:] if argv is None else argv)
     ns = parser.parse_args(argv)
     if ns.config is not None:
@@ -187,15 +162,28 @@ def _parse(parser: argparse.ArgumentParser,
             ns.seed = int(env)
         except ValueError:
             raise UsageError(f"SDE_SEED is not an integer: {env!r}")
-    ns.build = _model_builder(ns.model, ns.sigma)
+    ns.plugin = _load_plugin(ns.model) if ns.model.endswith(".py") else None
     return ns
 
 
 def _reading(ns: argparse.Namespace, interpretation: Interpretation
-             ) -> Tuple[SdeSystem, ModelInfo, Optional[Box]]:
-    """One reading of the model, its info, and --box else its region."""
-    system, info = ns.build(interpretation)
-    return system, info, (info.box if ns.box is None else ns.box)
+             ) -> Tuple[SdeSystem, ModelInfo]:
+    """One reading of the model and its info.
+
+    A registry name goes to build_model, which rejects one it does not
+    know; a plugin's build() must return (SdeSystem, ModelInfo).
+    """
+    if ns.plugin is None:
+        return build_model(ns.model, sigma=ns.sigma,
+                           interpretation=interpretation)
+    result = ns.plugin(sigma=ns.sigma, interpretation=interpretation)
+    try:
+        system, info = result
+    except (TypeError, ValueError):
+        system = info = None
+    if not (isinstance(system, SdeSystem) and isinstance(info, ModelInfo)):
+        raise UsageError("model build() must return (SdeSystem, ModelInfo)")
+    return system, info
 
 
 def _check_config(ns: argparse.Namespace) -> CheckConfig:
@@ -232,7 +220,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    system, info, box = _reading(ns, Interpretation(ns.interpretation))
+    system, info = _reading(ns, Interpretation(ns.interpretation))
+    box = info.box if ns.box is None else ns.box
     if box is None:
         raise UsageError("model declares no region; pass --box")
     report = check_box(system, box, _check_config(ns))
@@ -241,7 +230,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    system, info = ns.build(Interpretation(ns.interpretation))
+    system, info = _reading(ns, Interpretation(ns.interpretation))
     cfg = _sim_config(ns, info)
     noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
     traj = simulate(system, cfg, noise)
@@ -285,7 +274,8 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
              else (ns.interpretation,))
     results = {}
     for nm in names:
-        system, info, box = _reading(ns, Interpretation(nm))
+        system, info = _reading(ns, Interpretation(nm))
+        box = info.box if ns.box is None else ns.box
         cfg = _sim_config(ns, info)
         tee = None
         if ns.dump_paths is not None:
@@ -304,7 +294,9 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
 
 
 def cmd_convert(ns: argparse.Namespace) -> int:
-    system, info, box = _reading(ns, Interpretation.STRATONOVICH)
+    system, info = _reading(ns, Interpretation.STRATONOVICH)
+    box = info.box if ns.box is None else ns.box
+    check = _check_config(ns)
     policy = (JacobianPolicy(JacobianMode.ANALYTIC)
               if system.diffusion_jacobian is not None
               else JacobianPolicy(JacobianMode.CENTRAL_DIFFERENCE))
@@ -315,7 +307,7 @@ def cmd_convert(ns: argparse.Namespace) -> int:
         # finite bounds as they are; a coordinate with an infinite end
         # takes its sampling interval (see CheckConfig)
         idx = list(box.indices)
-        lo, hi = _sampling_intervals(system, _check_config(ns), box)
+        lo, hi = _sampling_intervals(system, check, box)
         finite = np.isfinite(box.lower) & np.isfinite(box.upper)
         lo = np.where(finite, box.lower, lo[idx])
         hi = np.where(finite, box.upper, hi[idx])
@@ -334,7 +326,6 @@ def cmd_convert(ns: argparse.Namespace) -> int:
     payload = {"model": system.name, "jacobian_mode": policy.mode.value,
                "correction_samples": sample_rows}
     if box is not None:
-        check = _check_config(ns)
         original = check_box(system, box, check)
         converted = check_box(stratonovich_to_ito(system, policy), box, check)
         equal = original.verdict is converted.verdict
@@ -442,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = _parse(build_parser(), argv)
         return ns.func(ns)
     except (UsageError, ModelEvaluationError, IntegrationError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -84,14 +84,24 @@ def _shifted_drift(sys: SdeSystem, policy: JacobianPolicy, sign: float):
 
     def drift(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            h = correction_batch(sys, t, x[None, :], policy)[0]
-        else:
-            h = correction_batch(sys, t, x, policy)
-        return np.asarray(base(t, x), dtype=float) + sign * 0.5 * h
+        h = correction_batch(sys, t, np.atleast_2d(x), policy)
+        return (np.asarray(base(t, x), dtype=float)
+                + sign * 0.5 * h.reshape(x.shape))
 
     drift.__name__ = f"{'plus' if sign > 0 else 'minus'}_half_correction"
     return drift
+
+
+def _rewrite(sys: SdeSystem, policy: JacobianPolicy,
+             target: Interpretation, refusal: str) -> SdeSystem:
+    """sys, which must carry the other tag, read as target: drift f + h/2
+    towards Ito, f - h/2 towards Stratonovich, the target's tag and an
+    -as-<target> name.  Every other field carries over."""
+    if sys.interpretation is target:
+        raise UsageError(refusal)
+    sign = 1.0 if target is Interpretation.ITO else -1.0
+    return replace(sys, drift=_shifted_drift(sys, policy, sign),
+                   interpretation=target, name=f"{sys.name}-as-{target.value}")
 
 
 def stratonovich_to_ito(sys: SdeSystem,
@@ -105,11 +115,8 @@ def stratonovich_to_ito(sys: SdeSystem,
     over; autonomous among them, since the h of a t-free g and Jacobian
     is t-free.
     """
-    if sys.interpretation is not Interpretation.STRATONOVICH:
-        raise UsageError("stratonovich_to_ito expects a Stratonovich system")
-    return replace(sys, drift=_shifted_drift(sys, policy, +1.0),
-                   interpretation=Interpretation.ITO,
-                   name=f"{sys.name}-as-ito")
+    return _rewrite(sys, policy, Interpretation.ITO,
+                    "stratonovich_to_ito expects a Stratonovich system")
 
 
 def ito_to_stratonovich(sys: SdeSystem,
@@ -120,8 +127,5 @@ def ito_to_stratonovich(sys: SdeSystem,
     The mirror of :func:`stratonovich_to_ito`: drift f - h/2, and every
     other field, autonomous included, carried over.
     """
-    if sys.interpretation is not Interpretation.ITO:
-        raise UsageError("ito_to_stratonovich expects an Ito system")
-    return replace(sys, drift=_shifted_drift(sys, policy, -1.0),
-                   interpretation=Interpretation.STRATONOVICH,
-                   name=f"{sys.name}-as-stratonovich")
+    return _rewrite(sys, policy, Interpretation.STRATONOVICH,
+                    "ito_to_stratonovich expects an Ito system")

@@ -366,6 +366,10 @@ class TimeGrid:
             raise UsageError("grid needs t_end > t0")
         if self.n_steps < 1:
             raise UsageError("grid needs at least one step")
+        # the n_steps + 1 float64 times must fit numpy's largest array
+        most = np.iinfo(np.intp).max // 8 - 1
+        if self.n_steps > most:
+            raise UsageError(f"grid may have at most {most} steps")
 
     @property
     def dt(self) -> float:

@@ -113,6 +113,20 @@ class TestErrors:
         assert run_cli(capsys, "simulate", "--model", "hh-det",
                        *argv) == (1, "", f"error: {message}\n")
 
+    # each grid's first array is larger than any address space, so every
+    # case fails before anything is allocated
+    @pytest.mark.parametrize("grid", [
+        ("--t-end", "1e300"), ("--t-end", "1e14"),
+        ("--n-steps", str(10 ** 20))])
+    @pytest.mark.parametrize("command", [
+        ("simulate",), ("ensemble", "--n-paths", "2")])
+    def test_grids_too_large_to_allocate_are_errors(self, capsys, command,
+                                                    grid):
+        code, out, err = run_cli(capsys, *command, "--model", "hh-logistic",
+                                 *grid)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, config", [
         (("check", "--model", "hh-logistic", "--sigma", "abc"), None),
         (("check", "--model", "hh-logistic", "--box",
@@ -632,7 +646,7 @@ class TestConfigFlagParity:
         def parsed(*argv):
             ns = vars(cli._parse(cli.build_parser(), [command, *argv]))
             return {k: v for k, v in ns.items() if k not in ("config",
-                                                             "build")}
+                                                             "plugin")}
 
         from_flags = parsed(*(w for pair in flags.items() for w in pair))
         assert from_flags[dest] != action.default

@@ -208,6 +208,14 @@ class TestTimeGrid:
         with pytest.raises(UsageError):
             TimeGrid(0.0, math.inf, 5)
 
+    def test_step_count_must_fit_one_array(self):
+        # the largest grid whose n_steps + 1 float64 times numpy can index;
+        # constructing it allocates nothing
+        most = np.iinfo(np.intp).max // 8 - 1
+        assert TimeGrid(0.0, 1.0, most).n_steps == most
+        with pytest.raises(UsageError, match="at most"):
+            TimeGrid(0.0, 1.0, most + 1)
+
 
 class TestTrajectory:
     def test_shape_checked_and_readonly(self):
