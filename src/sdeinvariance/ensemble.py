@@ -193,8 +193,11 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         states = block[:, :stop - start]
         if on_block is not None:
             on_block(start, states)
-        # path by path at any width: numpy sums a 1-D reduction pairwise
-        mean[start:stop] = np.cumsum(states, axis=0)[-1] / n_paths
+        # path by path at any width: numpy sums a one-value row pairwise,
+        # and add.reduce from 0.0 would drop the sign of a -0.0 total
+        mean[start:stop] = (np.add.reduce(states, axis=0, initial=-0.0)
+                            if states[0].size > 1 else
+                            np.cumsum(states, axis=0)[-1]) / n_paths
         if box is not None:
             outside = np.zeros(states.shape[:2], dtype=bool)
             for i, a, b in zip(box.indices, box.lower, box.upper):

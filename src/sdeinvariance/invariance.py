@@ -26,6 +26,8 @@ A related pairwise test orders two systems: solutions started below stay
 below when, whenever x_i = y_i and x_k >= y_k on the coupled coordinates,
 the first drift dominates (f_i(t, x) >= f2_i(t, y)) and the row-i
 diffusions agree.  :func:`check_comparison` samples exactly these pairs.
+Importing this module loads neither scipy.stats nor scipy.optimize; the
+first checker call that samples in a process imports them, once.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
                    UsageError, checked_indices, diffusion_batch, drift_batch)
@@ -206,9 +206,10 @@ def _child_rng(cfg: CheckConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _halton(cfg: CheckConfig, dim: int, *key: int) -> Array:
+def _halton(cfg: CheckConfig, dim: int, n: int, *key: int) -> Array:
+    from scipy.stats import qmc
     eng = qmc.Halton(d=dim, scramble=True, seed=_child_rng(cfg, *key))
-    return eng.random(cfg.n_face_samples)
+    return eng.random(n)
 
 
 def _require_finite(values: Array, what: str, t: float, points: Array):
@@ -294,7 +295,7 @@ def _box_face_points(sys: SdeSystem, box: Box, cfg: CheckConfig,
     pts = np.empty((1 if not free else cfg.n_face_samples, sys.m))
     pts[:, coord] = pin
     if free:
-        u = _halton(cfg, len(free), 1, ordinal)
+        u = _halton(cfg, len(free), cfg.n_face_samples, 1, ordinal)
         pts[:, free] = lo[free] + u * (hi - lo)[free]
     return pts
 
@@ -360,7 +361,8 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
     for ordinal, i in enumerate(idx):
         # columns of u: y, then x on the other coupled, then the free ones;
         # C order: a model's matmul may round F-ordered points differently
-        u = np.ascontiguousarray(_halton(cfg, 2 * m - 1, 2, ordinal))
+        u = np.ascontiguousarray(
+            _halton(cfg, 2 * m - 1, cfg.n_face_samples, 2, ordinal))
         others = [k for k in idx if k != i]
         c = m + len(others)
         y = lo + u[:, :m] * span
@@ -403,15 +405,15 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
     programming.
     """
     m = lo.size
-    eng = qmc.Halton(d=m, scramble=True, seed=_child_rng(cfg, 3))
     cands = np.vstack([np.clip(anchors.mean(axis=0), lo, hi),
                        0.5 * (lo + hi),
-                       lo + eng.random(_INTERIOR_BUDGET) * (hi - lo)])
+                       lo + _halton(cfg, m, _INTERIOR_BUDGET, 3) * (hi - lo)])
     worst = _margins(cands, anchors, normals).min(axis=1)
     worst[np.isnan(worst)] = -math.inf
     k = int(np.argmax(worst))
     if worst[k] > 0.0:
         return cands[k].copy()
+    from scipy.optimize import linprog
     # maximise rho subject to <x - a_f, n_f> >= rho, lo + rho <= x <= hi - rho
     eye = np.eye(m)
     rows = np.hstack([np.vstack([-normals, -eye, eye]),

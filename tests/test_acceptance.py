@@ -11,6 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+# criterion 1 times the checkers, not their one-off lazy scipy imports
+import scipy.optimize  # noqa: F401
+import scipy.stats  # noqa: F401
 
 import sdeinvariance.ensemble as ensemble
 from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,

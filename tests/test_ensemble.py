@@ -48,6 +48,14 @@ class TestRunEnsemble:
         assert stats.coord_max == (0.5,)
         assert np.array_equal(stats.mean, np.full((11, 1), 0.5))
 
+    def test_mean_of_negative_zeros_keeps_its_sign(self):
+        # every path starts at -0.0, a sum from 0.0 would lose the sign
+        system = constant_drift_system(2, [-0.0, 0.0])
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 10), x0=(-0.0, 1.0))
+        stats = run_ensemble(system, cfg, 4, None)
+        assert np.signbit(stats.mean[:, 0]).tolist() == [True] + [False] * 10
+        assert json.dumps(stats.to_dict()["mean"][0]) == "[-0.0, 1.0]"
+
     def test_deterministic_exit_time_known_in_advance(self):
         # drift +1 from x0 = 0.75 crosses the upper bound 1 at t = 0.25,
         # first recorded on the grid node at or after the crossing
