@@ -258,5 +258,5 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
                      increments) for i in Interpretation]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass
-    gap = ito - stratonovich
+    gap = np.subtract(ito, stratonovich, order="C")  # mean path by path
     return np.sqrt(np.mean(gap * gap, axis=0))

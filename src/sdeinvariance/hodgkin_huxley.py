@@ -155,7 +155,7 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
 
     def drift(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         # axes reversed: row i is coordinate i, in step with the rate rows
         xt, ft = x.T, out.T
         gates, v = xt[:3], xt[3, ...]
@@ -198,9 +198,9 @@ def hh_diffusion(kind: NoiseKind, sigma) -> Callable[[float, Array], Array]:
     def diffusion(t: float, x: Array) -> Array:
         gates = np.asarray(x, dtype=float)[..., :3]
         if kind is NoiseKind.NONE:
-            return np.zeros(gates.shape)
+            return np.zeros_like(gates)
         if kind is NoiseKind.ADDITIVE:
-            return np.full(gates.shape, sigma)
+            return np.full_like(gates, sigma)
         return sigma * gates * (1.0 - gates)
 
     return diffusion

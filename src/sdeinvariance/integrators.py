@@ -21,6 +21,8 @@ coordinates, and the Heun average is taken over the diagonal alone.  The
 dense contraction only adds exact zeros to those products, so the states
 are the same bits (a sum of exact zeros can turn a -0.0 into +0.0, which
 changes a state only where the Euler drift step gave exactly -0.0).
+einsum adds the r products in an order that depends on the layout of g
+and dW, so the dense contraction takes both C-ordered.
 
 The system's interpretation tag is the only thing that picks the scheme:
 Euler-Maruyama for Ito, Euler-Heun for Stratonovich.  To apply the other
@@ -74,19 +76,21 @@ def march(sys: SdeSystem, grid: TimeGrid, x0: Array,
     """Advance a batch of paths in lockstep, one grid step at a time.
 
     The scheme is Euler-Heun for a Stratonovich system, Euler-Maruyama
-    otherwise.  x0 has shape (n_paths, m); increments_for(n) must return
-    the (n_paths, r) Wiener increments of step n (UsageError if x0 or the
-    increments of step 0 differ).  Yields (n, x, dead) for every grid
-    index n, starting with (0, x0): x is the (n_paths, m) state at time
-    n, and dead[p] is the first step index at which path p produced a
-    non-finite state (-1 so far), updated in place.  A failed path keeps
-    its last finite state from there on.  Once no path is alive (at once
-    with no paths), march calls neither the model nor increments_for and
-    yields the same frozen x at every remaining index; until then each x
-    is fresh.  Consumers copy x and never write to it.  A diffusion not in
-    its declared shape (see SdeSystem.diagonal_noise) is a UsageError.
+    otherwise.  x0 has shape (n_paths, m); increments_for(n) must return the
+    (n_paths, r) Wiener increments of step n (UsageError if x0 or the
+    increments of step 0 differ).  Yields (n, x, dead) for every grid index
+    n, starting with (0, x0): x is the (n_paths, m) state at time n, held
+    path-last (F-ordered) so that each elementwise operation of a step runs
+    one n_paths-long loop, and dead[p] is the first step index at which path
+    p produced a non-finite state (-1 so far), updated in place.  A failed
+    path keeps its last finite state from there on.  Once no path is alive
+    (at once with no paths), march calls neither the model nor
+    increments_for and yields the same frozen x at every remaining index;
+    until then each x is fresh.  Consumers copy x and never write to it.  A
+    diffusion not in its declared shape (see SdeSystem.diagonal_noise) is a
+    UsageError.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="F")
     if x.ndim != 2 or x.shape[1] != sys.m:
         raise UsageError(f"x0 has shape {x.shape}, not (n_paths, {sys.m})")
     times = grid.times()
@@ -121,18 +125,18 @@ def _step(sys: SdeSystem, t: float, t_next: float, dt: float, x: Array,
     euler = x + drift_batch(sys, t, x) * dt
     g = declared_diffusion_batch(sys, t, x)
     if sys.interpretation is Interpretation.STRATONOVICH:
-        pred = _add_noise(euler.copy(), g, dw)
+        pred = _add_noise(np.copy(euler), g, dw)
         g = 0.5 * (g + declared_diffusion_batch(sys, t_next, pred))
     return _add_noise(euler, g, dw)
 
 
 def _add_noise(x: Array, g: Array, dw: Array) -> Array:
     """x += g dW in place and return x: g[i, i] dW_i on the first r
-    coordinates for a diagonal g, the einsum contraction otherwise."""
+    coordinates for a diagonal g, einsum on C-ordered copies otherwise."""
     if g.ndim == 2:
         x[:, :g.shape[1]] += g * dw
     else:
-        x += np.einsum("pmr,pr->pm", g, dw)
+        x += np.einsum("pmr,pr->pm", *map(np.ascontiguousarray, (g, dw)))
     return x
 
 

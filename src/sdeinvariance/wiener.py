@@ -14,8 +14,9 @@ in the open interval (0, 1) using its top 53 bits, and the increment is
 
 with ndtri the inverse of the standard normal CDF (scipy.special).
 The finalizer mixes in place, and increments_for_step finishes the
-uniform, ndtri and the sqrt(dt) scaling in one buffer.  Given a block of
-steps, increments_for_step folds the (seed, path_id) prefix of the chain
+uniform, ndtri and the sqrt(dt) scaling in one buffer, component-major
+with the paths contiguous; it returns the (n_paths, r) view, F-ordered.
+Given a block of steps, it folds the (seed, path_id) prefix of the chain
 once for the whole block and broadcasts the steps after it; a WienerGrid
 is generated as one such block.  None of this changes the mapping from
 (seed, path_id, step, component) to the increment.
@@ -92,16 +93,16 @@ def increments_for_step(seed: int, path_ids: Array, step, r: int,
     step may also be a 1-D array of steps; the result then has shape
     (len(step), n_paths, r), and row k holds, bit for bit, the increments
     of step[k] alone.  The (seed, path_id) hash is computed once for the
-    whole block.
+    whole block, and each (n_paths, r) result is an F-ordered view.
     """
-    ids = np.asarray(path_ids, dtype=np.uint64).reshape(-1, 1)
+    ids = np.asarray(path_ids, dtype=np.uint64).reshape(-1)
     steps = np.asarray(step, dtype=np.uint64)
     if steps.ndim:
         steps = steps.reshape(-1, 1, 1)
-    z = uniform_stream(seed, ids, steps, np.arange(r, dtype=np.uint64))
+    z = uniform_stream(seed, ids, steps, np.arange(r)[:, None])
     ndtri(z, out=z)
     z *= np.sqrt(dt)
-    return z
+    return z.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)

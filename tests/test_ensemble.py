@@ -596,14 +596,16 @@ class TestCompareInterpretations:
         system, info = build_model("hh-logistic", sigma=0.5)
         grid = TimeGrid(0.0, 1.0, 100)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0))
-        gap = compare_interpretations(system, cfg, 4)
+        # 64 paths: numpy would sum a contiguous column pairwise, and the
+        # manual mean adds path by path
+        gap = compare_interpretations(system, cfg, 64)
         ito_sys, _ = build_model("hh-logistic", sigma=0.5,
                                  interpretation=Interpretation.ITO)
         strat_sys, _ = build_model(
             "hh-logistic", sigma=0.5,
             interpretation=Interpretation.STRATONOVICH)
-        em, _ = integrate_paths(ito_sys, cfg, range(4))
-        heun, _ = integrate_paths(strat_sys, cfg, range(4))
+        em, _ = integrate_paths(ito_sys, cfg, range(64))
+        heun, _ = integrate_paths(strat_sys, cfg, range(64))
         manual = np.sqrt(np.mean(
             (em[:, -1, :] - heun[:, -1, :]) ** 2, axis=0))
         assert np.array_equal(gap, manual)

@@ -260,6 +260,30 @@ class TestKernelBits:
                 assert _same_bits(rate_beta(i, scalar), float(beta(scalar)))
 
 
+class TestLayout:
+    """march holds its states path-last, as F-ordered (n, 4) batches; the
+    kernels give the same bits in any layout and keep the input's."""
+
+    @pytest.mark.parametrize("name, sigma", _PIN_NOISES,
+                             ids=[MODEL_REGISTRY[name].value
+                                  for name, _ in _PIN_NOISES])
+    def test_batch_layout_does_not_change_bits(self, name, sigma):
+        system, _ = build_model(name, sigma=sigma)
+        # singular, near-singular and non-finite voltages, and a row whose
+        # gates are not finite
+        rows = np.vstack([_pin_states()[-2], [np.nan, 0.5, np.inf, -60.0]])
+        fortran = np.asfortranarray(rows)
+        assert rows.flags.c_contiguous and not fortran.flags.c_contiguous
+        with np.errstate(all="ignore"):
+            for field in (system.drift, system.diffusion):
+                one_by_one = np.array([field(0.0, row) for row in rows])
+                assert _same_bits(field(0.0, rows), one_by_one)
+                assert _same_bits(field(0.0, fortran), one_by_one)
+                # an output allocated C-ordered would bring back the
+                # short inner loops of every later ufunc
+                assert field(0.0, fortran).flags.f_contiguous
+
+
 class TestDriftStructure:
     def test_face_values_reduce_to_rates(self):
         system, _ = build_model("hh-det")

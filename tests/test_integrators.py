@@ -464,14 +464,28 @@ class TestDiagonalNoise:
 
 
 class TestPinnedDenseStates:
-    """sha256 of integrate_batch states for a coupled system whose noise
-    is not diagonal, so each reading takes its dense g dW contraction."""
+    """sha256 of the states of coupled systems whose noise is not
+    diagonal, so each reading takes its dense g dW contraction.  At
+    r = 2 any order of the two products gives the same sum; at r = 3
+    the order is pinned, so the contraction must not depend on the
+    layout of g or of the increments."""
 
     DIGESTS = {
         "ito": ("e930a794073982fee99b51d2bd52bb6e"
                 "480b02f6d26e472a3fa557712301e330"),
         "stratonovich": ("c183dbf4c6c0d475778437c87fefb7e5"
                          "5fda27c003cf90e5d3b8679a814edbfa"),
+    }
+    # (integrate_batch states, run_ensemble stats JSON) at m = r = 3
+    DIGESTS_3 = {
+        "ito": ("b7197c97f020667d5f9acbaac82874aa"
+                "d46eb9d153f0cbac8476ad580c8cf217",
+                "d53374284401d585e669e593d7b0f729"
+                "56e49f04bc49919c416b6a7148d58f62"),
+        "stratonovich": ("e2125b81b32daf21ea00ff135957e22d"
+                         "f83262dab54610f1f67b1c0a41627471",
+                         "7800413cf034edecf20e90cf03cba22b"
+                         "99bbce82402ed57cde5fa2c8d807016e"),
     }
 
     @staticmethod
@@ -494,6 +508,29 @@ class TestPinnedDenseStates:
         return SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
                          vectorized=True, interpretation=reading)
 
+    @staticmethod
+    def coupled_3(reading: Interpretation,
+                  path_last: bool = False) -> SdeSystem:
+        """m = r = 3; every entry of g depends on the state and lies in
+        [0.5, 2.5] times its own scale.  With path_last, the diffusion
+        returns g as a view whose path axis is the contiguous one."""
+        def drift(t, x):
+            x = np.asarray(x, dtype=float)
+            return np.stack([x[..., 1] - x[..., 0],
+                             x[..., 2] - np.sin(x[..., 1]),
+                             -0.5 * x[..., 2] - x[..., 0]], axis=-1)
+
+        def diffusion(t, x):
+            x = np.asarray(x, dtype=float)
+            g = np.array([[(0.1 + 0.05 * (i + 3 * k))
+                           * (1.5 + np.sin(x[..., k] + (i + 1) * x[..., i]))
+                           for k in range(3)] for i in range(3)])
+            g = np.moveaxis(g, (0, 1), (-2, -1))
+            return g if path_last else np.ascontiguousarray(g)
+
+        return SdeSystem(m=3, r=3, drift=drift, diffusion=diffusion,
+                         vectorized=True, interpretation=reading)
+
     @pytest.mark.parametrize("reading", sorted(DIGESTS))
     def test_states_digest(self, reading):
         system = self.coupled(Interpretation(reading))
@@ -509,6 +546,32 @@ class TestPinnedDenseStates:
         assert (dead < 0).all()
         assert (hashlib.sha256(states.tobytes()).hexdigest()
                 == self.DIGESTS[reading])
+
+    def digests_3(self, system: SdeSystem):
+        """(states, stats) digests of 16 keyed paths from (0.5, -0.8, 0.3),
+        through integrate_batch and through run_ensemble."""
+        grid = TimeGrid(0.0, 2.0, 200)
+        ids = np.arange(16, dtype=np.uint64)
+        x0 = np.tile([0.5, -0.8, 0.3], (16, 1))
+
+        def incr(step):
+            return increments_for_step(11, ids, step, 3, grid.dt)
+
+        states, dead = integrate_batch(system, grid, x0, incr)
+        assert (dead < 0).all()
+        stats = run_ensemble(system, SimConfig(grid, tuple(x0[0]), seed=11),
+                             16, None)
+        return (hashlib.sha256(states.tobytes()).hexdigest(),
+                hashlib.sha256(stats.to_json().encode()).hexdigest())
+
+    # einsum sums the three products in one order for C-ordered g and
+    # dW and in another for any other layout, so a path-last g must give
+    # the bits of a C-ordered one
+    @pytest.mark.parametrize("path_last", [False, True])
+    @pytest.mark.parametrize("reading", sorted(DIGESTS_3))
+    def test_three_noise_components_digest(self, reading, path_last):
+        system = self.coupled_3(Interpretation(reading), path_last)
+        assert self.digests_3(system) == self.DIGESTS_3[reading]
 
 
 class TestCsvOutput:
