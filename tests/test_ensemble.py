@@ -174,6 +174,58 @@ class TestDeterminism:
         return run_ensemble(system, cfg, 64, Box.unit((0,)),
                             on_block=on_block)
 
+    @staticmethod
+    def signed_zeros_64(on_block=None):
+        # coordinate 0 is a Brownian path from 0; coordinate 1 starts at
+        # -0.0 and turns +0.0 for good one step after the path first goes
+        # above 0, so at most steps it is a tie of both zeros on different
+        # paths, and every quantile rank falls inside that tie
+        def drift(t, x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            out[:, 1] = np.where(x[:, 0] > 0, 0.0, -0.0)
+            return out
+
+        def diffusion(t, x):
+            return np.ones(np.shape(x)[:-1] + (1,))
+
+        system = SdeSystem(m=2, r=1, drift=drift, diffusion=diffusion,
+                           vectorized=True, diagonal_noise=True,
+                           name="zeros")
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(0.0, -0.0), seed=2)
+        return run_ensemble(system, cfg, 64, None, on_block=on_block)
+
+    # row p of EXCURSIONS is path p at the grid indices 0..20 (dt = 1); at
+    # tol = 0.125 the unit box admits 1.125 and -0.125 and nothing beyond
+    EXCURSIONS = np.full((8, 21), 0.5)
+    EXCURSIONS[1, 1:] = [1.125, -0.125] * 10  # on the slack's edges only
+    EXCURSIONS[2, 9] = 1.25                   # leaves and re-enters at 10
+    EXCURSIONS[3, 6] = -0.25                  # leaves at 6 only
+    EXCURSIONS[4, 7:] = 1.25                  # leaves at 7 for good
+    EXCURSIONS[5, 13] = 1.25                  # leaves at 13 only
+    EXCURSIONS[6, [14, 18, 19]] = -0.25       # leaves at 14 and again at 18
+    EXCURSIONS[7, 20] = -0.25                 # leaves at the last index
+    EXCURSION_EXITS = ((2, 9.0), (3, 6.0), (4, 7.0), (5, 13.0), (6, 14.0),
+                       (7, 20.0))
+
+    @classmethod
+    def excursions_8(cls, on_block=None):
+        # the drift moves row p of the lockstep batch, which is path p, to
+        # EXCURSIONS[p, n + 1] in one step, exactly for these dyadic values
+        table = cls.EXCURSIONS
+
+        def drift(t, x):
+            return table[:, int(t) + 1, None] - np.asarray(x, dtype=float)
+
+        def diffusion(t, x):
+            return np.zeros(np.shape(x)[:-1] + (1, 0))
+
+        system = SdeSystem(m=1, r=0, drift=drift, diffusion=diffusion,
+                           vectorized=True, name="excursions")
+        cfg = SimConfig(grid=TimeGrid(0.0, 20.0, 20), x0=(0.5,))
+        return run_ensemble(system, cfg, 8, Box.unit((0,)), tol=0.125,
+                            on_block=on_block)
+
     # the stats of each one-coordinate run at the default block width
     LOW_DIMENSIONAL = {
         "scalar": (scalar_64,
@@ -201,7 +253,7 @@ class TestDeterminism:
     @staticmethod
     def assert_width_is_invisible(monkeypatch, run, digest, words, n_grid):
         # one step per block, 7 steps (which divide neither grid), and the
-        # whole grid in one block; words is 64 paths x (m + max(1, r))
+        # whole grid in one block; words is n_paths x (m + max(1, r))
         for width in (1, 7, n_grid):
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * words * width)
             widths = []
@@ -222,6 +274,36 @@ class TestDeterminism:
             self, monkeypatch, name):
         run, digest = self.LOW_DIMENSIONAL[name]
         self.assert_width_is_invisible(monkeypatch, run, digest, 64 * 2, 51)
+
+    SIGNED_ZEROS_SHA256 = ("defaf8bf2509f40924c030583fde37f9"
+                           "c33d57120fd2f3d581c3f4e741706737")
+
+    def test_signed_zero_ties_do_not_depend_on_the_width(self, monkeypatch):
+        # the sort may order a tie of -0.0 and +0.0 either way, and the
+        # quantiles and extrema print the sign it leaves at each rank
+        signs = []
+
+        def on_block(start, states):
+            assert not states[:, :, 1].any()
+            signs.extend(np.signbit(states[:, :, 1]).sum(axis=0))
+
+        stats = self.signed_zeros_64(on_block)
+        assert signs[0] == 64 and sum(0 < n < 64 for n in signs) >= 40
+        zeros = np.concatenate([q[:, 1] for q in stats.quantiles.values()])
+        assert 0 < np.signbit(zeros).sum() < zeros.size
+        self.assert_width_is_invisible(monkeypatch, self.signed_zeros_64,
+                                       self.SIGNED_ZEROS_SHA256, 64 * 3, 51)
+
+    EXCURSIONS_SHA256 = ("ee418a0efcc3287bbf451627bb4a3200"
+                         "3c0a4c073853deac83acf7a68efcf931")
+
+    def test_exits_inside_and_at_the_ends_of_a_block(self, monkeypatch):
+        # at width 7 the blocks are 0-6, 7-13 and 14-20: path 2 leaves and
+        # re-enters inside one, and the other exits fall on their ends
+        stats = self.excursions_8()
+        assert stats.first_exit_times == self.EXCURSION_EXITS
+        self.assert_width_is_invisible(monkeypatch, self.excursions_8,
+                                       self.EXCURSIONS_SHA256, 8 * 2, 21)
 
     def test_single_path_matches_simulate(self):
         system, info = build_model("hh-logistic", sigma=0.5)
