@@ -5,10 +5,13 @@ noise stream, so the ensemble is a pure function of (system, config,
 n_paths): rerunning a subset or changing the batch cannot change a single
 bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
-so the block width cannot change a bit either.  One fixed byte budget
-sets the width: a block of steps holds its states and its keyed noise,
-m + max(1, r) words per path-step for P paths, m coordinates and r noise
-components, so memory is O(P * (m + r) * width + N * m) for N steps.
+so the block width cannot change a bit either.  A block holds its states
+twice: path-last, as march yields them, which is sorted in place for the
+quantiles and extrema, and path-first, which the on_block hook reads and
+the mean adds up path by path.  One fixed byte budget sets the width: the
+two copies and the block's keyed noise take 2m + max(1, r) words per
+path-step for P paths, m coordinates and r noise components, so memory is
+O(P * (m + r) * width + N * m) for N steps.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -28,7 +31,7 @@ from .integrators import SimConfig, integrate_batch, march
 from .wiener import checked_keys, increments_for_step
 
 _QUANTILE_PCTS = (5, 50, 95)
-# bytes of states and keyed noise in one block of steps (see _block_steps)
+# bytes of states (both copies) and keyed noise in one block of steps
 _BLOCK_BYTES = 448 * 2 ** 10
 # EnsembleStats.scheme: the scheme march takes for each reading
 _SCHEME_NAMES = {Interpretation.ITO: "euler-maruyama",
@@ -96,17 +99,20 @@ def _block_steps(n_paths: int, m: int, r: int, n_steps: int) -> int:
     return max(1, min(n_steps, _BLOCK_BYTES // (8 * words)))
 
 
-def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
+def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array,
+                 per_draw: Optional[int] = None
                  ) -> Tuple[Array, Callable[[int], Array]]:
     """(x0, increments_for) that start the keyed paths ids at cfg.x0.
 
-    increments_for draws the noise of _block_steps steps in one call
-    and serves the step asked for from that block; the last block
-    stops at the end of the grid.
+    increments_for draws the noise of per_draw steps in one call (by
+    default _block_steps at m + max(1, r) words a path-step) and serves
+    the step asked for from that block; the last block stops at the end
+    of the grid.
     """
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
     n_steps = cfg.grid.n_steps
-    per_draw = _block_steps(ids.size, sys.m, r, n_steps)
+    if per_draw is None:
+        per_draw = _block_steps(ids.size, sys.m, r, n_steps)
     start, block = 0, None  # block[k] holds the increments of step start + k
 
     def for_step(step: int) -> Array:
@@ -135,6 +141,15 @@ def integrate_paths(sys: SdeSystem, cfg: SimConfig,
     return integrate_batch(sys, cfg.grid, x0, increments_for=increments)
 
 
+def _path_sum(rows: Array) -> Array:
+    """Sum of the C-ordered rows (n_paths, ...) over the paths, path by
+    path in path-id order: numpy sums a one-value row pairwise, and
+    add.reduce from 0.0 would drop the sign of a -0.0 total."""
+    if rows[0].size > 1:
+        return np.add.reduce(rows, axis=0, initial=-0.0)
+    return np.cumsum(rows, axis=0)[-1]
+
+
 def _nearest_rank_index(pct: int, n: int) -> int:
     # ceil(pct * n / 100) in integer arithmetic, then 0-based
     rank = -(-pct * n // 100)
@@ -154,12 +169,14 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     steps).  With box None, box bookkeeping is skipped and only
     extrema/summaries are reported.
 
+    The steps run in blocks of _block_steps at 2m + max(1, r) words a
+    path-step, and the keyed noise is drawn a block at a time.
     on_block(start, states), when given, sees every block of steps once,
-    in grid order, before the reductions sort it in place: states has
-    shape (n_paths, k, m), row p is path p at the grid indices
-    start..start+k-1, and frozen paths hold their last finite state.  It
-    is a view into a buffer that the next block overwrites, so the hook
-    must copy what it keeps and must not write to it.
+    in grid order: states has shape (n_paths, k, m), row p is path p at
+    the grid indices start..start+k-1, and frozen paths hold their last
+    finite state.  It is a read-only view of the buffer that the mean is
+    taken from next and that the next block overwrites, so the hook must
+    copy what it keeps; writing to it raises ValueError.
 
     n_workers has no effect (all paths run in one lockstep batch); it
     stays only because the perfbench workloads pass it.
@@ -172,8 +189,10 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         box.require_within(sys.m)
     times = cfg.grid.times()
     n_grid, m = times.size, sys.m
-    width = _block_steps(n_paths, m, sys.r, n_grid)
-    block = np.empty((n_paths, width, m))
+    # a block holds its states twice, path-last and path-first
+    width = _block_steps(n_paths, 2 * m, sys.r, n_grid)
+    block = np.empty((width, m, n_paths))  # path-last, as march yields
+    rows = np.empty(n_paths * width * m)  # path-first, then sorted path-last
     mean = np.empty((n_grid, m))
     ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)
              for pct in _QUANTILE_PCTS}
@@ -182,34 +201,49 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     hi = np.full(m, -np.inf)
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
+    if box is not None:  # the slack bounds of every coordinate
+        lower = np.full(m, -np.inf)
+        upper = np.full(m, np.inf)
+        for i, a, b in zip(box.indices, box.lower, box.upper):
+            lower[i], upper[i] = a - tol, b + tol
 
     x0, increments = _keyed_start(sys, cfg,
-                                  np.arange(n_paths, dtype=np.uint64))
+                                  np.arange(n_paths, dtype=np.uint64), width)
     steps = march(sys, cfg.grid, x0, increments)
     for start in range(0, n_grid, width):
         stop = min(start + width, n_grid)
-        for k, (_, x, dead) in zip(range(stop - start), steps):
-            block[:, k] = x
-        states = block[:, :stop - start]
+        k = stop - start
+        for j, (_, x, dead) in zip(range(k), steps):
+            block[j] = x.T
+        states = block[:k]  # states[j, i, p]: path p, coordinate i, step j
+        paths = rows[:n_paths * k * m].reshape(n_paths, k * m)
+        paths[...] = states.reshape(k * m, n_paths).T
         if on_block is not None:
-            on_block(start, states)
-        # path by path at any width: numpy sums a one-value row pairwise,
-        # and add.reduce from 0.0 would drop the sign of a -0.0 total
-        mean[start:stop] = (np.add.reduce(states, axis=0, initial=-0.0)
-                            if states[0].size > 1 else
-                            np.cumsum(states, axis=0)[-1]) / n_paths
-        if box is not None:
-            outside = np.zeros(states.shape[:2], dtype=bool)
-            for i, a, b in zip(box.indices, box.lower, box.upper):
-                coord = states[:, :, i]
-                outside |= (coord < a - tol) | (coord > b + tol)
-            new = outside.any(axis=1) & (first_bad == sentinel)
-            first_bad[new] = start + np.argmax(outside[new], axis=1)
-        states.sort(axis=0)  # in place: the block is refilled next
+            view = paths.reshape(n_paths, k, m)
+            view.flags.writeable = False
+            on_block(start, view)
+        mean[start:stop] = (_path_sum(paths) / n_paths).reshape(k, m)
+        ranked = rows[:n_paths * k * m].reshape(k, m, n_paths)
+        ranked[...] = states
+        ranked.sort(axis=-1)
         for key, rank in ranks.items():
-            quantiles[key][start:stop] = states[rank]
-        np.minimum(lo, states[0].min(axis=0), out=lo)
-        np.maximum(hi, states[-1].max(axis=0), out=hi)
+            quantiles[key][start:stop] = ranked[:, :, rank]
+        low, high = ranked[:, :, 0], ranked[:, :, -1]  # each step's extrema
+        # folded in grid order so that the later zero of a -0.0/+0.0 tie
+        # wins at any width; a min or max reduction may pair the steps in
+        # another order
+        np.minimum(lo, np.minimum.accumulate(low)[-1], out=lo)
+        np.maximum(hi, np.maximum.accumulate(high)[-1], out=hi)
+        if box is not None and ((low < lower) | (high > upper)).any():
+            # some path is outside at some step: screen each path by its
+            # extrema over the block, and search only a path that newly
+            # left for its first index
+            left = ((states.min(axis=0) < lower[:, None])
+                    | (states.max(axis=0) > upper[:, None])).any(axis=0)
+            for p in np.flatnonzero(left & (first_bad == sentinel)):
+                path = states[:, :, p]  # (k, m)
+                outside = ((path < lower) | (path > upper)).any(axis=1)
+                first_bad[p] = start + np.argmax(outside)
     died = dead >= 0
     first_bad[died] = np.minimum(first_bad[died], dead[died])
     violating = first_bad < sentinel
@@ -258,5 +292,5 @@ def compare_interpretations(sys: SdeSystem, cfg: SimConfig,
                      increments) for i in Interpretation]
     for (_, ito, _), (_, stratonovich, _) in zip(*marches):
         pass
-    gap = np.subtract(ito, stratonovich, order="C")  # mean path by path
-    return np.sqrt(np.mean(gap * gap, axis=0))
+    gap = np.subtract(ito, stratonovich, order="C")
+    return np.sqrt(_path_sum(gap * gap) / n_paths)

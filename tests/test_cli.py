@@ -777,14 +777,15 @@ class TestPinnedDumps:
 
     # 5 paths x 4 coordinates x 8 bytes: 160 bytes of states is a 1-step
     # block and 1120 a 7-step one, which divides neither grid; the budget
-    # adds the block's noise, 3 words a path-step beside the states' 4
+    # adds the states' path-first copy and the block's noise, 4 + 3 words
+    # a path-step beside the states' 4
     @pytest.mark.parametrize("states_bytes", [None, 160, 1120])
     @pytest.mark.parametrize("run", sorted(PINNED_DUMPS))
     def test_dump_digests(self, capsys, tmp_path, monkeypatch, run,
                           states_bytes):
         if states_bytes is not None:
             monkeypatch.setattr(sdeinvariance.ensemble, "_BLOCK_BYTES",
-                                states_bytes // 4 * 7)
+                                states_bytes // 4 * 11)
         runs = []  # the block widths of each reading's run
         tee = sdeinvariance.cli._path_tee
 

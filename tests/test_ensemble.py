@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -139,6 +140,17 @@ class TestRunEnsemble:
                                  "block"))
         assert calls == []
 
+    def test_a_hook_that_writes_to_its_block_is_refused(self):
+        # the hook's block is the buffer the mean is taken from next
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 0.1, 10), x0=tuple(info.x0))
+
+        def scribble(start, states):
+            states[0, 0, 0] = 2.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_ensemble(system, cfg, 4, info.box, on_block=scribble)
+
 
 class TestDeterminism:
     ADDITIVE_64_SHA256 = (
@@ -193,6 +205,23 @@ class TestDeterminism:
                            vectorized=True, diagonal_noise=True,
                            name="zeros")
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(0.0, -0.0), seed=2)
+        return run_ensemble(system, cfg, 64, None, on_block=on_block)
+
+    @staticmethod
+    def latched_zeros_64(on_block=None):
+        # m = 1 from x0 = -0.0: x + 0 dW stays -0.0 while dW < 0 and turns
+        # +0.0 for good at the first dW > 0, so the extrema of the early
+        # steps are zeros of either sign
+        def drift(t, x):
+            return np.full(np.shape(x), -0.0)
+
+        def diffusion(t, x):
+            return np.zeros(np.shape(x)[:-1] + (1,))
+
+        system = SdeSystem(m=1, r=1, drift=drift, diffusion=diffusion,
+                           vectorized=True, diagonal_noise=True,
+                           name="latch")
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 8), x0=(-0.0,), seed=5)
         return run_ensemble(system, cfg, 64, None, on_block=on_block)
 
     # row p of EXCURSIONS is path p at the grid indices 0..20 (dt = 1); at
@@ -253,7 +282,7 @@ class TestDeterminism:
     @staticmethod
     def assert_width_is_invisible(monkeypatch, run, digest, words, n_grid):
         # one step per block, 7 steps (which divide neither grid), and the
-        # whole grid in one block; words is n_paths x (m + max(1, r))
+        # whole grid in one block; words is n_paths x (2m + max(1, r))
         for width in (1, 7, n_grid):
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * words * width)
             widths = []
@@ -265,7 +294,7 @@ class TestDeterminism:
 
     def test_block_width_does_not_change_stats(self, monkeypatch):
         self.assert_width_is_invisible(monkeypatch, self.additive_64,
-                                       self.ADDITIVE_64_SHA256, 64 * 7, 3001)
+                                       self.ADDITIVE_64_SHA256, 64 * 11, 3001)
 
     # a block of one step of one coordinate is the case numpy would sum
     # pairwise, not path by path
@@ -273,7 +302,7 @@ class TestDeterminism:
     def test_block_width_does_not_change_low_dimensional_stats(
             self, monkeypatch, name):
         run, digest = self.LOW_DIMENSIONAL[name]
-        self.assert_width_is_invisible(monkeypatch, run, digest, 64 * 2, 51)
+        self.assert_width_is_invisible(monkeypatch, run, digest, 64 * 3, 51)
 
     SIGNED_ZEROS_SHA256 = ("defaf8bf2509f40924c030583fde37f9"
                            "c33d57120fd2f3d581c3f4e741706737")
@@ -292,7 +321,22 @@ class TestDeterminism:
         zeros = np.concatenate([q[:, 1] for q in stats.quantiles.values()])
         assert 0 < np.signbit(zeros).sum() < zeros.size
         self.assert_width_is_invisible(monkeypatch, self.signed_zeros_64,
-                                       self.SIGNED_ZEROS_SHA256, 64 * 3, 51)
+                                       self.SIGNED_ZEROS_SHA256, 64 * 5, 51)
+
+    LATCHED_ZEROS_SHA256 = ("41059b6e59dd3ecd8c06a435e0917436"
+                            "c672f965ccb958d701893b1bf174cfe9")
+
+    def test_signed_zero_extrema_do_not_depend_on_the_width(self,
+                                                            monkeypatch):
+        # the extrema fold each step's in grid order, the later zero of a
+        # tie winning; numpy's min of a contiguous column of 9 steps pairs
+        # them in SIMD lanes and returned -0.0 here at the whole-grid width
+        stats = self.latched_zeros_64()
+        assert json.dumps(stats.to_dict()["quantiles"]["q05"][0]) == "[-0.0]"
+        assert json.dumps([stats.coord_min, stats.coord_max]) == (
+            "[[0.0], [0.0]]")
+        self.assert_width_is_invisible(monkeypatch, self.latched_zeros_64,
+                                       self.LATCHED_ZEROS_SHA256, 64 * 3, 9)
 
     EXCURSIONS_SHA256 = ("ee418a0efcc3287bbf451627bb4a3200"
                          "3c0a4c073853deac83acf7a68efcf931")
@@ -303,7 +347,7 @@ class TestDeterminism:
         stats = self.excursions_8()
         assert stats.first_exit_times == self.EXCURSION_EXITS
         self.assert_width_is_invisible(monkeypatch, self.excursions_8,
-                                       self.EXCURSIONS_SHA256, 8 * 2, 21)
+                                       self.EXCURSIONS_SHA256, 8 * 3, 21)
 
     def test_single_path_matches_simulate(self):
         system, info = build_model("hh-logistic", sigma=0.5)
@@ -455,13 +499,14 @@ class TestKeyedNoiseBlocks:
 
     # one step per draw, 7 steps (which do not divide the 3000), and the
     # whole grid in one draw, named by the bytes of one draw's noise; the
-    # budget adds the states, 4 words a path-step beside the noise's 3
+    # budget adds the states' two copies, 8 words a path-step beside the
+    # noise's 3
     @pytest.mark.parametrize("noise_bytes",
                              [None, 0, 7 * 64 * 3 * 8, 3000 * 64 * 3 * 8])
     def test_each_normal_is_drawn_once(self, monkeypatch, noise_bytes):
         if noise_bytes is not None:
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES",
-                                noise_bytes // 3 * 7)
+                                noise_bytes // 3 * 11)
         shapes = self.draws(monkeypatch)
         stats = TestDeterminism.additive_64()
         assert sum(int(np.prod(shape)) for shape in shapes) == 64 * 3000 * 3
@@ -526,13 +571,11 @@ class TestMemory:
         assert shapes == [(steps, n_paths, r)]
 
     # The traced peak of a whole run is its outputs plus under three
-    # budgets: one for the block's states and noise together, at most one
-    # more for the transients of one of them (the cumulative sum behind
-    # the mean copies the m words of states; a keyed-noise draw's hashes
-    # add r + 1 words to its r, which is m + r words at most), and the
-    # rest for numpy's 128 KiB of ufunc buffers (0.29 budgets) and
-    # march's few (P, m) rows a step.  1.6-1.8 budgets were measured at
-    # 10 to 1000 paths.
+    # budgets: one for the block's two copies of its states and its noise
+    # together, at most one more for the transients of a keyed-noise draw
+    # (its hashes add r + 1 words to its r), and the rest for numpy's
+    # 128 KiB of ufunc buffers (0.29 budgets) and march's few (P, m) rows
+    # a step.  1.4-1.6 budgets were measured at 10 to 1000 paths.
     def test_run_ensemble_peak_is_bounded_by_the_budget(self):
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 8.0, 800), x0=tuple(info.x0))
@@ -544,6 +587,22 @@ class TestMemory:
             tracemalloc.stop()
         outputs = 4 * 801 * 4 * 8 + 801 * 8  # 4 (N+1, m) arrays, the times
         assert peak <= outputs + 3 * ensemble._BLOCK_BYTES
+
+    # The same bound, tightened to two budgets at the path count of the
+    # benchmark ensembles: 1.57 budgets were measured at 1000 paths, where
+    # a block is 5 steps wide, and 1.78 when a block was 8 steps wide and
+    # its path-first copy was not charged to the budget.
+    def test_run_ensemble_peak_stays_within_two_budgets(self):
+        system, info = build_model("hh-logistic", sigma=0.5)
+        cfg = SimConfig(grid=TimeGrid(0.0, 2.0, 200), x0=tuple(info.x0))
+        tracemalloc.start()
+        try:
+            run_ensemble(system, cfg, 1000, info.box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 4 * 201 * 4 * 8  # the mean and three quantile arrays
+        assert peak - outputs <= 2 * ensemble._BLOCK_BYTES
 
     def test_compare_interpretations_keeps_only_endpoints(self):
         growth = self.peak_growth(
@@ -691,6 +750,22 @@ class TestCompareInterpretations:
         manual = np.sqrt(np.mean(
             (em[:, -1, :] - heun[:, -1, :]) ** 2, axis=0))
         assert np.array_equal(gap, manual)
+
+
+    def test_one_coordinate_gap_adds_path_by_path(self):
+        # m = 1 and 64 paths: numpy would sum the (64, 1) squares
+        # pairwise, which gives other bits at this seed
+        system = gbm_system(-1.0, 0.3)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(1.0,), seed=1)
+        gap = compare_interpretations(system, cfg, 64)
+        em, _ = integrate_paths(system, cfg, range(64))
+        heun, _ = integrate_paths(
+            replace(system, interpretation=Interpretation.STRATONOVICH),
+            cfg, range(64))
+        total = -0.0
+        for d in em[:, -1, 0] - heun[:, -1, 0]:
+            total += float(d * d)
+        assert gap.tolist() == [math.sqrt(total / 64)]
 
 
 def test_gbm_ensemble_mean_tracks_expectation():
