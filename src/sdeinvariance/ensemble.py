@@ -6,10 +6,11 @@ n_paths): rerunning a subset or changing the batch cannot change a single
 bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
 so the block width cannot change a bit either.  A block holds its states
-twice: path-last, as march yields them, which is sorted in place for the
-quantiles and extrema, and path-first, which the on_block hook reads and
-the mean adds up path by path.  One fixed byte budget sets the width: the
-two copies and the block's keyed noise take 2m + max(1, r) words per
+twice: path-last, as march yields them, to screen for exits, and in a
+second buffer, first path-first, which the on_block hook reads and the
+mean adds up path by path, then path-last again, sorted in place for the
+quantiles and extrema.  One fixed byte budget sets the width: the two
+copies and the block's keyed noise take 2m + max(1, r) words per
 path-step for P paths, m coordinates and r noise components, so memory is
 O(P * (m + r) * width + N * m) for N steps.
 
@@ -189,7 +190,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         box.require_within(sys.m)
     times = cfg.grid.times()
     n_grid, m = times.size, sys.m
-    # a block holds its states twice, path-last and path-first
+    # a block holds its states twice beside its keyed noise
     width = _block_steps(n_paths, 2 * m, sys.r, n_grid)
     block = np.empty((width, m, n_paths))  # path-last, as march yields
     rows = np.empty(n_paths * width * m)  # path-first, then sorted path-last
