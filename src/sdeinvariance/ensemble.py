@@ -6,11 +6,13 @@ n_paths): rerunning a subset or changing the batch cannot change a single
 bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
 so the block width cannot change a bit either.  A block holds its states
-twice: path-last, as march yields them, to screen for exits, and in a
-second buffer, first path-first, which the on_block hook reads and the
-mean adds up path by path, then path-last again, sorted in place for the
-quantiles and extrema.  One fixed byte budget sets the width: the two
-copies and the block's keyed noise take 2m + max(1, r) words per
+twice: path-last, as march yields them, and in a second buffer, first
+path-first, which the on_block hook reads and the mean adds up path by
+path, then path-last again, sorted in place for the quantiles and
+extrema.  Sorting that copy leaves the block unsorted for the exit
+screen, which runs only while some path has not yet left the box and some
+sorted extremum lies outside it.  One fixed byte budget sets the width:
+the two copies and the block's keyed noise take 2m + max(1, r) words per
 path-step for P paths, m coordinates and r noise components, so memory is
 O(P * (m + r) * width + N * m) for N steps.
 
@@ -202,6 +204,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     hi = np.full(m, -np.inf)
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
+    n_inside = n_paths  # paths not yet seen outside the box
     if box is not None:  # the slack bounds of every coordinate
         lower = np.full(m, -np.inf)
         upper = np.full(m, np.inf)
@@ -235,16 +238,18 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         # another order
         np.minimum(lo, np.minimum.accumulate(low)[-1], out=lo)
         np.maximum(hi, np.maximum.accumulate(high)[-1], out=hi)
-        if box is not None and ((low < lower) | (high > upper)).any():
-            # some path is outside at some step: screen each path by its
-            # extrema over the block, and search only a path that newly
-            # left for its first index
+        if (n_inside and box is not None
+                and ((low < lower) | (high > upper)).any()):
+            # some path is outside at some step and some path has not yet
+            # left: screen each path by its extrema over the block, and
+            # search only a path that newly left for its first index
             left = ((states.min(axis=0) < lower[:, None])
                     | (states.max(axis=0) > upper[:, None])).any(axis=0)
             for p in np.flatnonzero(left & (first_bad == sentinel)):
                 path = states[:, :, p]  # (k, m)
                 outside = ((path < lower) | (path > upper)).any(axis=1)
                 first_bad[p] = start + np.argmax(outside)
+                n_inside -= 1
     died = dead >= 0
     first_bad[died] = np.minimum(first_bad[died], dead[died])
     violating = first_bad < sentinel
