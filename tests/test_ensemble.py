@@ -255,6 +255,24 @@ class TestDeterminism:
         return run_ensemble(system, cfg, 8, Box.unit((0,)), tol=0.125,
                             on_block=on_block)
 
+    @staticmethod
+    def half_line_32(on_block=None):
+        # m = 2 Brownian paths from (0.5, 0): the box bounds coordinate 0
+        # below only, so at tol = 0.125 its slack bounds are -0.125 and
+        # inf + 0.125, and coordinate 1 is unconstrained
+        def drift(t, x):
+            return np.zeros(np.shape(x))
+
+        def diffusion(t, x):
+            return np.ones(np.shape(x))
+
+        system = SdeSystem(m=2, r=2, drift=drift, diffusion=diffusion,
+                           vectorized=True, diagonal_noise=True,
+                           name="half-line")
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 50), x0=(0.5, 0.0), seed=6)
+        return run_ensemble(system, cfg, 32, Box.positive((0,)), tol=0.125,
+                            on_block=on_block)
+
     # the stats of each one-coordinate run at the default block width
     LOW_DIMENSIONAL = {
         "scalar": (scalar_64,
@@ -348,6 +366,20 @@ class TestDeterminism:
         assert stats.first_exit_times == self.EXCURSION_EXITS
         self.assert_width_is_invisible(monkeypatch, self.excursions_8,
                                        self.EXCURSIONS_SHA256, 8 * 3, 21)
+
+    HALF_LINE_SHA256 = ("5fbd0f1617b516eb9d35fd8bf1d9567e"
+                        "c7d29eebfb22c9979be61378699954a0")
+
+    def test_one_sided_box_with_slack(self, monkeypatch):
+        # the slack bounds of an infinite bound and of an unconstrained
+        # coordinate stay infinite, and only lower exits count
+        stats = self.half_line_32()
+        assert 0 < stats.n_violating < 32
+        assert stats.coord_max[0] > 1.0 and stats.coord_min[1] < -0.125
+        assert json.dumps(stats.to_dict()["box"]) == (
+            '{"indices": [0], "lower": [0.0], "upper": [Infinity]}')
+        self.assert_width_is_invisible(monkeypatch, self.half_line_32,
+                                       self.HALF_LINE_SHA256, 32 * 6, 51)
 
     def test_single_path_matches_simulate(self):
         system, info = build_model("hh-logistic", sigma=0.5)
