@@ -183,6 +183,8 @@ def _reading(ns: argparse.Namespace, interpretation: Interpretation
         system = info = None
     if not (isinstance(system, SdeSystem) and isinstance(info, ModelInfo)):
         raise UsageError("model build() must return (SdeSystem, ModelInfo)")
+    if info.x0.size != system.m:
+        raise UsageError(f"model x0 has size {info.x0.size}, not m={system.m}")
     return system, info
 
 
@@ -306,14 +308,14 @@ def cmd_convert(ns: argparse.Namespace) -> int:
     if box is not None:  # five points along the box's diagonal
         # finite bounds as they are; a coordinate with an infinite end
         # takes its sampling interval (see CheckConfig)
-        idx = list(box.indices)
+        a, b = box.limits(system.m)
         lo, hi = _sampling_intervals(system, check, box)
-        finite = np.isfinite(box.lower) & np.isfinite(box.upper)
-        lo = np.where(finite, box.lower, lo[idx])
-        hi = np.where(finite, box.upper, hi[idx])
+        finite = np.isfinite(a) & np.isfinite(b)
+        lo, hi = np.where(finite, a, lo), np.where(finite, b, hi)
         frac = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
+        idx = list(box.indices)
         samples = samples.repeat(5, axis=0)
-        samples[:, idx] = lo + frac * (hi - lo)
+        samples[:, idx] = (lo + frac * (hi - lo))[:, idx]
     lines.append("drift correction h/2 at t=0:")
     sample_rows = []
     for x, h in zip(samples, correction_batch(system, 0.0, samples, policy)):

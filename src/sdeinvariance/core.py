@@ -224,7 +224,8 @@ class Box:
 
     ``indices`` are 0-based coordinate positions.  A bound may be infinite
     on one side (half-line constraint); a coordinate constrained on neither
-    side is rejected because it adds nothing.
+    side is rejected because it adds nothing.  limits(m) spells the bounds
+    out over all m coordinates of a state, and faces() lists the finite ones.
     """
 
     indices: Tuple[int, ...]
@@ -268,13 +269,6 @@ class Box:
         n = len(tuple(indices))
         return cls(tuple(indices), (0.0,) * n, (math.inf,) * n)
 
-    def bound(self, coord: int) -> Tuple[float, float]:
-        """Bounds for a coordinate; (-inf, inf) when unconstrained."""
-        for i, a, b in zip(self.indices, self.lower, self.upper):
-            if i == coord:
-                return (a, b)
-        return (-math.inf, math.inf)
-
     def faces(self) -> Tuple[Tuple[int, str, float], ...]:
         """Finite faces as (coordinate, side, pinned value) triples.
 
@@ -289,17 +283,22 @@ class Box:
                 out.append((i, "upper", b))
         return tuple(out)
 
-    def require_within(self, m: int) -> None:
-        """UsageError unless every constrained coordinate is one of m."""
+    def limits(self, m: int) -> Tuple[Array, Array]:
+        """(lower, upper) arrays of length m, -inf and inf where the box
+        sets no bound; UsageError if it constrains a coordinate >= m."""
         if max(self.indices) >= m:
             raise UsageError("box constrains a coordinate outside the state")
+        lower, upper = np.full(m, -math.inf), np.full(m, math.inf)
+        lower[list(self.indices)] = self.lower
+        upper[list(self.indices)] = self.upper
+        return lower, upper
 
     def as_polyhedron(self, m: int) -> "Polyhedron":
-        """The same region as an intersection of half-spaces in R^m."""
-        self.require_within(m)
+        """The box as half-spaces in R^m, lower then upper, index by index."""
+        lower, upper = self.limits(m)
         halves = []
-        for i, a, b in zip(self.indices, self.lower, self.upper):
-            for pin, sign in ((a, 1.0), (b, -1.0)):
+        for i in self.indices:
+            for pin, sign in ((lower[i], 1.0), (upper[i], -1.0)):
                 if math.isfinite(pin):
                     anchor = np.zeros(m)
                     anchor[i] = pin

@@ -14,7 +14,8 @@ screen, which runs only while some path has not yet left the box and some
 sorted extremum lies outside it.  One fixed byte budget sets the width:
 the two copies and the block's keyed noise take 2m + max(1, r) words per
 path-step for P paths, m coordinates and r noise components, so memory is
-O(P * (m + r) * width + N * m) for N steps.
+O(P * (m + r) * width + N * m) for N steps.  integrate_paths and
+compare_interpretations draw their keyed noise at the same budget.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -97,32 +98,29 @@ class EnsembleStats:
 
 def _block_steps(n_paths: int, m: int, r: int, n_steps: int) -> int:
     """Steps in one block: at least 1, at most n_steps, and within
-    _BLOCK_BYTES at m + max(1, r) words per path-step."""
-    words = max(1, n_paths) * (m + max(1, r))
+    _BLOCK_BYTES at 2m + max(1, r) words per path-step."""
+    words = max(1, n_paths) * (2 * m + max(1, r))
     return max(1, min(n_steps, _BLOCK_BYTES // (8 * words)))
 
 
-def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array,
-                 per_draw: Optional[int] = None
+def _keyed_start(sys: SdeSystem, cfg: SimConfig, ids: Array
                  ) -> Tuple[Array, Callable[[int], Array]]:
     """(x0, increments_for) that start the keyed paths ids at cfg.x0.
 
-    increments_for draws the noise of per_draw steps in one call (by
-    default _block_steps at m + max(1, r) words a path-step) and serves
-    the step asked for from that block; the last block stops at the end
-    of the grid.
+    increments_for draws the noise of _block_steps steps in one call, as
+    run_ensemble reduces them, and serves the step asked for from that
+    block; the last block stops at the end of the grid.
     """
     seed, r, dt = cfg.seed, sys.r, cfg.grid.dt
     n_steps = cfg.grid.n_steps
-    if per_draw is None:
-        per_draw = _block_steps(ids.size, sys.m, r, n_steps)
+    width = _block_steps(ids.size, sys.m, r, n_steps)
     start, block = 0, None  # block[k] holds the increments of step start + k
 
     def for_step(step: int) -> Array:
         nonlocal start, block
         if block is None or not start <= step < start + len(block):
             block, start = None, step  # free the old block before drawing
-            steps = np.arange(step, min(step + per_draw, n_steps),
+            steps = np.arange(step, min(step + width, n_steps),
                               dtype=np.uint64)
             block = increments_for_step(seed, ids, steps, r, dt)
         return block[step - start]
@@ -169,8 +167,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     Violations are judged against the box with the per-coordinate slack
     tol; a path also counts as violating if it ever produced a non-finite
     state (it is then frozen at its last finite state for the remaining
-    steps).  With box None, box bookkeeping is skipped and only
-    extrema/summaries are reported.
+    steps).  With box None every bound is infinite, so no finite state
+    leaves it and only the non-finite paths count.
 
     The steps run in blocks of _block_steps at 2m + max(1, r) words a
     path-step, and the keyed noise is drawn a block at a time.
@@ -188,12 +186,13 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         raise UsageError("n_paths must be >= 1")
     if not 0 <= tol < np.inf:
         raise UsageError("tol must be finite and >= 0")
-    if box is not None:
-        box.require_within(sys.m)
+    # the slack bounds of every coordinate, infinite where the box sets none
+    lower, upper = (box.limits(sys.m) if box else
+                    (np.full(sys.m, -np.inf), np.full(sys.m, np.inf)))
+    lower, upper = lower - tol, upper + tol
     times = cfg.grid.times()
     n_grid, m = times.size, sys.m
-    # a block holds its states twice beside its keyed noise
-    width = _block_steps(n_paths, 2 * m, sys.r, n_grid)
+    width = _block_steps(n_paths, m, sys.r, n_grid)
     block = np.empty((width, m, n_paths))  # path-last, as march yields
     rows = np.empty(n_paths * width * m)  # path-first, then sorted path-last
     mean = np.empty((n_grid, m))
@@ -205,14 +204,8 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
     n_inside = n_paths  # paths not yet seen outside the box
-    if box is not None:  # the slack bounds of every coordinate
-        lower = np.full(m, -np.inf)
-        upper = np.full(m, np.inf)
-        for i, a, b in zip(box.indices, box.lower, box.upper):
-            lower[i], upper[i] = a - tol, b + tol
-
     x0, increments = _keyed_start(sys, cfg,
-                                  np.arange(n_paths, dtype=np.uint64), width)
+                                  np.arange(n_paths, dtype=np.uint64))
     steps = march(sys, cfg.grid, x0, increments)
     for start in range(0, n_grid, width):
         stop = min(start + width, n_grid)
@@ -238,8 +231,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         # another order
         np.minimum(lo, np.minimum.accumulate(low)[-1], out=lo)
         np.maximum(hi, np.maximum.accumulate(high)[-1], out=hi)
-        if (n_inside and box is not None
-                and ((low < lower) | (high > upper)).any()):
+        if n_inside and ((low < lower) | (high > upper)).any():
             # some path is outside at some step and some path has not yet
             # left: screen each path by its extrema over the block, and
             # search only a path that newly left for its first index

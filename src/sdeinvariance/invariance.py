@@ -189,10 +189,7 @@ def _sampling_intervals(sys: SdeSystem, cfg: CheckConfig,
                        np.where(np.isinf(hi), lo + span, hi)))
     if box is None:
         return lo, hi
-    box.require_within(sys.m)
-    idx = list(box.indices)
-    a, b = np.full(sys.m, -math.inf), np.full(sys.m, math.inf)
-    a[idx], b[idx] = box.lower, box.upper
+    a, b = box.limits(sys.m)
     inside = np.maximum(a, lo) < np.minimum(b, hi)
     width = hi - lo
     return (np.where(inside, np.maximum(a, lo),

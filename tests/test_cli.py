@@ -848,6 +848,19 @@ def build(sigma=None, interpretation=None):
 '''
 
 
+# two coordinates, but a start state of one
+SHORT_X0_PLUGIN_SOURCE = '''\
+from sdeinvariance import Box, ModelInfo, SdeSystem
+
+
+def build(sigma=None, interpretation=None):
+    system = SdeSystem(m=2, r=0, drift=lambda t, x: [-v for v in x],
+                       diffusion=lambda t, x: [[]] * 2, name="short")
+    info = ModelInfo(box=Box.unit((0, 1)), x0=(0.5,), horizon=1.0)
+    return system, info
+'''
+
+
 COUNTING_PREFIX = '''\
 import pathlib
 
@@ -976,6 +989,15 @@ class TestPluginModels:
                        "--dt", "0.25", "--n-paths", "2") == (
             1, "", "error: model build() must return "
             "(SdeSystem, ModelInfo)\n")
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "ensemble",
+                                         "convert"])
+    def test_x0_of_another_size_than_the_state_is_refused(
+            self, capsys, tmp_path, command):
+        path = tmp_path / "short_model.py"
+        path.write_text(SHORT_X0_PLUGIN_SOURCE)
+        assert run_cli(capsys, command, "--model", str(path)) == (
+            1, "", "error: model x0 has size 1, not m=2\n")
 
     def test_missing_model_file(self, capsys, tmp_path):
         path = str(tmp_path / "missing.py")

@@ -153,10 +153,13 @@ class TestBox:
         assert b.faces() == ((0, "lower", -1.0), (0, "upper", 1.0),
                              (2, "lower", 0.0))
 
-    def test_bound_lookup(self):
-        b = Box.unit((1,))
-        assert b.bound(1) == (0.0, 1.0)
-        assert b.bound(0) == (-math.inf, math.inf)
+    def test_limits_over_the_state(self):
+        lower, upper = Box((3, 1), (0.0, -2.0), (math.inf, 1.0)).limits(5)
+        assert lower.tolist() == [-math.inf, -2.0, -math.inf, 0.0, -math.inf]
+        assert upper.tolist() == [math.inf, 1.0, math.inf, math.inf, math.inf]
+        with pytest.raises(UsageError, match="box constrains a coordinate "
+                           "outside the state"):
+            Box.unit((3,)).limits(3)
 
     def test_as_polyhedron_normals_point_inward(self):
         poly = Box.unit((0,)).as_polyhedron(2)

@@ -403,10 +403,10 @@ class TestDeterminism:
         system, info = build_model("hh-additive", sigma=0.2)
         grid = TimeGrid(0.0, 1.0, 100)
         cfg = SimConfig(grid=grid, x0=tuple(info.x0), seed=5)
-        # the default noise draws; for the 6 paths at 4 + 3 words a
-        # path-step, 336 bytes is one step a draw and 2352 is 7 steps,
+        # the default noise draws; for the 6 paths at 2 x 4 + 3 words a
+        # path-step, 528 bytes is one step a draw and 3696 is 7 steps,
         # which do not divide the 100
-        for block_bytes in (ensemble._BLOCK_BYTES, 336, 2352):
+        for block_bytes in (ensemble._BLOCK_BYTES, 528, 3696):
             monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes)
             wide, _ = integrate_paths(system, cfg, range(6))
             for pid in range(6):
@@ -514,10 +514,10 @@ class TestKeyedNoiseBlocks:
         return shapes
 
     def test_steps_are_served_from_blocks(self, monkeypatch):
-        # 5 paths x (4 coordinates + 3 components) x 8 bytes: 2240 bytes
-        # is 8 steps a draw, so 13 steps take one block of 8 and a ragged
+        # 5 paths x (2 x 4 coordinates + 3 components) x 8 bytes a step:
+        # 8 steps a draw, so 13 steps take one block of 8 and a ragged
         # one of 5
-        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 2240)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * 5 * 11 * 8)
         shapes = self.draws(monkeypatch)
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 0.13, 13), x0=tuple(info.x0),
@@ -548,8 +548,9 @@ class TestKeyedNoiseBlocks:
     def test_compare_interpretations_draws_each_normal_once(self,
                                                               monkeypatch):
         # both readings march on one provider: n_paths * n_steps * r
-        # normals, not twice that, in blocks of 8, 8 and 4 steps
-        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * 6 * 7 * 8)
+        # normals, not twice that, in blocks of 8, 8 and 4 steps at
+        # 2 x 4 + 3 words a path-step
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * 6 * 11 * 8)
         shapes = self.draws(monkeypatch)
         system, info = build_model("hh-logistic", sigma=0.5)
         cfg = SimConfig(grid=TimeGrid(0.0, 0.2, 20), x0=tuple(info.x0))
@@ -585,9 +586,9 @@ class TestMemory:
         assert growth <= 2 * outputs
 
     # one keyed-noise draw, as _keyed_start makes it, covers the steps of
-    # one block, and the block's states and noise fit the budget; a
-    # noise-free system (r = 0) is drawn in bounded blocks too, not the
-    # whole grid at once
+    # one block, and the block's two copies of its states and its noise
+    # fit the budget; a noise-free system (r = 0) is drawn in bounded
+    # blocks too, not the whole grid at once
     @pytest.mark.parametrize("n_paths", [1, 64, 1000])
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_block_steps_stay_within_the_budget(self, monkeypatch, r,
@@ -595,7 +596,7 @@ class TestMemory:
         system = constant_drift_system(1, [0.0], r=r)
         cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 5000), x0=(0.0,))
         steps = ensemble._block_steps(n_paths, 1, r, 5000)
-        assert 8 * n_paths * (1 + max(1, r)) * steps <= ensemble._BLOCK_BYTES
+        assert 8 * n_paths * (2 + max(1, r)) * steps <= ensemble._BLOCK_BYTES
         shapes = TestKeyedNoiseBlocks.draws(monkeypatch)
         _, for_step = ensemble._keyed_start(
             system, cfg, np.arange(n_paths, dtype=np.uint64))

@@ -39,11 +39,12 @@ def brute_force_box_verdict(sys, box, n_mesh=33) -> Verdict:
     with [-10, 10] and tests the inward-drift sign directly, with no
     shared code with the checker under test.
     """
+    bounds = dict(zip(box.indices, zip(box.lower, box.upper)))
     for i, side, pin in box.faces():
         free = [j for j in range(sys.m) if j != i]
         axes = []
         for j in free:
-            a, b = box.bound(j)
+            a, b = bounds.get(j, (-math.inf, math.inf))
             lo = max(a, -10.0) if math.isfinite(a) else -10.0
             hi = min(b, 10.0) if math.isfinite(b) else 10.0
             axes.append(np.linspace(lo, hi, n_mesh))
@@ -1296,7 +1297,8 @@ def test_box_verdicts_match_the_closed_form(m, intact, data):
             else:  # as_polyhedron lists each coordinate's lower, upper
                 i, side = divmod(w.face_index, 2)
                 side = ("lower", "upper")[side]
-            pin = box.bound(i)[side == "upper"]
+            pins = box.upper if side == "upper" else box.lower
+            pin = pins[box.indices.index(i)]
             assert w.x[i] == pytest.approx(pin, abs=1e-9)
             margin, g_ii = oracle(i, side, w.x)
             if w.kind == "drift_sign":
