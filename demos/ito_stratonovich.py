@@ -18,12 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
-                           SimConfig, TimeGrid, WienerGrid, build_model,
-                           check_box, correction_batch, simulate,
+from sdeinvariance import (Interpretation, SimConfig, TimeGrid, WienerGrid,
+                           build_model, check_box, correction_batch, simulate,
                            stratonovich_to_ito)
-
-ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
 
 # =========================
 # The correction vector
@@ -32,13 +29,13 @@ system, info = build_model("hh-logistic", sigma=0.5)
 print("correction h on the logistic model (V component is always 0):")
 x1s = (0.0, 0.25, 0.5, 0.75, 1.0)
 states = np.array([[x1, 0.25, 0.75, -60.0] for x1 in x1s])
-for x1, h in zip(x1s, correction_batch(system, 0.0, states, ANALYTIC)):
+for x1, h in zip(x1s, correction_batch(system, 0.0, states)):
     closed_form = 0.25 * x1 * (1 - x1) * (1 - 2 * x1)
     print(f"  x_1 = {x1:4.2f}: h_1 = {h[0]:+.6f} "
           f"(closed form {closed_form:+.6f})")
 
 additive, _ = build_model("hh-additive", sigma=0.5)
-h = correction_batch(additive, 0.0, np.array([info.x0]), ANALYTIC)
+h = correction_batch(additive, 0.0, np.array([info.x0]))
 print(f"additive model: max |h| = {np.abs(h).max():.1e}")
 
 # =========================
@@ -48,7 +45,7 @@ print(f"additive model: max |h| = {np.abs(h).max():.1e}")
 # as the equivalent Ito system, and check both.  Same verdict.
 strat, info = build_model("hh-logistic", sigma=0.5,
                           interpretation=Interpretation.STRATONOVICH)
-rewritten = stratonovich_to_ito(strat, ANALYTIC)
+rewritten = stratonovich_to_ito(strat)
 v_direct = check_box(strat, info.box).verdict.value
 v_rewritten = check_box(rewritten, info.box).verdict.value
 print(f"verdicts: stratonovich form {v_direct}, "

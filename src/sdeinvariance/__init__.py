@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "CheckConfig", "CheckReport", "EnsembleStats", "FaceReport",
     "HHParams", "Halfspace", "IntegrationError", "Interpretation",
-    "JacobianMode", "JacobianPolicy", "MODEL_REGISTRY",
+    "JacobianMode", "MODEL_REGISTRY",
     "ModelEvaluationError", "ModelInfo", "NoiseKind", "Polyhedron",
     "SdeSystem", "SimConfig", "TimeGrid", "Trajectory", "UsageError",
     "Verdict", "WienerGrid", "Witness", "build_model", "check_box",

@@ -35,8 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conversion import (JacobianMode, JacobianPolicy, correction_batch,
-                         stratonovich_to_ito)
+from .conversion import JacobianMode, correction_batch, stratonovich_to_ito
 from .core import (Box, IntegrationError, Interpretation, ModelEvaluationError,
                    ModelInfo, SdeSystem, TimeGrid, UsageError)
 from .ensemble import run_ensemble
@@ -126,8 +125,6 @@ def _load_plugin(path: str):
     if not os.path.exists(path):
         raise UsageError(f"model file not found: {path}")
     spec = importlib.util.spec_from_file_location("sdeinv_user_model", path)
-    if spec is None or spec.loader is None:
-        raise UsageError(f"cannot import model file: {path}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     build = getattr(module, "build", None)
@@ -211,6 +208,17 @@ def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
             raise UsageError("grid is shorter than one step")
     return SimConfig(grid=TimeGrid(ns.t0, t_end, n_steps), x0=tuple(info.x0),
                      seed=ns.seed)
+
+
+def _check_targets(ns: argparse.Namespace) -> None:
+    """Refuse an --out or --plot that cannot be written, before any work."""
+    for flag, path in (("--out", ns.out), ("--plot", vars(ns).get("plot"))):
+        folder = os.path.dirname(path or "") or "."
+        if path is not None and not (os.path.isdir(folder)
+                                     and os.access(folder, os.W_OK)):
+            raise UsageError(f"{flag} {path}: no writable directory {folder}")
+    if ns.out is not None and os.path.isdir(ns.out):
+        raise UsageError(f"--out {ns.out} is a directory")
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -299,11 +307,9 @@ def cmd_convert(ns: argparse.Namespace) -> int:
     system, info = _reading(ns, Interpretation.STRATONOVICH)
     box = info.box if ns.box is None else ns.box
     check = _check_config(ns)
-    policy = (JacobianPolicy(JacobianMode.ANALYTIC)
-              if system.diffusion_jacobian is not None
-              else JacobianPolicy(JacobianMode.CENTRAL_DIFFERENCE))
+    mode = JacobianMode.for_system(system)
     lines = [f"model: {system.name} (stratonovich reading of (f, g))",
-             f"jacobian mode: {policy.mode.value}"]
+             f"jacobian mode: {mode.value}"]
     samples = np.array([info.x0], dtype=float)
     if box is not None:  # five points along the box's diagonal
         # finite bounds as they are; a coordinate with an infinite end
@@ -318,18 +324,18 @@ def cmd_convert(ns: argparse.Namespace) -> int:
         samples[:, idx] = (lo + frac * (hi - lo))[:, idx]
     lines.append("drift correction h/2 at t=0:")
     sample_rows = []
-    for x, h in zip(samples, correction_batch(system, 0.0, samples, policy)):
+    for x, h in zip(samples, correction_batch(system, 0.0, samples, mode)):
         half = 0.5 * h
         xs = ", ".join(f"{v:.4g}" for v in x)
         hs = ", ".join(f"{v:.6g}" for v in half)
         lines.append(f"  x = ({xs})  ->  h/2 = ({hs})")
         sample_rows.append({"x": [float(v) for v in x],
                             "half_h": [float(v) for v in half]})
-    payload = {"model": system.name, "jacobian_mode": policy.mode.value,
+    payload = {"model": system.name, "jacobian_mode": mode.value,
                "correction_samples": sample_rows}
     if box is not None:
         original = check_box(system, box, check)
-        converted = check_box(stratonovich_to_ito(system, policy), box, check)
+        converted = check_box(stratonovich_to_ito(system, mode), box, check)
         equal = original.verdict is converted.verdict
         lines.append(f"check verdict, stratonovich form: "
                      f"{original.verdict.value}")
@@ -433,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = _parse(build_parser(), argv)
+        _check_targets(ns)
         return ns.func(ns)
     except (UsageError, ModelEvaluationError, IntegrationError,
             OSError, MemoryError) as exc:

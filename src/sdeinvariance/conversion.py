@@ -17,7 +17,7 @@ the system or from scaled central differences of the diffusion field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,23 +26,26 @@ from .core import (Array, Interpretation, ModelEvaluationError, SdeSystem,
 
 
 class JacobianMode(enum.Enum):
-    ANALYTIC = "analytic"
-    CENTRAL_DIFFERENCE = "central-difference"
-
-
-_FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class JacobianPolicy:
     """How to obtain d g / d x for the drift correction.
 
     Central differences use the step 1e-6 * max(1, |x_j|) in coordinate
-    j; analytic mode requires the system to carry a diffusion_jacobian
-    callable.
+    j; analytic mode calls the system's diffusion_jacobian, and
+    for_system picks it whenever the system carries one.
     """
 
-    mode: JacobianMode = JacobianMode.CENTRAL_DIFFERENCE
+    ANALYTIC = "analytic"
+    CENTRAL_DIFFERENCE = "central-difference"
+
+    @classmethod
+    def for_system(cls, sys: SdeSystem) -> "JacobianMode":
+        return (cls.ANALYTIC if sys.diffusion_jacobian is not None
+                else cls.CENTRAL_DIFFERENCE)
+
+
+# the old name; perfbench/workloads.py, its only reader, calls it on a mode
+JacobianPolicy = JacobianMode
+
+_FD_STEP = 1e-6
 
 
 def _fd_jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
@@ -62,10 +65,12 @@ def _fd_jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
 
 
 def correction_batch(sys: SdeSystem, t: float, states: Array,
-                     policy: JacobianPolicy) -> Array:
-    """The correction vector h on a (n, m) batch of states, (n, m)."""
+                     mode: JacobianMode | None = None) -> Array:
+    """The correction vector h on a (n, m) batch of states, (n, m);
+    mode None means JacobianMode.for_system(sys)."""
     states = np.asarray(states, dtype=float)
-    if policy.mode is JacobianMode.ANALYTIC:
+    mode = mode or JacobianMode.for_system(sys)
+    if mode is JacobianMode.ANALYTIC:
         jac = jacobian_batch(sys, t, states)
     else:
         jac = _fd_jacobian_batch(sys, t, states)
@@ -79,12 +84,12 @@ def correction_batch(sys: SdeSystem, t: float, states: Array,
     return np.einsum("nikj,njk->ni", jac, g)
 
 
-def _shifted_drift(sys: SdeSystem, policy: JacobianPolicy, sign: float):
+def _shifted_drift(sys: SdeSystem, mode: JacobianMode, sign: float):
     base = sys.drift
 
     def drift(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        h = correction_batch(sys, t, np.atleast_2d(x), policy)
+        h = correction_batch(sys, t, np.atleast_2d(x), mode)
         return (np.asarray(base(t, x), dtype=float)
                 + sign * 0.5 * h.reshape(x.shape))
 
@@ -92,40 +97,39 @@ def _shifted_drift(sys: SdeSystem, policy: JacobianPolicy, sign: float):
     return drift
 
 
-def _rewrite(sys: SdeSystem, policy: JacobianPolicy,
+def _rewrite(sys: SdeSystem, mode: JacobianMode | None,
              target: Interpretation, refusal: str) -> SdeSystem:
     """sys, which must carry the other tag, read as target: drift f + h/2
     towards Ito, f - h/2 towards Stratonovich, the target's tag and an
     -as-<target> name.  Every other field carries over."""
     if sys.interpretation is target:
         raise UsageError(refusal)
+    mode = mode or JacobianMode.for_system(sys)  # once, not per drift call
     sign = 1.0 if target is Interpretation.ITO else -1.0
-    return replace(sys, drift=_shifted_drift(sys, policy, sign),
+    return replace(sys, drift=_shifted_drift(sys, mode, sign),
                    interpretation=target, name=f"{sys.name}-as-{target.value}")
 
 
 def stratonovich_to_ito(sys: SdeSystem,
-                        policy: JacobianPolicy = JacobianPolicy()
-                        ) -> SdeSystem:
+                        mode: JacobianMode | None = None) -> SdeSystem:
     """Rewrite a Stratonovich system as the equivalent Ito system.
 
     The returned system has drift f + h/2, the same diffusion, and the
     Ito tag.  Requires a smooth diffusion (the correction differentiates
-    it) and a system tagged Stratonovich.  Every other field carries
-    over; autonomous among them, since the h of a t-free g and Jacobian
-    is t-free.
+    it) and a system tagged Stratonovich; mode None means for_system's.
+    Every other field carries over; autonomous among them, since the h
+    of a t-free g and Jacobian is t-free.
     """
-    return _rewrite(sys, policy, Interpretation.ITO,
+    return _rewrite(sys, mode, Interpretation.ITO,
                     "stratonovich_to_ito expects a Stratonovich system")
 
 
 def ito_to_stratonovich(sys: SdeSystem,
-                        policy: JacobianPolicy = JacobianPolicy()
-                        ) -> SdeSystem:
+                        mode: JacobianMode | None = None) -> SdeSystem:
     """Rewrite an Ito system as the equivalent Stratonovich system.
 
     The mirror of :func:`stratonovich_to_ito`: drift f - h/2, and every
     other field, autonomous included, carried over.
     """
-    return _rewrite(sys, policy, Interpretation.STRATONOVICH,
+    return _rewrite(sys, mode, Interpretation.STRATONOVICH,
                     "ito_to_stratonovich expects an Ito system")

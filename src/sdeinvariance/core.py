@@ -88,8 +88,8 @@ class SdeSystem:
             row independently.  Purely an evaluation speedup; results must
             be row-wise identical to single-state calls.
         diffusion_jacobian: optional callable (t, x) -> array of shape
-            (m, r, m) with entry [i, k, j] = d g[i, k] / d x[j].  Used by the
-            analytic mode of the drift-correction machinery.
+            (m, r, m) with entry [i, k, j] = d g[i, k] / d x[j].  The drift
+            correction uses it by default (JacobianMode.for_system).
         coord_names: optional labels for the state coordinates (CSV headers,
             plots).  Defaults to x_1 .. x_m.
         coord_ranges: optional per-coordinate plausibility intervals used by
@@ -343,9 +343,7 @@ class Polyhedron:
 
     @property
     def dim(self) -> Optional[int]:
-        if not self.halfspaces:
-            return None
-        return len(self.halfspaces[0].normal)
+        return len(self.halfspaces[0].normal) if self.halfspaces else None
 
 
 @dataclass(frozen=True)

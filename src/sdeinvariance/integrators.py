@@ -193,13 +193,11 @@ def write_trajectory_csv(traj: Trajectory, target,
              else tuple(f"x_{i + 1}" for i in range(traj.m)))
     if len(names) != traj.m:
         raise UsageError("coord_names length must match the trajectory")
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
-    try:
-        write_csv_rows(fh, traj.t, traj.states, names)
-    finally:
-        if own:
-            fh.close()
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, "w", newline="") as fh:
+            write_csv_rows(fh, traj.t, traj.states, names)
+    else:
+        write_csv_rows(target, traj.t, traj.states, names)
 
 
 def write_csv_rows(fh, times: Array, states: Array,

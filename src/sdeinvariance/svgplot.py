@@ -26,10 +26,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 def _spread(lo: float, hi: float) -> Tuple[float, float]:
     if not np.isfinite(lo) or not np.isfinite(hi):
         return (-1.0, 1.0)
-    if hi <= lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
-        return (lo - pad, hi + pad)
     pad = 0.04 * (hi - lo)
+    if hi <= lo:  # a flat series
+        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
     return (lo - pad, hi + pad)
 
 
@@ -67,10 +66,8 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
     def py(v: float) -> float:
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">']
     out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" '
                'fill="#ffffff"/>')
     if title:

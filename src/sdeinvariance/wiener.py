@@ -25,13 +25,12 @@ is generated as one such block.  None of this changes the mapping from
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Array, TimeGrid, UsageError
+from .core import Array, TimeGrid, UsageError, checked_indices
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -77,10 +76,7 @@ def uniform_stream(seed: int, path_ids, steps, components) -> Array:
 def checked_keys(values, what: str) -> Array:
     """values as a uint64 array of 64-bit keys (seeds, path ids): each an
     integer in [0, 2**64), else UsageError naming what they are."""
-    try:
-        keys = [operator.index(v) for v in values]
-    except TypeError as exc:
-        raise UsageError(f"{what} must be integers: {exc}")
+    keys = checked_indices(values, what)
     if not all(0 <= k < 2 ** 64 for k in keys):
         raise UsageError(f"{what} must lie in [0, 2**64)")
     return np.array(keys, dtype=np.uint64)

@@ -16,7 +16,7 @@ import scipy.optimize  # noqa: F401
 import scipy.stats  # noqa: F401
 
 import sdeinvariance.ensemble as ensemble
-from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
+from sdeinvariance import (Interpretation, JacobianMode,
                            MODEL_REGISTRY, SdeSystem, SimConfig, TimeGrid,
                            Verdict, WienerGrid, build_model, check_box,
                            check_comparison, correction_batch, rate_alpha,
@@ -142,9 +142,9 @@ def test_criterion_4_correction_consistency_and_verdict_parity():
               for v in (-80.0, -60.0, -20.0)]
     states = np.concatenate(blocks)
 
-    analytic = correction_batch(system, 0.0, states,
-                                JacobianPolicy(JacobianMode.ANALYTIC))
-    central = correction_batch(system, 0.0, states, JacobianPolicy())
+    analytic = correction_batch(system, 0.0, states, JacobianMode.ANALYTIC)
+    central = correction_batch(system, 0.0, states,
+                               JacobianMode.CENTRAL_DIFFERENCE)
     grid_ok = np.allclose(central, analytic, rtol=1e-6, atol=1e-9)
 
     face_worst = 0.0
@@ -152,8 +152,7 @@ def test_criterion_4_correction_consistency_and_verdict_parity():
         for pin in (0.0, 1.0):
             x = np.array([0.5, 0.5, 0.5, -60.0])
             x[i] = pin
-            h = correction_batch(system, 0.0, [x],
-                                 JacobianPolicy(JacobianMode.ANALYTIC))[0]
+            h = correction_batch(system, 0.0, [x], JacobianMode.ANALYTIC)[0]
             face_worst = max(face_worst, float(np.abs(h).max()))
     faces_ok = face_worst <= 1e-8
 
@@ -161,8 +160,7 @@ def test_criterion_4_correction_consistency_and_verdict_parity():
     for name in sorted(MODEL_REGISTRY):
         strat, info = build_model(name, sigma=0.5,
                                   interpretation=Interpretation.STRATONOVICH)
-        rewritten = stratonovich_to_ito(
-            strat, JacobianPolicy(JacobianMode.ANALYTIC))
+        rewritten = stratonovich_to_ito(strat, JacobianMode.ANALYTIC)
         same = (check_box(strat, info.box).verdict
                 is check_box(rewritten, info.box).verdict)
         parity.append(same)

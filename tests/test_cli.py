@@ -445,6 +445,85 @@ class TestConvert:
                 } == digests
 
 
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the command ran before its targets were checked")
+
+
+# one command line per target flag; each names its target "{target}"
+TARGET_RUNS = {
+    "check-out": ("check", "--model", "hh-logistic", *QUICK_CHECK, "--out",
+                  "{target}"),
+    "simulate-out": ("simulate", "--model", "hh-logistic", "--t-end", "1",
+                     "--out", "{target}"),
+    "simulate-plot": ("simulate", "--model", "hh-logistic", "--t-end", "1",
+                      "--plot", "{target}"),
+    "ensemble-out": ("ensemble", "--model", "hh-logistic", "--n-paths", "4",
+                     "--t-end", "1", "--out", "{target}"),
+    "convert-out": ("convert", "--model", "hh-logistic", *QUICK_CHECK,
+                    "--out", "{target}"),
+}
+
+
+class TestOutputTargets:
+    """An --out or --plot that cannot be written is refused before the
+    command does any work, so nothing runs and nothing is lost."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for name in ("run_ensemble", "check_box", "simulate",
+                     "correction_batch"):
+            monkeypatch.setattr(cli, name, _refuse_to_run)
+
+    @staticmethod
+    def run(capsys, case, target):
+        argv = [str(target) if a == "{target}" else a
+                for a in TARGET_RUNS[case]]
+        return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("case", sorted(TARGET_RUNS))
+    def test_missing_directory(self, capsys, tmp_path, case):
+        folder = tmp_path / "missing"
+        target = folder / "result"
+        flag = "--" + case.split("-")[1]
+        assert self.run(capsys, case, target) == (
+            1, "", f"error: {flag} {target}: no writable directory "
+            f"{folder}\n")
+        assert not folder.exists()
+
+    @pytest.mark.parametrize("case", sorted(TARGET_RUNS))
+    def test_directory_that_is_not_writable(self, capsys, tmp_path,
+                                            monkeypatch, case):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        target = tmp_path / "result"
+        flag = "--" + case.split("-")[1]
+        assert self.run(capsys, case, target) == (
+            1, "", f"error: {flag} {target}: no writable directory "
+            f"{tmp_path}\n")
+
+    @pytest.mark.parametrize("case", sorted(c for c in TARGET_RUNS
+                                            if c.endswith("-out")))
+    def test_out_that_is_a_directory(self, capsys, tmp_path, case):
+        assert self.run(capsys, case, tmp_path) == (
+            1, "", f"error: --out {tmp_path} is a directory\n")
+
+    def test_a_file_that_is_not_a_directory(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "s.json"
+        code, out, err = self.run(capsys, "ensemble-out", target)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "no writable directory" in err
+
+
+def test_bare_target_names_write_to_the_working_directory(capsys, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--model", "hh-logistic",
+                             "--t-end", "0.1", "--out", "p.csv", "--plot", "p")
+    assert (code, out, err) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "p-gating.svg", "p-voltage.svg", "p.csv"]
+
+
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -998,6 +1077,14 @@ class TestPluginModels:
         path.write_text(SHORT_X0_PLUGIN_SOURCE)
         assert run_cli(capsys, command, "--model", str(path)) == (
             1, "", "error: model x0 has size 1, not m=2\n")
+
+    def test_directory_named_like_a_model_file(self, capsys, tmp_path):
+        path = tmp_path / "m.py"
+        path.mkdir()
+        code, out, err = run_cli(capsys, "check", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and "Traceback" not in err
 
     def test_missing_model_file(self, capsys, tmp_path):
         path = str(tmp_path / "missing.py")

@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdeinvariance import (Interpretation, JacobianMode, JacobianPolicy,
+from sdeinvariance import (Interpretation, JacobianMode,
                            ModelEvaluationError, SdeSystem, UsageError,
                            build_model, correction_batch,
                            ito_to_stratonovich, stratonovich_to_ito)
 from helpers import gbm_system
 
-ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
-CENTRAL = JacobianPolicy(JacobianMode.CENTRAL_DIFFERENCE)
+ANALYTIC = JacobianMode.ANALYTIC
+CENTRAL = JacobianMode.CENTRAL_DIFFERENCE
 
 
 def logistic_correction_by_hand(sigma, gates):
@@ -137,16 +137,89 @@ class TestRewrites:
         for k, row in enumerate(pts):
             assert np.allclose(batch[k], ito.drift(0.0, row), rtol=1e-14)
 
-    @pytest.mark.parametrize("policy", [ANALYTIC, CENTRAL])
-    def test_single_states_match_the_vectorized_batch(self, policy):
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL])
+    def test_single_states_match_the_vectorized_batch(self, mode):
         strat, _ = build_model("hh-logistic", sigma=0.5,
                                interpretation=Interpretation.STRATONOVICH)
         assert strat.vectorized
-        batch_form = stratonovich_to_ito(strat, policy)
-        row_form = stratonovich_to_ito(replace(strat, vectorized=False),
-                                       policy)
+        batch_form = stratonovich_to_ito(strat, mode)
+        row_form = stratonovich_to_ito(replace(strat, vectorized=False), mode)
         pts = np.array([[0.2, 0.4, 0.6, -60.0], [0.5, 0.5, 0.5, -40.0],
                         [0.05, 0.9, 0.3, 10.0]])
         batch = batch_form.drift(0.0, pts)
         for k, row in enumerate(pts):
             assert row_form.drift(0.0, row).tobytes() == batch[k].tobytes()
+
+
+def _counted_gbm(with_jacobian, calls, **kwargs):
+    """gbm_system whose diffusion and Jacobian count their calls; the
+    Jacobian dropped when with_jacobian is False."""
+    system = gbm_system(a=0.5, b=0.7, **kwargs)
+
+    def counted(name, fn):
+        def wrapped(t, x):
+            calls[name] += 1
+            return fn(t, x)
+        return wrapped
+
+    jacobian = (counted("jacobian", system.diffusion_jacobian)
+                if with_jacobian else None)
+    return replace(system, diffusion=counted("diffusion", system.diffusion),
+                   diffusion_jacobian=jacobian)
+
+
+class TestDefaultMode:
+    """With no mode, the Jacobian is analytic exactly when the system
+    has one, else central differences."""
+
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    def test_for_system(self, with_jacobian):
+        system = _counted_gbm(with_jacobian, {})
+        assert JacobianMode.for_system(system) is (
+            ANALYTIC if with_jacobian else CENTRAL)
+
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    def test_correction_batch(self, with_jacobian):
+        calls = {"diffusion": 0, "jacobian": 0}
+        system = _counted_gbm(with_jacobian, calls)
+        h = correction_batch(system, 0.0, [[2.0]])
+        # central differences evaluate g at x +- delta, then at x
+        assert calls == ({"diffusion": 1, "jacobian": 1} if with_jacobian
+                         else {"diffusion": 3, "jacobian": 0})
+        explicit = correction_batch(system, 0.0, [[2.0]],
+                                    ANALYTIC if with_jacobian else CENTRAL)
+        assert h.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    @pytest.mark.parametrize("rewrite, tag", [
+        (stratonovich_to_ito, Interpretation.STRATONOVICH),
+        (ito_to_stratonovich, Interpretation.ITO)])
+    def test_rewrites(self, with_jacobian, rewrite, tag):
+        calls = {"diffusion": 0, "jacobian": 0}
+        system = _counted_gbm(with_jacobian, calls, interpretation=tag)
+        x = np.array([2.0])
+        drift = rewrite(system).drift(0.0, x)
+        assert calls["jacobian"] == (1 if with_jacobian else 0)
+        explicit = rewrite(system, ANALYTIC if with_jacobian else CENTRAL)
+        assert drift.tobytes() == explicit.drift(0.0, x).tobytes()
+
+    def test_resolved_once_per_rewrite(self, monkeypatch):
+        picked = []
+        for_system = JacobianMode.for_system
+
+        def counted(system):
+            picked.append(system)
+            return for_system(system)
+
+        monkeypatch.setattr(JacobianMode, "for_system", counted)
+        strat = gbm_system(a=0.5, b=0.7,
+                           interpretation=Interpretation.STRATONOVICH)
+        ito = stratonovich_to_ito(strat)
+        for x in ([0.5], [1.0], [[1.0], [3.0]]):
+            ito.drift(0.0, np.array(x))
+        assert picked == [strat]
+
+    def test_old_spelling_returns_the_mode(self):
+        import sdeinvariance
+        assert sdeinvariance.JacobianPolicy(ANALYTIC) is ANALYTIC
+        assert "JacobianPolicy" not in sdeinvariance.__all__

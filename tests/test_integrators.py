@@ -15,15 +15,14 @@ from sdeinvariance import (Box, CheckConfig, IntegrationError,
                            Trajectory, UsageError, WienerGrid, build_model,
                            check_box, run_ensemble, simulate,
                            stratonovich_to_ito, write_trajectory_csv)
-from sdeinvariance.conversion import (JacobianMode, JacobianPolicy,
-                                      correction_batch)
+from sdeinvariance.conversion import JacobianMode, correction_batch
 from sdeinvariance.core import diffusion_batch
 from sdeinvariance.ensemble import integrate_paths
 from sdeinvariance.integrators import integrate_batch, march
 from sdeinvariance.wiener import increments_for_step
 from helpers import gbm_exact_ito, gbm_exact_strat, gbm_system
 
-ANALYTIC = JacobianPolicy(JacobianMode.ANALYTIC)
+ANALYTIC = JacobianMode.ANALYTIC
 
 
 def decay_system(lam: float) -> SdeSystem:
@@ -453,7 +452,7 @@ class TestDiagonalNoise:
             lambda: correction_batch(counting, 0.0, np.ones((3, 2)),
                                      ANALYTIC),
             lambda: correction_batch(counting, 0.0, np.ones((3, 2)),
-                                     JacobianPolicy()),
+                                     JacobianMode.CENTRAL_DIFFERENCE),
         )
         for run in runs:
             calls.clear()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdeinvariance import (MODEL_REGISTRY, Box, CheckConfig, Halfspace,
-                           Interpretation, JacobianMode, JacobianPolicy,
+                           Interpretation, JacobianMode,
                            ModelEvaluationError, Polyhedron, SdeSystem,
                            UsageError, Verdict, build_model, check_box,
                            check_comparison, check_polyhedron,
@@ -803,6 +803,67 @@ class TestLockstepWalk:
         assert rng.bit_generator.state == before
 
 
+class _Draws:
+    """A generator stub: standard_normal serves rows in turn, repeating
+    the last, and random returns 0.25; both count their calls."""
+
+    def __init__(self, *rows):
+        self.rows = [np.array(r, dtype=float) for r in rows]
+        self.normals = self.uniforms = 0
+
+    def standard_normal(self, out):
+        out[...] = self.rows[min(self.normals, len(self.rows) - 1)]
+        self.normals += 1
+        return out
+
+    def random(self):
+        self.uniforms += 1
+        return 0.25
+
+
+class TestTangentRetry:
+    """A chain whose draw lies along its normal draws again, alone."""
+
+    NRM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    SLANT = (0.3, 0.8, -0.5)
+
+    def test_only_the_parallel_chain_draws_again(self):
+        draws = [[(2.0, 0.0, 0.0), (0.3, 0.5, -0.2)], [(0.4, -1.0, 0.7)]]
+        chains = [_Draws(*rows) for rows in draws]
+        direction, found = inv._tangent_directions(self.NRM, chains)
+        assert found.tolist() == [True, True]
+        assert [c.normals for c in chains] == [2, 1]
+        for c, rows in enumerate(draws):
+            alone, ok = inv._tangent_directions(self.NRM[c:c + 1],
+                                                [_Draws(*rows)])
+            assert ok.tolist() == [True]
+            assert direction[c].tobytes() == alone[0].tobytes()
+
+    def test_a_chain_parallel_at_every_draw_is_not_found(self):
+        chains = [_Draws((-3.0, 0.0, 0.0)), _Draws(self.SLANT)]
+        with np.errstate(invalid="ignore"):
+            direction, found = inv._tangent_directions(self.NRM, chains)
+        assert found.tolist() == [False, True]
+        assert [c.normals for c in chains] == [8, 1]
+
+    def test_the_walk_leaves_that_chain_at_its_start(self):
+        # the unit square's lower faces in R^3, in the window [0, 1]^3
+        anchors = np.zeros((2, 3))
+        lo, hi = np.zeros(3), np.ones(3)
+        starts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        chains = [_Draws((2.0, 0.0, 0.0)), _Draws(self.SLANT)]
+        walks = inv._walk_faces(starts, np.array([0, 1]), anchors, self.NRM,
+                                lo, hi, 5, chains)
+        assert walks[0].tolist() == [starts[0].tolist()] * 5
+        assert (chains[0].normals, chains[0].uniforms) == (40, 0)
+        alone = _Draws(self.SLANT)
+        expected = inv._walk_faces(starts[1:], np.array([1]), anchors,
+                                   self.NRM, lo, hi, 5, [alone])
+        assert walks[1].tobytes() == expected[0].tobytes()
+        assert (chains[1].normals, chains[1].uniforms) == (5, 5)
+        assert not np.array_equal(walks[1][0], starts[1])
+
+
 class TestReportSerialization:
     def test_json_round_trip(self):
         system, info = build_model("hh-additive", sigma=0.1)
@@ -848,7 +909,7 @@ def _registry_readings():
                                interpretation=Interpretation.STRATONOVICH)
         for mode in JacobianMode:
             yield pytest.param(
-                stratonovich_to_ito(strat, JacobianPolicy(mode)),
+                stratonovich_to_ito(strat, mode),
                 id=f"{name}-as-ito-{mode.value}")
 
 
@@ -919,8 +980,7 @@ class TestAutonomous:
         logistic, _ = build_model("hh-logistic", sigma=0.5)
         strat, _ = build_model("hh-logistic", sigma=0.5,
                                interpretation=Interpretation.STRATONOVICH)
-        converted = stratonovich_to_ito(
-            strat, JacobianPolicy(JacobianMode.ANALYTIC))
+        converted = stratonovich_to_ito(strat, JacobianMode.ANALYTIC)
         poly = info.box.as_polyhedron(4)
         return {
             "box-additive": lambda s: check_box(s(additive), info.box, cfg),
@@ -1314,7 +1374,6 @@ def test_box_verdicts_match_the_closed_form(m, intact, data):
         assert (reports["polyhedron"].verdict
                 is reports["box"].verdict)
     strat = replace(system, interpretation=Interpretation.STRATONOVICH)
-    converted = stratonovich_to_ito(strat,
-                                    JacobianPolicy(JacobianMode.ANALYTIC))
+    converted = stratonovich_to_ito(strat, JacobianMode.ANALYTIC)
     assert (check_box(converted, box, cfg).verdict
             is check_box(strat, box, cfg).verdict)
