@@ -211,7 +211,10 @@ def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
 
 
 def _check_targets(ns: argparse.Namespace) -> None:
-    """Refuse an --out or --plot that cannot be written, before any work."""
+    """Refuse empty targets and unwritable --out or --plot before any work."""
+    for flag in ("--out", "--plot", "--dump-paths"):
+        if vars(ns).get(flag[2:].replace("-", "_")) == "":
+            raise UsageError(f"{flag} must not be empty")
     for flag, path in (("--out", ns.out), ("--plot", vars(ns).get("plot"))):
         folder = os.path.dirname(path or "") or "."
         if path is not None and not (os.path.isdir(folder)

@@ -26,8 +26,8 @@ A related pairwise test orders two systems: solutions started below stay
 below when, whenever x_i = y_i and x_k >= y_k on the coupled coordinates,
 the first drift dominates (f_i(t, x) >= f2_i(t, y)) and the row-i
 diffusions agree.  :func:`check_comparison` samples exactly these pairs.
-Importing this module loads neither scipy.stats nor scipy.optimize; the
-first checker call that samples in a process imports them, once.
+Nothing here loads scipy.stats, and only the linear-programming fallback
+of a polyhedron's interior point loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -204,9 +204,36 @@ def _child_rng(cfg: CheckConfig, *key: int) -> np.random.Generator:
 
 
 def _halton(cfg: CheckConfig, dim: int, n: int, *key: int) -> Array:
-    from scipy.stats import qmc
-    eng = qmc.Halton(d=dim, scramble=True, seed=_child_rng(cfg, *key))
-    return eng.random(n)
+    """Points 0..n-1 of Owen's scrambled Halton sequence, F-ordered (n, dim).
+
+    The bits are those of scipy's qmc.Halton(dim, scramble=True,
+    seed=_child_rng(cfg, *key)).random(n), which draws from the child
+    _child_rng(cfg, *key, 0).  Coordinate k takes the k-th prime b as base
+    and ceil(54 / log2 b) - 1 rows of arange(b), each row shuffled, base
+    after base (permuted along rows draws as shuffling each row in turn).
+    Point i sums perm[j, digit j of i] * w over j, low digit first, with
+    w = 1/b at j = 0 and then w /= b (w *= 1/b rounds differently).
+    """
+    rng = _child_rng(cfg, *key, 0)
+    out = np.zeros((dim, n))
+    base = 1
+    for row in out:
+        base += 1  # to the next prime
+        while any(base % p == 0 for p in range(2, math.isqrt(base) + 1)):
+            base += 1
+        rows = math.ceil(54 / math.log2(base)) - 1
+        perm = rng.permuted(np.broadcast_to(np.arange(base), (rows, base)),
+                            axis=1)
+        q, w = np.arange(n), 1.0 / base
+        for p in perm:
+            if q[-1:].any():  # q is sorted: all of it is 0 once q[-1] is
+                r = q // base
+                row += (p * w)[q - r * base]
+                q = r
+            else:
+                row += p[0] * w
+            w /= base
+    return out.T
 
 
 def _require_finite(values: Array, what: str, t: float, points: Array):

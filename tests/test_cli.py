@@ -463,10 +463,19 @@ TARGET_RUNS = {
                     "--out", "{target}"),
 }
 
+# one command line per target flag that an empty value must not reach
+EMPTY_TARGETS = {
+    "--out": ("check", "--model", "hh-logistic", *QUICK_CHECK),
+    "--plot": ("simulate", "--model", "hh-logistic", "--t-end", "1"),
+    "--dump-paths": ("ensemble", "--model", "hh-logistic", "--n-paths", "4",
+                     "--t-end", "1"),
+}
+
 
 class TestOutputTargets:
-    """An --out or --plot that cannot be written is refused before the
-    command does any work, so nothing runs and nothing is lost."""
+    """An empty target, or an --out or --plot that cannot be written, is
+    refused before the command does any work, so nothing runs and nothing
+    is lost."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -505,6 +514,24 @@ class TestOutputTargets:
     def test_out_that_is_a_directory(self, capsys, tmp_path, case):
         assert self.run(capsys, case, tmp_path) == (
             1, "", f"error: --out {tmp_path} is a directory\n")
+
+    @pytest.mark.parametrize("flag", sorted(EMPTY_TARGETS))
+    def test_empty_target(self, capsys, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *EMPTY_TARGETS[flag], f"{flag}=") == (
+            1, "", f"error: {flag} must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", sorted(EMPTY_TARGETS))
+    def test_empty_target_from_a_config_file(self, capsys, tmp_path,
+                                             monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): ""}))
+        argv = (*EMPTY_TARGETS[flag], "--config", str(cfg))
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: {flag} must not be empty\n")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_a_file_that_is_not_a_directory(self, capsys, tmp_path):
         (tmp_path / "file").write_text("")
