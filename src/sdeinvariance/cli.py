@@ -211,7 +211,7 @@ def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
 
 
 def _check_targets(ns: argparse.Namespace) -> None:
-    """Refuse empty targets and unwritable --out or --plot before any work."""
+    """Refuse empty and unwritable targets before any work."""
     for flag in ("--out", "--plot", "--dump-paths"):
         if vars(ns).get(flag[2:].replace("-", "_")) == "":
             raise UsageError(f"{flag} must not be empty")
@@ -222,6 +222,12 @@ def _check_targets(ns: argparse.Namespace) -> None:
             raise UsageError(f"{flag} {path}: no writable directory {folder}")
     if ns.out is not None and os.path.isdir(ns.out):
         raise UsageError(f"--out {ns.out} is a directory")
+    near = dump = vars(ns).get("dump_paths")
+    while near is not None and not os.path.lexists(near):
+        near = os.path.dirname(near) or "."  # makedirs makes the rest
+    if near is not None and not (os.path.isdir(near)
+                                 and os.access(near, os.W_OK)):
+        raise UsageError(f"--dump-paths {dump}: no writable directory {near}")
 
 
 def _write_text(path: Optional[str], text: str) -> None:

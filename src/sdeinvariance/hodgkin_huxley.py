@@ -25,9 +25,9 @@ The additive variant leaks probability mass out of [0, 1] because its
 noise does not vanish on the gating faces; the logistic variant switches
 off exactly at x_i = 0 and x_i = 1 and keeps the box invariant.
 
-All six rates come from one kernel, _rates, with one np.exp call; near
-the removable singularities of alpha_1 (V = -35) and alpha_2 (V = -50)
-it substitutes their series branches.
+Two rate kernels give the same bits, _rates on arrays of voltages and
+_rates_at on one voltage in floats: beside IEEE + - * / both call np.exp
+once on six exponents, and the drifts take x_1 ** 3 and x_2 ** 4 on arrays.
 """
 
 from __future__ import annotations
@@ -121,11 +121,22 @@ def _rates(v) -> Array:
     return r.reshape((6,) + v.shape)
 
 
+def _rates_at(v: float) -> list:
+    """_rates at one voltage, as floats: its steps in its operand order."""
+    u, w, s = v + 35.0, v + 50.0, v + 60.0
+    e = np.exp([-u / 10.0, -w / 10.0, s * -0.05, s * -0.0556, -s / 80.0,
+                (v + 30.0) * -0.1]).tolist()
+    near = abs(u) < _SINGULAR_WINDOW, abs(w) < _SINGULAR_WINDOW
+    return [1.0 + u / 20.0 if near[0] else 0.1 * u / (1.0 - e[0]),
+            0.1 + w / 200.0 if near[1] else 0.01 * w / (1.0 - e[1]),
+            e[2] * 0.07, e[3] * 4.0, e[4] * 0.125, 1.0 / (e[5] + 1.0)]
+
+
 def _rate(i: int, v, row: int):
     if i not in (1, 2, 3):
         raise UsageError("gating channel must be 1, 2 or 3")
-    out = _rates(v)[row]
-    return float(out) if np.isscalar(v) else np.asarray(out)
+    return (_rates_at(float(v))[row] if np.isscalar(v)
+            else np.asarray(_rates(v)[row]))
 
 
 def rate_alpha(i: int, v):
@@ -155,6 +166,8 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
 
     def drift(t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
+        if x.shape in ((4,), (1, 4)):
+            return _drift_at(params, x)
         out = np.empty_like(x)
         # axes reversed: row i is coordinate i, in step with the rate rows
         xt, ft = x.T, out.T
@@ -171,6 +184,18 @@ def hh_drift(params: HHParams) -> Callable[[float, Array], Array]:
         return out
 
     return drift
+
+
+def _drift_at(p: HHParams, x: Array) -> Array:
+    """The drift at one state, (4,) or (1, 4), as _rates_at computes."""
+    flat = x.reshape(4)
+    _, _, x3, v = xs = flat.tolist()
+    rates = _rates_at(v)
+    gates = [(1.0 - g) * a - b * g for g, a, b in zip(xs, rates, rates[3:])]
+    ionic = (p.i_app - p.g_na * (flat[0:1] ** 3).item() * x3 * (v - p.e_na)
+             - p.g_k * (flat[1:2] ** 4).item() * (v - p.e_k)
+             - p.g_l * (v - p.e_l))
+    return np.array(gates + [ionic / p.c_m]).reshape(x.shape)
 
 
 def _amplitudes(sigma) -> Tuple[float, float, float]:
@@ -233,8 +258,8 @@ MODEL_REGISTRY: Dict[str, NoiseKind] = {
 
 def resting_state(v: float = -60.0) -> Array:
     """Gating equilibria alpha/(alpha+beta) at a held voltage, plus V."""
-    rates = _rates(v)
-    return np.append(rates[:3] / (rates[:3] + rates[3:]), v)
+    rates = _rates_at(float(v))
+    return np.array([a / (a + b) for a, b in zip(rates, rates[3:])] + [v])
 
 
 def hh_metadata() -> ModelInfo:

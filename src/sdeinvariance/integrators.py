@@ -42,6 +42,7 @@ consumers copy states and never write to them.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -193,11 +194,9 @@ def write_trajectory_csv(traj: Trajectory, target,
              else tuple(f"x_{i + 1}" for i in range(traj.m)))
     if len(names) != traj.m:
         raise UsageError("coord_names length must match the trajectory")
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", newline="") as fh:
-            write_csv_rows(fh, traj.t, traj.states, names)
-    else:
-        write_csv_rows(target, traj.t, traj.states, names)
+    path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+    with open(target, "w", newline="") if path else nullcontext(target) as fh:
+        write_csv_rows(fh, traj.t, traj.states, names)
 
 
 def write_csv_rows(fh, times: Array, states: Array,
@@ -209,8 +208,8 @@ def write_csv_rows(fh, times: Array, states: Array,
     of write_trajectory_csv, so appending the rows of consecutive grid
     slices gives the same bytes as writing the whole trajectory at once.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    if header is not None:
-        writer.writerow(["t"] + list(header))
-    for t, row in zip(times, states):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    if header is not None:  # names may need quoting; repr'd floats never do
+        csv.writer(fh, lineterminator="\n").writerow(["t"] + list(header))
+    # row by row: a list of every row would double the peak memory
+    fh.writelines(",".join(map(repr, row.tolist())) + "\n"
+                  for row in np.column_stack((times, states)))

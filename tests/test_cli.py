@@ -540,6 +540,17 @@ class TestOutputTargets:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and "no writable directory" in err
 
+    @pytest.mark.parametrize("below", (False, True), ids=("file", "below"))
+    def test_dump_paths_at_or_below_a_file(self, capsys, tmp_path, below):
+        # makedirs would fail with [Errno 17] or [Errno 20], but only after
+        # the ensemble's first block
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "paths" if below else tmp_path / "afile"
+        argv = (*EMPTY_TARGETS["--dump-paths"], "--dump-paths", str(target))
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: --dump-paths {target}: no writable directory "
+            f"{tmp_path / 'afile'}\n")
+
 
 def test_bare_target_names_write_to_the_working_directory(capsys, tmp_path,
                                                           monkeypatch):

@@ -2,9 +2,10 @@
 
 np.exp and np.power give different bits at the AVX2 (X86_V3) and
 AVX-512 (X86_V4) levels, so every pinned Hodgkin-Huxley digest holds at
-one level alone.  The invariance properties must hold at both: the test
-reruns them in a fresh interpreter with the AVX-512 level switched off,
-since numpy picks its dispatch level once, at import.
+one level alone.  The invariance properties, and the kernels' agreement
+with the frozen reference computed at the same level, must hold at both:
+the test reruns them in a fresh interpreter with the AVX-512 level
+switched off, since numpy picks its dispatch level once, at import.
 """
 
 import os
@@ -25,6 +26,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 BELOW_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 INVARIANCE_TESTS = (
     "test_ensemble.py::TestDeterminism::test_batch_size_does_not_change_paths",
+    "test_hodgkin_huxley.py::TestKernelBits",
     "test_hodgkin_huxley.py::TestLayout",
 )
 
@@ -44,4 +46,4 @@ def test_invariance_holds_below_avx512():
          *INVARIANCE_TESTS],
         capture_output=True, text=True, env=env, cwd=TESTS, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "4 passed" in done.stdout
+    assert "11 passed" in done.stdout

@@ -6,8 +6,11 @@ import pytest
 
 from sdeinvariance import (HHParams, Interpretation, MODEL_REGISTRY,
                            NoiseKind, UsageError, build_model, hh_metadata,
-                           rate_alpha, rate_beta, resting_state)
-from sdeinvariance.core import diffusion_batch, drift_batch
+                           hodgkin_huxley, rate_alpha, rate_beta,
+                           resting_state)
+from sdeinvariance.core import TimeGrid, diffusion_batch, drift_batch
+from sdeinvariance.integrators import SimConfig, simulate
+from sdeinvariance.wiener import WienerGrid
 
 _W = 1e-7  # the singular window of the frozen reference below
 
@@ -188,20 +191,31 @@ class TestRates:
 
 
 def _pin_voltages():
-    """Ordinary, singular, near-singular and non-finite voltages (72)."""
+    """Ordinary, singular, near-singular and non-finite voltages, and the
+    edges v* +- 1e-7 of the singular windows with their float neighbours,
+    where abs(V - v*) < 1e-7 flips (84)."""
     rng = np.random.default_rng(20121)
     special = [-35.0, -50.0, np.nan, np.inf, -np.inf]
     for v_star in (-35.0, -50.0):
         special += [v_star - 5e-8, v_star + 5e-8]
+        for edge in (v_star - _W, v_star + _W):
+            special += [np.nextafter(edge, -np.inf), edge,
+                        np.nextafter(edge, np.inf)]
     return np.concatenate([rng.uniform(-120.0, 80.0, 63), special])
 
 
 def _pin_states():
-    """Every pin state alone, shape (4,), then all as (n, 4) and (k, n, 4)."""
+    """Every pin state alone, as (4,) and as a one-row batch (1, 4), then
+    all as (n, 4) and (k, n, 4); six rows hold their gates at exactly 0
+    and 1 (90 rows)."""
     rng = np.random.default_rng(7)
     v = _pin_voltages()
     rows = np.column_stack([rng.uniform(-0.5, 1.5, (v.size, 3)), v])
-    return list(rows) + [rows, rows.reshape(3, -1, 4)]
+    faces = np.array([[0.0, 0.0, 0.0, -35.0], [1.0, 1.0, 1.0, -50.0],
+                      [0.0, 1.0, 0.0, -60.0], [1.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, np.nan], [1.0, 1.0, 0.0, 30.0]])
+    rows = np.vstack([rows, faces])
+    return list(rows) + list(rows[:, None]) + [rows, rows.reshape(3, -1, 4)]
 
 
 # (model name, sigma); hh-det takes none
@@ -282,6 +296,27 @@ class TestLayout:
                 # an output allocated C-ordered would bring back the
                 # short inner loops of every later ufunc
                 assert field(0.0, fortran).flags.f_contiguous
+
+
+class TestOneStateKernel:
+    """One state, alone or as a one-row batch, never reaches the batch
+    rate kernel _rates; a two-row batch does."""
+
+    @staticmethod
+    def _refuse(v):
+        raise AssertionError("batch rate kernel called")
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_one_state_and_one_path(self, monkeypatch, name):
+        system, info = build_model(name)
+        cfg = SimConfig(grid=TimeGrid(0.0, 1.0, 100), x0=tuple(info.x0))
+        monkeypatch.setattr(hodgkin_huxley, "_rates", self._refuse)
+        assert system.drift(0.0, info.x0).shape == (4,)
+        assert system.drift(0.0, info.x0[None]).shape == (1, 4)
+        traj = simulate(system, cfg, WienerGrid.generate(0, 0, cfg.grid, 3))
+        assert np.isfinite(traj.states).all()
+        with pytest.raises(AssertionError, match="batch rate kernel"):
+            system.drift(0.0, np.vstack([info.x0, info.x0]))
 
 
 class TestDriftStructure:
