@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import os
 import sys as _sys
+from contextlib import nullcontext
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +42,8 @@ from .ensemble import run_ensemble
 from .hodgkin_huxley import build_model
 from .integrators import (SimConfig, simulate, write_csv_rows,
                           write_trajectory_csv)
-from .invariance import (CheckConfig, Verdict, _sampling_intervals,
-                         check_box)
+from .invariance import (CheckConfig, Verdict, _finite_widths,
+                         _sampling_intervals, check_box)
 from .svgplot import line_chart
 from .wiener import WienerGrid
 
@@ -254,9 +254,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
     traj = simulate(system, cfg, noise)
     labels = system.labels()
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf, labels)
-    _write_text(ns.out, buf.getvalue())
+    with (open(ns.out, "w") if ns.out else nullcontext(_sys.stdout)) as fh:
+        write_trajectory_csv(traj, fh, labels)
     if ns.plot is not None:
         for suffix, cols in info.panels:
             chart = line_chart(
@@ -326,7 +325,8 @@ def cmd_convert(ns: argparse.Namespace) -> int:
         a, b = box.limits(system.m)
         lo, hi = _sampling_intervals(system, check, box)
         finite = np.isfinite(a) & np.isfinite(b)
-        lo, hi = np.where(finite, a, lo), np.where(finite, b, hi)
+        lo, hi = _finite_widths(np.where(finite, a, lo),
+                                np.where(finite, b, hi))
         frac = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
         idx = list(box.indices)
         samples = samples.repeat(5, axis=0)

@@ -6,16 +6,15 @@ n_paths): rerunning a subset or changing the batch cannot change a single
 bit of the result.  All paths advance in lockstep, and the reductions run
 on blocks of consecutive steps, always over the paths in path-id order,
 so the block width cannot change a bit either.  A block holds its states
-twice: path-last, as march yields them, and in a second buffer, first
-path-first, which the on_block hook reads and the mean adds up path by
-path, then path-last again, sorted in place for the quantiles and
-extrema.  Sorting that copy leaves the block unsorted for the exit
-screen, which runs only while some path has not yet left the box and some
-sorted extremum lies outside it.  One fixed byte budget sets the width:
-the two copies and the block's keyed noise take 2m + max(1, r) words per
-path-step for P paths, m coordinates and r noise components, so memory is
-O(P * (m + r) * width + N * m) for N steps.  integrate_paths and
-compare_interpretations draw their keyed noise at the same budget.
+twice: path-last, as march yields them, sorted in place for the quantiles
+and extrema, and a path-first copy, which the on_block hook reads, the
+mean adds up path by path and the exit search scans in one pass over the
+block.  That search runs only while some path has not yet left the box
+and some sorted extremum lies outside it.  One fixed byte budget sets the
+width: the two copies and the block's keyed noise take 2m + max(1, r)
+words per path-step for P paths, m coordinates and r noise components,
+so memory is O(P * (m + r) * width + N * m) for N steps.  integrate_paths
+and compare_interpretations draw their keyed noise at the same budget.
 
 Statistics follow the report-only policy: no path is ever clamped to the
 region; leaving it (or blowing up) is recorded.  Quantiles use the
@@ -194,7 +193,7 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     n_grid, m = times.size, sys.m
     width = _block_steps(n_paths, m, sys.r, n_grid)
     block = np.empty((width, m, n_paths))  # path-last, as march yields
-    rows = np.empty(n_paths * width * m)  # path-first, then sorted path-last
+    rows = np.empty(n_paths * width * m)  # path-first
     mean = np.empty((n_grid, m))
     ranks = {f"q{pct:02d}": _nearest_rank_index(pct, n_paths)
              for pct in _QUANTILE_PCTS}
@@ -203,7 +202,6 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
     hi = np.full(m, -np.inf)
     sentinel = n_grid + 1
     first_bad = np.full(n_paths, sentinel, dtype=int)
-    n_inside = n_paths  # paths not yet seen outside the box
     x0, increments = _keyed_start(sys, cfg,
                                   np.arange(n_paths, dtype=np.uint64))
     steps = march(sys, cfg.grid, x0, increments)
@@ -213,35 +211,26 @@ def run_ensemble(sys: SdeSystem, cfg: SimConfig, n_paths: int,
         for j, (_, x, dead) in zip(range(k), steps):
             block[j] = x.T
         states = block[:k]  # states[j, i, p]: path p, coordinate i, step j
-        paths = rows[:n_paths * k * m].reshape(n_paths, k * m)
-        paths[...] = states.reshape(k * m, n_paths).T
+        paths = rows[:n_paths * k * m].reshape(n_paths, k, m)
+        paths[...] = states.transpose(2, 0, 1)
         if on_block is not None:
-            view = paths.reshape(n_paths, k, m)
-            view.flags.writeable = False
-            on_block(start, view)
-        mean[start:stop] = (_path_sum(paths) / n_paths).reshape(k, m)
-        ranked = rows[:n_paths * k * m].reshape(k, m, n_paths)
-        ranked[...] = states
-        ranked.sort(axis=-1)
+            paths.flags.writeable = False
+            on_block(start, paths)
+        mean[start:stop] = _path_sum(paths) / n_paths
+        states.sort(axis=-1)
         for key, rank in ranks.items():
-            quantiles[key][start:stop] = ranked[:, :, rank]
-        low, high = ranked[:, :, 0], ranked[:, :, -1]  # each step's extrema
+            quantiles[key][start:stop] = states[:, :, rank]
+        low, high = states[:, :, 0], states[:, :, -1]  # each step's extrema
         # folded in grid order so that the later zero of a -0.0/+0.0 tie
         # wins at any width; a min or max reduction may pair the steps in
         # another order
         np.minimum(lo, np.minimum.accumulate(low)[-1], out=lo)
         np.maximum(hi, np.maximum.accumulate(high)[-1], out=hi)
-        if n_inside and ((low < lower) | (high > upper)).any():
-            # some path is outside at some step and some path has not yet
-            # left: screen each path by its extrema over the block, and
-            # search only a path that newly left for its first index
-            left = ((states.min(axis=0) < lower[:, None])
-                    | (states.max(axis=0) > upper[:, None])).any(axis=0)
-            for p in np.flatnonzero(left & (first_bad == sentinel)):
-                path = states[:, :, p]  # (k, m)
-                outside = ((path < lower) | (path > upper)).any(axis=1)
-                first_bad[p] = start + np.argmax(outside)
-                n_inside -= 1
+        fresh = first_bad == sentinel  # paths not yet seen outside the box
+        if fresh.any() and ((low < lower) | (high > upper)).any():
+            out = ((paths < lower) | (paths > upper)).any(axis=2)
+            new = fresh & out.any(axis=1)
+            first_bad[new] = start + out[new].argmax(axis=1)
     died = dead >= 0
     first_bad[died] = np.minimum(first_bad[died], dead[died])
     violating = first_bad < sentinel

@@ -70,7 +70,7 @@ class CheckConfig:
     fallback_range.  A box coordinate with bounds [a, b] takes the window
     clipped to them; where the two share no more than a point it takes
     [a, b] itself, a half-line cut to the window's width w: [a, a + w] or
-    [b - w, b].
+    [b - w, b].  An interval whose width overflows float64 is a UsageError.
 
     n_time_samples check times are spread evenly over [0, t_max_check]
     (one means t = 0 alone).  A system that declares autonomous is
@@ -183,19 +183,28 @@ def _sampling_intervals(sys: SdeSystem, cfg: CheckConfig,
     span = cfg.fallback_range[1] - cfg.fallback_range[0]
     lo, hi = np.array(sys.coord_ranges or (cfg.fallback_range,) * sys.m).T
     both = np.isinf(lo) & np.isinf(hi)  # lo < hi: lo is never +inf
-    lo, hi = (np.where(both, cfg.fallback_range[0],
-                       np.where(np.isinf(lo), hi - span, lo)),
-              np.where(both, cfg.fallback_range[1],
-                       np.where(np.isinf(hi), lo + span, hi)))
-    if box is None:
-        return lo, hi
-    a, b = box.limits(sys.m)
-    inside = np.maximum(a, lo) < np.minimum(b, hi)
-    width = hi - lo
-    return (np.where(inside, np.maximum(a, lo),
-                     np.where(np.isinf(a), b - width, a)),
-            np.where(inside, np.minimum(b, hi),
-                     np.where(np.isinf(b), a + width, b)))
+    a, b = (-np.inf, np.inf) if box is None else box.limits(sys.m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lo, hi = (np.where(both, cfg.fallback_range[0],
+                           np.where(np.isinf(lo), hi - span, lo)),
+                  np.where(both, cfg.fallback_range[1],
+                           np.where(np.isinf(hi), lo + span, hi)))
+        inside = np.maximum(a, lo) < np.minimum(b, hi)
+        width = hi - lo
+        lo, hi = (np.where(inside, np.maximum(a, lo),
+                           np.where(np.isinf(a), b - width, a)),
+                  np.where(inside, np.minimum(b, hi),
+                           np.where(np.isinf(b), a + width, b)))
+    return _finite_widths(lo, hi)
+
+
+def _finite_widths(lo: Array, hi: Array) -> Tuple[Array, Array]:
+    """(lo, hi), or a UsageError if some width hi - lo overflows float64."""
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if not math.isfinite(b - a):
+            raise UsageError(f"coordinate {i}: [{a}, {b}] is too wide to "
+                             "sample")
+    return lo, hi
 
 
 def _child_rng(cfg: CheckConfig, *key: int) -> np.random.Generator:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -216,6 +217,38 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_out_holds_the_bytes_of_stdout(self, capsys, tmp_path):
+        args = ("simulate", "--model", "hh-logistic", "--t-end", "1")
+        _, out, _ = run_cli(capsys, *args)
+        target = tmp_path / "p.csv"
+        assert run_cli(capsys, *args, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+    # the CSV streams into its target: the traced peak of the second of
+    # two runs (the first fills the caches) holds no copy of its 5,001
+    # rows, which take 0.8 MiB as text
+    def test_csv_is_not_held_in_memory(self, tmp_path):
+        argv = ["simulate", "--model", "hh-logistic", "--t-end", "50",
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_a_failed_path_writes_no_file(self, capsys, tmp_path):
+        model = tmp_path / "nan_model.py"
+        model.write_text(NAN_DRIFT_SOURCE)
+        target = tmp_path / "p.csv"
+        code, out, err = run_cli(capsys, "simulate", "--model", str(model),
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: state became non-finite at step 1 ")
+        assert not target.exists()
+
     def test_scheme_flags_are_usage_errors(self, capsys, tmp_path):
         # the interpretation picks the scheme; there is no flag for it
         args = ("simulate", "--model", "hh-logistic", "--sigma", "0.2",
@@ -419,6 +452,17 @@ class TestConvert:
         assert code == 0, err
         assert "check verdict, stratonovich form: satisfied\n" in out
         assert "check verdict, converted ito form: satisfied\n" in out
+
+    # the diagonal of a box whose width overflows float64 would sample
+    # inf and NaN points
+    @pytest.mark.filterwarnings("error")
+    def test_box_too_wide_to_sample_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "--model", "hh-logistic", "--box",
+            '{"indices": [0], "lower": [-1e308], "upper": [1e308]}')
+        assert (code, out) == (1, "")
+        assert err == ("error: coordinate 0: [-1e+308, 1e+308] is too wide "
+                       "to sample\n")
 
     def test_box_outside_the_state_is_a_usage_error(self, capsys):
         for upper in ("1", "Infinity"):
@@ -952,6 +996,29 @@ def build(sigma=None, interpretation=None):
 '''
 
 
+# a drift that is NaN everywhere: every path dies at its first step
+NAN_DRIFT_SOURCE = '''\
+from sdeinvariance import ModelInfo, SdeSystem
+
+
+def build(sigma=None, interpretation=None):
+    system = SdeSystem(m=1, r=0, drift=lambda t, x: [float("nan")],
+                       diffusion=lambda t, x: [[]])
+    return system, ModelInfo(box=None, x0=(0.5,), horizon=1.0)
+'''
+
+# a free coordinate whose window is too wide to sample
+WIDE_WINDOW_SOURCE = '''\
+from sdeinvariance import Box, ModelInfo, SdeSystem
+
+
+def build(sigma=None, interpretation=None):
+    system = SdeSystem(m=2, r=0, drift=lambda t, x: [-v for v in x],
+                       diffusion=lambda t, x: [[]] * 2,
+                       coord_ranges=((0.0, 1.0), (-1e308, 1e308)))
+    return system, ModelInfo(box=Box.unit((0,)), x0=(0.5, 0.0), horizon=1.0)
+'''
+
 # four coordinates and a box on the first three, as the HH models have
 GATES_PLUGIN_SOURCE = '''\
 from sdeinvariance import Box, ModelInfo, SdeSystem
@@ -998,6 +1065,15 @@ class TestPluginModels:
                                  *QUICK_CHECK)
         assert code == 0
         assert json.loads(out)["verdict"] == "satisfied"
+
+    @pytest.mark.filterwarnings("error")
+    def test_check_of_a_window_too_wide_to_sample(self, capsys, tmp_path):
+        model = tmp_path / "wide_model.py"
+        model.write_text(WIDE_WINDOW_SOURCE)
+        code, out, err = run_cli(capsys, "check", "--model", str(model))
+        assert (code, out) == (1, "")
+        assert err == ("error: coordinate 1: [-1e+308, 1e+308] is too wide "
+                       "to sample\n")
 
     def test_simulate_through_plugin(self, capsys, plugin):
         code, out, err = run_cli(capsys, "simulate", "--model", plugin,

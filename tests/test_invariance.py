@@ -156,6 +156,39 @@ class TestSamplingIntervals:
             inv._sampling_intervals(drift_only(2, np.zeros_like),
                                     CheckConfig(), Box.unit((2,)))
 
+    # a width past float64 would sample inf and NaN points: each checker
+    # refuses it, naming the coordinate, before evaluating the model
+    @pytest.mark.filterwarnings("error")
+    def test_a_width_that_overflows_is_refused(self):
+        def fn(t, x):
+            raise AssertionError("the model was evaluated")
+
+        system = drift_only(2, fn, coord_ranges=((0.0, 1.0),
+                                                 (-1e308, 1e308)))
+        refusal = r"coordinate 1: \[-1e\+308, 1e\+308\] is too wide"
+        with pytest.raises(UsageError, match=refusal):
+            check_box(system, Box.unit((0,)))
+        with pytest.raises(UsageError, match=refusal):
+            check_comparison(system, system, (0,))
+        with pytest.raises(UsageError, match=refusal):
+            check_polyhedron(system, Polyhedron((
+                Halfspace((0.0, 0.0), (1.0, 0.0)),)))
+        wide = CheckConfig(fallback_range=(-1e308, 1e308))
+        with pytest.raises(UsageError, match=r"coordinate 0: \[-1e\+308, "):
+            inv._sampling_intervals(drift_only(1, fn), wide)
+        # a half-line cut to that width overflows too
+        with pytest.raises(UsageError, match=r"coordinate 1: \[1e\+308, "):
+            inv._sampling_intervals(system, CheckConfig(),
+                                    Box((1,), (1e308,), (math.inf,)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_that_clip_a_too_wide_window_are_sampled(self):
+        system = drift_only(2, np.zeros_like,
+                            coord_ranges=((0.0, 1.0), (-1e308, 1e308)))
+        box = Box((0, 1), (0.0, -2.0), (1.0, 3.0))
+        lo, hi = inv._sampling_intervals(system, CheckConfig(), box)
+        assert (lo.tolist(), hi.tolist()) == ([0.0, -2.0], [1.0, 3.0])
+
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4, 7, 40])
