@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -821,10 +822,13 @@ class TestLockstepWalk:
         lo, hi = np.full(m, -3.0), np.full(m, 3.0)
         return anchors, normals, lo, hi
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_one_face_at_a_time(self, seed):
+    # 600 points cross the boundaries of the walk's draw blocks
+    @pytest.mark.parametrize("seed, n", [
+        *(pytest.param(seed, 50, id=str(seed)) for seed in range(12)),
+        *(pytest.param(seed, 600, id=f"{seed}-600") for seed in (0, 4, 8))])
+    def test_matches_one_face_at_a_time(self, seed, n):
         anchors, normals, lo, hi = self.region(seed)
-        cfg = CheckConfig(n_face_samples=50, sampler_seed=seed)
+        cfg = CheckConfig(n_face_samples=n, sampler_seed=seed)
         x0 = inv._find_interior(anchors, normals, lo, hi, cfg)
 
         def anchored(nu):
@@ -837,12 +841,14 @@ class TestLockstepWalk:
         assert faces
         walks = inv._walk_faces(np.array([q0 for _, q0, _ in faces]),
                                 np.array([nu for nu, _, _ in faces]),
-                                anchors, normals, lo, hi, 50,
+                                anchors, normals, lo, hi, n,
                                 [rng for _, _, rng in faces])
-        for walk, (nu, q0, _) in zip(walks, faces):
-            expected = _one_face_walk(q0, anchors, normals, lo, hi, nu, 50,
-                                      anchored(nu)[1])
+        for walk, (nu, q0, rng) in zip(walks, faces):
+            twin = anchored(nu)[1]
+            expected = _one_face_walk(q0, anchors, normals, lo, hi, nu, n,
+                                      twin)
             assert walk.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_point_faces_draw_nothing(self):
         rng = np.random.default_rng(3)
@@ -853,6 +859,22 @@ class TestLockstepWalk:
                                 np.array([5.0]), 7, [rng])
         assert walks.tolist() == [[[2.0]] * 7]
         assert rng.bit_generator.state == before
+
+
+# The walk's working buffers stay small beside its (faces, n, m) points,
+# 1 MiB here: structural-cli's traced peak, 2.29 MiB, is the converted
+# model's check, and the walk must stay below it.  This run peaked at
+# 1.42 MiB walking one iteration at a time.
+def test_polyhedron_walk_peak_is_bounded():
+    logistic, _ = build_model("hh-logistic", sigma=0.5)
+    poly = Box.unit((0, 1, 2)).as_polyhedron(4)
+    tracemalloc.start()
+    try:
+        check_polyhedron(logistic, poly, CheckConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 2 ** 20
 
 
 class _Draws:
@@ -1154,7 +1176,9 @@ class TestPinnedReports:
     The triangle, the skewed tetrahedron and the interval have normals
     off the coordinate axes (or a face with no tangent space), and every
     one of their sampled points is a witness, so their digests pin each
-    hit-and-run point bit for bit, not just the verdicts.
+    hit-and-run point bit for bit, not just the verdicts.  The tetrahedron
+    at 600 points crosses the walk's draw blocks; the HH gating cube at
+    the default config is the benchmark's check-regions golden.
 
     The obtuse triangle's face 2 is anchored only after random directions
     (the -n ray from the interior point leaves the edge), and the clipped
@@ -1179,6 +1203,10 @@ class TestPinnedReports:
                                "f2c5dd96ba222c22f186e0270061765b",
         "polyhedron-skewed-3d": "c7181a90e6dfa821cd9e88707a9892bc"
                                 "35a46dd131f32d30b3baa4304c6e0f9a",
+        "polyhedron-skewed-3d-600": "82d388eb53d74ab7de451d4865339067"
+                                    "5f3a97602faa0fb5b3ef99bf61ec05d4",
+        "polyhedron-hh-logistic-default": "57cf4b09b37c8ad8619f9944bb5ed5b5"
+                                          "e109d741fff89527bbcf6c294ce57257",
         "polyhedron-interval": "76310952237daba299ce89d81ef8a474"
                                "547203be0faf916bbfdf61c445a39093",
         "polyhedron-obtuse-triangle": "32a962a4e0cde5638705de74756cd0fb"
@@ -1223,6 +1251,13 @@ class TestPinnedReports:
                 drift_only(2, _away_from_centroid), triangle(), every_point),
             "polyhedron-skewed-3d": check_polyhedron(
                 skewed, skewed_tetrahedron(), every_point),
+            "polyhedron-skewed-3d-600": check_polyhedron(
+                skewed, skewed_tetrahedron(),
+                CheckConfig(n_face_samples=600, n_time_samples=1,
+                            max_witnesses_per_face=600)),
+            "polyhedron-hh-logistic-default": check_polyhedron(
+                logistic, Box.unit((0, 1, 2)).as_polyhedron(4),
+                CheckConfig()),
             "polyhedron-interval": check_polyhedron(
                 drift_only(1, lambda t, x: np.asarray(x, dtype=float)),
                 interval, every_point),
