@@ -46,6 +46,7 @@ from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
 _INTERIOR_BUDGET = 4096
 _ANCHOR_TRIES = 64
 _MIN_RATE = 1e-14  # a margin moving slower along a ray never limits it
+_WALK_BLOCK = 128  # hit-and-run iterations whose draws are taken at once
 
 
 class Verdict(enum.Enum):
@@ -464,99 +465,119 @@ def _find_interior(anchors: Array, normals: Array, lo: Array, hi: Array,
 def _chord_limits(targets: Array, n_faces: int, lo: Array, hi: Array):
     """The step limits on rays from chains on the faces targets.
 
-    Returns limits(q, direction, margins, rate): from each chain's point
-    and unit direction (c, m), its face margins at q and face rates
-    <n_f, direction> (c, f), the stacked rows (s_lo, -s_hi), shape (2, c).
-    It scans every face but the chain's own, in index order, then each
-    coordinate's window upper and lower bound, whose margins grow at rates
-    -d_j and d_j.  A limit whose margin grows faster than _MIN_RATE bounds
-    the step from below, one that shrinks faster bounds it from above; one
+    Returns (rays, limits).  rays(direction, rate), from unit directions
+    (..., c, m) and their face rates <n_f, direction> (..., c, f), makes
+    the rest of limits' inputs that do not depend on the point, (d_coord,
+    keep).  limits(q, margins, rate, d_coord, keep) takes one ray per
+    chain, the points q (c, m) and their face margins (c, f), and returns
+    the stacked rows (s_lo, -s_hi), shape (2, c).  It scans every face
+    but the chain's own, in index order, then each coordinate's window
+    upper and lower bound, whose margins grow at rates -d_j and d_j.  A
+    limit whose margin grows faster than _MIN_RATE bounds the step from
+    below (keep row 0), one that shrinks faster from above (row 1); one
     argmax per row keeps the first largest lower and the first smallest
     upper limit, as a scalar scan would, and reads -inf if there is none.
-    limits divides by the zero rates it ignores, so its callers hold
-    np.errstate(divide="ignore", invalid="ignore").
+    limits divides by the zero rates it ignores: callers hold np.errstate.
     """
-    n_chains, m = targets.size, lo.size
-    chains = np.arange(n_chains)
+    chains, m = np.arange(targets.size), lo.size
     coord = np.repeat(np.arange(m), 2)
     bounds = np.column_stack((hi, lo)).ravel()
-    rate_sign = np.ones((2, n_chains, n_faces + 2 * m))
-    rate_sign[:, chains, targets] = 0.0  # the own face never limits
-    rate_sign[:, :, n_faces::2] = -1.0  # the upper bounds
-    rate_sign[1] *= -1.0
+    rate_sign = np.ones((targets.size, n_faces + 2 * m))
+    rate_sign[chains, targets] = 0.0  # the own face never limits
+    rate_sign[:, n_faces::2] = -1.0  # the upper bounds
     limit_sign = np.array([1.0, -1.0])[:, None, None]
     rows = np.arange(2)[:, None]
 
-    def limits(q, direction, margins, rate):
-        d_coord = direction[:, coord]
+    def rays(direction, rate):
+        d_coord = direction[..., coord]
+        rate = np.concatenate((rate, d_coord), -1) * rate_sign
+        return d_coord, np.stack((rate > _MIN_RATE, rate < -_MIN_RATE), -3)
+
+    def limits(q, margins, rate, d_coord, keep):
         limit = np.concatenate((-margins / rate,
                                 (bounds - q[:, coord]) / d_coord), 1)
-        rate = np.concatenate((rate, d_coord), 1) * rate_sign
-        cand = np.where(rate > _MIN_RATE, limit * limit_sign, -math.inf)
+        cand = np.where(keep, limit * limit_sign, -math.inf)
         return cand[rows, chains, cand.argmax(axis=2)]
 
-    return limits
-
-
-def _first_hit(x0: Array, d: Array, anchors: Array, normals: Array,
-               limits, target: int) -> Optional[Array]:
-    """Walk from x0 along d; return the hit point if the first boundary
-    reached is the target face's hyperplane (within the window).  limits
-    is _chord_limits for the one chain on target."""
-    margins = _margins(x0[None], anchors, normals)
-    rate = normals @ d
-    if rate[target] >= -_MIN_RATE:
-        return None  # not heading toward the target plane
-    s_target = margins[0, target] / -rate[target]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_block = -limits(x0[None], d[None], margins, rate[None])[1, 0]
-    if s_target > s_block * (1.0 + 1e-12) + 1e-12:
-        return None
-    hit = x0 + s_target * d
-    # snap exactly onto the hyperplane
-    snap = _margins(hit[None], anchors, normals)[0, target]
-    return hit - snap * normals[target]
+    return rays, limits
 
 
 def _face_anchor(x0: Array, anchors: Array, normals: Array, lo: Array,
                  hi: Array, target: int,
                  rng: np.random.Generator) -> Optional[Array]:
-    limits = _chord_limits(np.array([target]), anchors.shape[0], lo, hi)
-    hit = _first_hit(x0, -normals[target], anchors, normals, limits, target)
-    if hit is not None:
-        return hit
+    """Walk x0 onto face target: the hit point of the first of the ray
+    along -n and _ANCHOR_TRIES random tilts of it whose first boundary
+    reached is the target's hyperplane (within the window), or None."""
+    rays, limits = _chord_limits(np.array([target]), len(anchors), lo, hi)
+    margins = _margins(x0[None], anchors, normals)
+
+    def first_hit(d):
+        rate = normals @ d
+        if rate[target] >= -_MIN_RATE:
+            return None  # not heading toward the target plane
+        s_target = margins[0, target] / -rate[target]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_block = -limits(x0[None], margins, rate[None],
+                              *rays(d[None], rate[None]))[1, 0]
+        if s_target > s_block * (1.0 + 1e-12) + 1e-12:
+            return None
+        hit = x0 + s_target * d  # then snapped exactly onto the plane
+        snap = _margins(hit[None], anchors, normals)[0, target]
+        return hit - snap * normals[target]
+
+    hit = first_hit(-normals[target])
     for _ in range(_ANCHOR_TRIES):
+        if hit is not None:
+            break
         d = -normals[target] + 0.5 * rng.standard_normal(x0.size)
         norm = np.linalg.norm(d)
-        if norm < 1e-12:
-            continue
-        hit = _first_hit(x0, d / norm, anchors, normals, limits, target)
-        if hit is not None:
-            return hit
-    return None
+        hit = None if norm < 1e-12 else first_hit(d / norm)
+    return hit
 
 
-def _tangent_directions(nrm: Array, rngs: Sequence[np.random.Generator]
-                        ) -> Tuple[Array, Array]:
-    """One unit direction per chain in the tangent space of its normal.
+def _tangents(z: Array, nrm: Array) -> Tuple[Array, Array]:
+    """Draws z (..., m) less their parts along unit normals nrm, and the
+    norms (..., 1); stacked matmuls give each row its own dot's bits."""
+    t = z - np.matmul(z[..., None, :], nrm[..., None])[..., 0] * nrm
+    return t, np.sqrt(np.matmul(t[..., None, :], t[..., None])[..., 0])
 
-    Chain c draws standard normals from rngs[c] until the part of the draw
-    orthogonal to nrm[c] is not tiny, at most 8 times; found[c] says
-    whether it succeeded.  The stacked matmuls give each chain the bits of
-    its own dot products.
+
+def _tangent_draws(rng: np.random.Generator, nrm: Array, n: int
+                   ) -> Tuple[Array, Array, Array]:
+    """One chain's n walk iterations on the face with unit normal nrm:
+    tangent directions (n, m), found (n,) and uniforms u (n,).
+
+    Iteration k draws standard normals until the tangent part is not tiny,
+    at most 8 times, then u[k] if it succeeded (else u[k] = 0.0).  The
+    block is drawn optimistically, one normal and one uniform a step; at
+    its first failed draw rng rewinds and redraws up to that step, which
+    retries alone, so each draw is the one a step-by-step walk would take.
     """
-    d = np.empty_like(nrm)
-    todo = range(len(rngs))
-    for _ in range(8):
-        for c in todo:
-            rngs[c].standard_normal(out=d[c])
-        t = d - np.matmul(d[:, None], nrm[:, :, None])[:, 0] * nrm
-        dn = np.sqrt(np.matmul(t[:, None], t[:, :, None])[:, 0])
-        found = dn[:, 0] > 1e-12
-        if found.all():
+    z, u = np.empty((n, nrm.size)), np.zeros(n)
+
+    def draw(stop):
+        for i in range(k, stop):
+            rng.standard_normal(out=z[i])
+            u[i] = rng.random()
+
+    k = 0
+    while k < n:
+        state = rng.bit_generator.state
+        draw(n)
+        ok = _tangents(z[k:], nrm)[1][:, 0] > 1e-12
+        if ok.all():
             break
-        todo = np.flatnonzero(~found)
-    return t / dn, found
+        rng.bit_generator.state = state  # redraw up to the failed step
+        draw(k + int(np.argmin(ok)))
+        k += int(np.argmin(ok))
+        for _ in range(8):
+            rng.standard_normal(out=z[k])
+            if _tangents(z[k:k + 1], nrm)[1][0, 0] > 1e-12:
+                u[k] = rng.random()
+                break
+        k += 1
+    t, dn = _tangents(z, nrm)
+    return t / dn, dn[:, 0] > 1e-12, u
 
 
 def _walk_faces(starts: Array, targets: Array, anchors: Array,
@@ -569,7 +590,8 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
     tangent direction to a uniform point of the chord that the other
     faces and the window leave.  It draws from rngs[c] only, in the order
     a walk of its face alone would, so no chain's points depend on
-    another's.
+    another's.  The draws, rates and masks of _WALK_BLOCK iterations are
+    taken at once; the loop does only the work that needs the point.
     """
     n_chains, m = starts.shape
     pts = np.empty((n_chains, n, m))
@@ -577,25 +599,29 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
         # a point face has no tangent directions: the walk never moves
         pts[:] = starts[:, None]
         return pts
-    chains = np.arange(n_chains)
-    nrm = normals[targets]
-    limits = _chord_limits(targets, anchors.shape[0], lo, hi)
+    nrm, own = normals[targets], anchors[targets]
+    rays, limits = _chord_limits(targets, anchors.shape[0], lo, hi)
     no_room = np.array([[0.0], [-0.0]])  # s_lo = s_hi = +0.0
     q = starts.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(n):
-            direction, found = _tangent_directions(nrm, rngs)
-            u = np.array([rng.random() if ok else 0.0
-                          for rng, ok in zip(rngs, found)])
-            rate = np.matmul(normals[None], direction[:, :, None])[..., 0]
-            ext = limits(q, direction, _margins(q, anchors, normals), rate)
-            ext = np.where((ext <= 0.0) & (ext > -math.inf), ext, no_room)
-            s_lo, s_hi = ext[0], -ext[1]
-            moved = q + (s_lo + u * (s_hi - s_lo))[:, None] * direction
-            # snap back onto each chain's own hyperplane
-            snap = _margins(moved, anchors, normals)[chains, targets]
-            q = np.where(found[:, None], moved - snap[:, None] * nrm, q)
-            pts[:, it] = q
+        for start in range(0, n, _WALK_BLOCK):
+            size = min(_WALK_BLOCK, n - start)
+            draws = [_tangent_draws(g, v, size) for g, v in zip(rngs, nrm)]
+            direction, found, u = (np.stack([d[k] for d in draws], axis=1)
+                                   for k in range(3))
+            rate = np.matmul(normals, direction[..., None])[..., 0]
+            d_coord, keep = rays(direction, rate)
+            for it in range(size):
+                ext = limits(q, _margins(q, anchors, normals), rate[it],
+                             d_coord[it], keep[it])
+                ext = np.where((ext <= 0.0) & (ext > -math.inf), ext, no_room)
+                s_lo, s_hi = ext[0], -ext[1]
+                moved = q + ((s_lo + u[it] * (s_hi - s_lo))[:, None]
+                             * direction[it])
+                # snap back onto each chain's own hyperplane
+                snap = np.einsum("cm,cm->c", moved - own, nrm)[:, None]
+                q = np.where(found[it, :, None], moved - snap * nrm, q)
+                pts[:, start + it] = q
     return pts
 
 
@@ -610,10 +636,11 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     window; UsageError if there is none), walks it onto each face, then
     explores the face with a seeded hit-and-run walk confined to the
     window.  Each face's walk draws from its own stream, keyed by
-    (sampler_seed, 4, face); all faces walk together but never share a
-    draw, so a face's points do not depend on the other faces being
-    reachable.  On the sampled points it requires <f, n> >= -eps_drift
-    and |<g_j, n>| <= eps_diff per noise column, with unit-normalized n.
+    (sampler_seed, 4, face), in step order a block of steps at a time;
+    all faces walk together but never share a draw, so a face's points do
+    not depend on the other faces being reachable.  On the sampled points
+    it requires <f, n> >= -eps_drift and |<g_j, n>| <= eps_diff per noise
+    column, with unit-normalized n.
 
     A face that cannot be reached inside the window contributes no
     samples and is reported with n_samples = 0; with no witness on any

@@ -8,6 +8,7 @@ plenty for a 720-pixel-wide plot.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -107,10 +108,12 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
                    f'transform="rotate(-90 16 {yc:.2f})">'
                    f'{_esc(y_label)}</text>')
     idx = _decimate(x.size)
+    xs = x[idx].tolist()
     for s, (label, y) in enumerate(ys):
         color = _PALETTE[s % len(_PALETTE)]
-        pts = " ".join(f"{px(x[k]):.2f},{py(y[k]):.2f}" for k in idx
-                       if np.isfinite(y[k]))
+        pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}"
+                       for xv, yv in zip(xs, y[idx].tolist())
+                       if math.isfinite(yv))
         out.append(f'<polyline fill="none" stroke="{color}" '
                    f'stroke-width="1.5" points="{pts}"/>')
         lx = _MARGIN_L + plot_w - 110

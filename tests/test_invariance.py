@@ -726,7 +726,8 @@ def _one_face_walk(q0, anchors, normals, lo, hi, target, n, rng):
 
 def _scalar_first_hit(x0, d, anchors, normals, lo, hi, target):
     """Scalar first-hit scan over faces, then window coordinates: the
-    reference for the chord limits that _first_hit shares with the walk."""
+    reference for the chord limits that _face_anchor shares with the
+    walk."""
     margins = np.einsum("fm,fm->f", x0[None, :] - anchors, normals)
     rate = normals @ d
     if rate[target] >= -1e-14:
@@ -879,15 +880,28 @@ def test_polyhedron_walk_peak_is_bounded():
 
 class _Draws:
     """A generator stub: standard_normal serves rows in turn, repeating
-    the last, and random returns 0.25; both count their calls."""
+    the last, and random returns 0.25; both count their calls, and the
+    two counts are its restorable bit_generator.state."""
 
     def __init__(self, *rows):
         self.rows = [np.array(r, dtype=float) for r in rows]
         self.normals = self.uniforms = 0
+        self.bit_generator = self
 
-    def standard_normal(self, out):
-        out[...] = self.rows[min(self.normals, len(self.rows) - 1)]
+    @property
+    def state(self):
+        return self.normals, self.uniforms
+
+    @state.setter
+    def state(self, counts):
+        self.normals, self.uniforms = counts
+
+    def standard_normal(self, size=None, out=None):
+        row = self.rows[min(self.normals, len(self.rows) - 1)]
         self.normals += 1
+        if out is None:
+            return row.copy()
+        out[...] = row
         return out
 
     def random(self):
@@ -901,24 +915,31 @@ class TestTangentRetry:
     NRM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     SLANT = (0.3, 0.8, -0.5)
 
+    @staticmethod
+    def first_draws(nrm, chains):
+        draws = [inv._tangent_draws(chain, row, 1)
+                 for chain, row in zip(chains, nrm)]
+        return (np.array([d[0][0] for d in draws]),
+                np.array([d[1][0] for d in draws]))
+
     def test_only_the_parallel_chain_draws_again(self):
         draws = [[(2.0, 0.0, 0.0), (0.3, 0.5, -0.2)], [(0.4, -1.0, 0.7)]]
         chains = [_Draws(*rows) for rows in draws]
-        direction, found = inv._tangent_directions(self.NRM, chains)
+        direction, found = self.first_draws(self.NRM, chains)
         assert found.tolist() == [True, True]
         assert [c.normals for c in chains] == [2, 1]
         for c, rows in enumerate(draws):
-            alone, ok = inv._tangent_directions(self.NRM[c:c + 1],
-                                                [_Draws(*rows)])
+            alone, ok = self.first_draws(self.NRM[c:c + 1], [_Draws(*rows)])
             assert ok.tolist() == [True]
             assert direction[c].tobytes() == alone[0].tobytes()
 
     def test_a_chain_parallel_at_every_draw_is_not_found(self):
         chains = [_Draws((-3.0, 0.0, 0.0)), _Draws(self.SLANT)]
         with np.errstate(invalid="ignore"):
-            direction, found = inv._tangent_directions(self.NRM, chains)
+            direction, found = self.first_draws(self.NRM, chains)
         assert found.tolist() == [False, True]
         assert [c.normals for c in chains] == [8, 1]
+        assert [c.uniforms for c in chains] == [0, 1]
 
     def test_the_walk_leaves_that_chain_at_its_start(self):
         # the unit square's lower faces in R^3, in the window [0, 1]^3
@@ -936,6 +957,33 @@ class TestTangentRetry:
         assert walks[1].tobytes() == expected[0].tobytes()
         assert (chains[1].normals, chains[1].uniforms) == (5, 5)
         assert not np.array_equal(walks[1][0], starts[1])
+
+    # parallel draws in the middle of the first block and at its last
+    # iteration: the chain rewinds, retries that iteration alone and draws
+    # the rest of the block again, as the one-face reference draws it.
+    # Chain 0 draws along its normal again two iterations later: in the
+    # same block, or at the next block's second iteration.
+    @pytest.mark.parametrize("at", [inv._WALK_BLOCK // 2 + 1,
+                                    inv._WALK_BLOCK - 1])
+    def test_a_retry_inside_a_block_keeps_the_scalar_draws(self, at):
+        anchors = np.zeros((2, 3))
+        lo, hi = np.zeros(3), np.ones(3)
+        starts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        n = inv._WALK_BLOCK + 20
+        rows = np.random.default_rng(at).standard_normal((2, n + 2, 3))
+        rows[0, [at, at + 3]] = (-1.5, 0.0, 0.0)  # along chain 0's normal
+        rows[1, at // 2] = (0.0, 0.7, 0.0)  # along chain 1's
+        chains = [_Draws(*r) for r in rows]
+        walks = inv._walk_faces(starts, np.array([0, 1]), anchors, self.NRM,
+                                lo, hi, n, chains)
+        for c, chain in enumerate(chains):
+            twin = _Draws(*rows[c])
+            expected = _one_face_walk(starts[c], anchors, self.NRM, lo, hi,
+                                      c, n, twin)
+            assert walks[c].tobytes() == expected.tobytes()
+            assert chain.state == twin.state
+        assert chains[0].state == (n + 2, n)
+        assert chains[1].state == (n + 1, n)
 
 
 class TestReportSerialization:
