@@ -251,6 +251,9 @@ def cmd_check(ns: argparse.Namespace) -> int:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     system, info = _reading(ns, Interpretation(ns.interpretation))
     cfg = _sim_config(ns, info)
+    for suffix, _ in info.panels if ns.plot is not None else ():
+        if os.path.isdir(f"{ns.plot}-{suffix}.svg"):
+            raise UsageError(f"--plot {ns.plot}-{suffix}.svg is a directory")
     noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
     traj = simulate(system, cfg, noise)
     labels = system.labels()

@@ -310,7 +310,7 @@ class Box:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The set {x : <x - anchor, normal> >= 0} with inward normal."""
+    """The set {x : <x - anchor, normal> >= 0}; any finite normal but 0."""
 
     anchor: Tuple[float, ...]
     normal: Tuple[float, ...]
@@ -322,7 +322,7 @@ class Halfspace:
             raise UsageError("halfspace anchor and normal lengths differ")
         if not all(math.isfinite(v) for v in a + n):
             raise UsageError("halfspace anchor and normal must be finite")
-        if math.sqrt(sum(v * v for v in n)) == 0.0:
+        if not any(n):
             raise UsageError("halfspace normal must be nonzero")
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "normal", n)

@@ -536,48 +536,12 @@ def _face_anchor(x0: Array, anchors: Array, normals: Array, lo: Array,
 
 
 def _tangents(z: Array, nrm: Array) -> Tuple[Array, Array]:
-    """Draws z (..., m) less their parts along unit normals nrm, and the
-    norms (..., 1); stacked matmuls give each row its own dot's bits."""
+    """Unit directions of draws z (..., m) less their parts along unit
+    normals nrm, and found (...): whether that tangent part's norm exceeds
+    1e-12.  Stacked matmuls give each row its own dot's bits."""
     t = z - np.matmul(z[..., None, :], nrm[..., None])[..., 0] * nrm
-    return t, np.sqrt(np.matmul(t[..., None, :], t[..., None])[..., 0])
-
-
-def _tangent_draws(rng: np.random.Generator, nrm: Array, n: int
-                   ) -> Tuple[Array, Array, Array]:
-    """One chain's n walk iterations on the face with unit normal nrm:
-    tangent directions (n, m), found (n,) and uniforms u (n,).
-
-    Iteration k draws standard normals until the tangent part is not tiny,
-    at most 8 times, then u[k] if it succeeded (else u[k] = 0.0).  The
-    block is drawn optimistically, one normal and one uniform a step; at
-    its first failed draw rng rewinds and redraws up to that step, which
-    retries alone, so each draw is the one a step-by-step walk would take.
-    """
-    z, u = np.empty((n, nrm.size)), np.zeros(n)
-
-    def draw(stop):
-        for i in range(k, stop):
-            rng.standard_normal(out=z[i])
-            u[i] = rng.random()
-
-    k = 0
-    while k < n:
-        state = rng.bit_generator.state
-        draw(n)
-        ok = _tangents(z[k:], nrm)[1][:, 0] > 1e-12
-        if ok.all():
-            break
-        rng.bit_generator.state = state  # redraw up to the failed step
-        draw(k + int(np.argmin(ok)))
-        k += int(np.argmin(ok))
-        for _ in range(8):
-            rng.standard_normal(out=z[k])
-            if _tangents(z[k:k + 1], nrm)[1][0, 0] > 1e-12:
-                u[k] = rng.random()
-                break
-        k += 1
-    t, dn = _tangents(z, nrm)
-    return t / dn, dn[:, 0] > 1e-12, u
+    dn = np.sqrt(np.matmul(t[..., None, :], t[..., None])[..., 0])
+    return t / dn, dn[..., 0] > 1e-12
 
 
 def _walk_faces(starts: Array, targets: Array, anchors: Array,
@@ -586,12 +550,14 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
     """Hit-and-run walks on several faces at once, shape (chains, n, m).
 
     Chain c starts at starts[c] on face targets[c] and samples n points on
-    {<x - a, n> = 0} cap K cap window: each step moves along a random
-    tangent direction to a uniform point of the chord that the other
-    faces and the window leave.  It draws from rngs[c] only, in the order
-    a walk of its face alone would, so no chain's points depend on
-    another's.  The draws, rates and masks of _WALK_BLOCK iterations are
-    taken at once; the loop does only the work that needs the point.
+    {<x - a, n> = 0} cap K cap window: each step draws m standard normals
+    and then one uniform u from rngs[c], and moves along the draw's
+    tangent part to the point u of the way along the chord that the other
+    faces and the window leave.  A draw whose tangent part has norm at
+    most 1e-12 leaves the point where it is; its u is drawn all the same.
+    No chain's points depend on another's.  The draws, rates and masks of
+    _WALK_BLOCK iterations are taken at once; the loop does only the work
+    that needs the point.
     """
     n_chains, m = starts.shape
     pts = np.empty((n_chains, n, m))
@@ -606,9 +572,12 @@ def _walk_faces(starts: Array, targets: Array, anchors: Array,
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, n, _WALK_BLOCK):
             size = min(_WALK_BLOCK, n - start)
-            draws = [_tangent_draws(g, v, size) for g, v in zip(rngs, nrm)]
-            direction, found, u = (np.stack([d[k] for d in draws], axis=1)
-                                   for k in range(3))
+            z, u = np.empty((size, n_chains, m)), np.empty((size, n_chains))
+            for c, g in enumerate(rngs):
+                for i in range(size):
+                    g.standard_normal(out=z[i, c])
+                    u[i, c] = g.random()
+            direction, found = _tangents(z, nrm)
             rate = np.matmul(normals, direction[..., None])[..., 0]
             d_coord, keep = rays(direction, rate)
             for it in range(size):
@@ -636,11 +605,12 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
     window; UsageError if there is none), walks it onto each face, then
     explores the face with a seeded hit-and-run walk confined to the
     window.  Each face's walk draws from its own stream, keyed by
-    (sampler_seed, 4, face), in step order a block of steps at a time;
-    all faces walk together but never share a draw, so a face's points do
-    not depend on the other faces being reachable.  On the sampled points
-    it requires <f, n> >= -eps_drift and |<g_j, n>| <= eps_diff per noise
-    column, with unit-normalized n.
+    (sampler_seed, 4, face): m normals and one uniform a step, in step
+    order, whatever the step does with them.  All faces walk together but
+    never share a draw, so a face's points do not depend on the other
+    faces being reachable.  On the sampled points it requires
+    <f, n> >= -eps_drift and |<g_j, n>| <= eps_diff per noise column,
+    with n the inward normal scaled to unit length.
 
     A face that cannot be reached inside the window contributes no
     samples and is reported with n_samples = 0; with no witness on any
@@ -655,6 +625,8 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
             f"polyhedron lives in dimension {poly.dim}, system in {sys.m}")
     anchors = np.array([h.anchor for h in poly.halfspaces], dtype=float)
     normals = np.array([h.normal for h in poly.halfspaces], dtype=float)
+    # scaled by a power of two first, which is exact, so the norm is finite
+    normals = np.ldexp(normals, -np.frexp(abs(normals).max(1))[1][:, None])
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     lo, hi = _sampling_intervals(sys, cfg)
     x0 = _find_interior(anchors, normals, lo, hi, cfg)

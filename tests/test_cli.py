@@ -577,6 +577,17 @@ class TestOutputTargets:
             1, "", f"error: {flag} must not be empty\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_plot_panel_that_is_a_directory(self, capsys, tmp_path):
+        # the panel files are named after the model's panels, so they are
+        # checked once the model is read, still before the path is drawn
+        (tmp_path / "q-gating.svg").mkdir()
+        out, prefix = tmp_path / "q.csv", tmp_path / "q"
+        argv = (*TARGET_RUNS["simulate-plot"][:-1], str(prefix), "--out",
+                str(out))
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: --plot {prefix}-gating.svg is a directory\n")
+        assert not out.exists()
+
     def test_a_file_that_is_not_a_directory(self, capsys, tmp_path):
         (tmp_path / "file").write_text("")
         target = tmp_path / "file" / "s.json"

@@ -180,8 +180,10 @@ class TestPolyhedron:
     def test_halfspace_validation(self):
         with pytest.raises(UsageError):
             Halfspace((0.0,), (0.0, 1.0))
-        with pytest.raises(UsageError):
-            Halfspace((0.0,), (0.0,))
+        with pytest.raises(UsageError, match="nonzero"):
+            Halfspace((0.0, 0.0), (0.0, -0.0))
+        # squares that underflow to zero do not make a normal zero
+        assert Halfspace((0.0, 0.0), (1e-170, 0.0)).normal == (1e-170, 0.0)
         with pytest.raises(UsageError):
             Halfspace((math.inf,), (1.0,))
 

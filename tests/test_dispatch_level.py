@@ -35,7 +35,7 @@ INVARIANCE_TESTS = (
     "test_hodgkin_huxley.py::TestKernelBits",
     "test_hodgkin_huxley.py::TestLayout",
     "test_invariance.py::TestLockstepWalk",
-    "test_invariance.py::TestTangentRetry",
+    "test_invariance.py::TestDrawAlongTheNormal",
     "test_invariance.py::test_face_anchor_matches_scalar_first_hit",
 )
 
@@ -55,4 +55,4 @@ def test_invariance_holds_below_avx512():
          *INVARIANCE_TESTS],
         capture_output=True, text=True, env=env, cwd=TESTS, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "49 passed" in done.stdout
+    assert "47 passed" in done.stdout

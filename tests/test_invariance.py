@@ -675,6 +675,31 @@ class TestPolyhedron:
         assert report.face(0, "hyperplane").n_samples == QUICK.n_face_samples
         assert report.verdict is Verdict.SATISFIED
 
+    # the face conditions see only unit normals: a normal whose squares
+    # overflow or underflow reads as the same unit normal, bit for bit
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e200,
+                                       1e160, 1e-160, 1e-170],
+                             ids=["2^600", "2^-600", "1e200", "1e160",
+                                  "1e-160", "1e-170"])
+    def test_extreme_normal_scales_give_the_unit_scale_report(self, scale):
+        # any normal at a power-of-two scale, else axis normals only
+        skew = 0.3 if math.frexp(scale)[0] == 0.5 else 0.0
+
+        def strip(s):
+            return Polyhedron((Halfspace((-1.0, 0.0), (s, 0.0)),
+                               Halfspace((1.0, 0.0), (-s, 0.0)),
+                               Halfspace((0.0, -2.0), (skew * s, s))))
+
+        sys2 = drift_only(2, lambda t, x: np.stack(
+            (x[..., 1], 0.5 - x[..., 0]), axis=-1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_polyhedron(sys2, strip(scale), QUICK)
+        assert report.to_json() == check_polyhedron(sys2, strip(1.0),
+                                                    QUICK).to_json()
+        assert report.face(2, "hyperplane").n_samples == QUICK.n_face_samples
+        assert report.face(2, "hyperplane").min_drift_margin < 0.0
+
     def test_empty_polyhedron_is_vacuously_invariant(self):
         sys1 = constant_drift_system(1, [5.0], r=0)
         report = check_polyhedron(sys1, Polyhedron(()), QUICK)
@@ -683,21 +708,20 @@ class TestPolyhedron:
 
 
 def _one_face_walk(q0, anchors, normals, lo, hi, target, n, rng):
-    """Scalar hit-and-run on one face: the reference for _walk_faces."""
+    """Scalar hit-and-run on one face: the reference for _walk_faces.
+    Each step takes one normal draw and one uniform; a draw along the
+    normal leaves the point where it is."""
     m = q0.size
     nrm = normals[target]
     pts = np.empty((n, m))
     q = q0.copy()
     for it in range(n):
-        direction = None
-        for _ in range(8):
-            d = rng.standard_normal(m)
-            d = d - (d @ nrm) * nrm
-            dn = np.linalg.norm(d)
-            if dn > 1e-12:
-                direction = d / dn
-                break
-        if direction is not None:
+        d = rng.standard_normal(m)
+        d = d - (d @ nrm) * nrm
+        dn = np.linalg.norm(d)
+        u = rng.random()
+        if dn > 1e-12:
+            direction = d / dn
             margins = np.einsum("fm,fm->f", q[None, :] - anchors, normals)
             rate = normals @ direction
             s_lo, s_hi = -math.inf, math.inf
@@ -717,7 +741,7 @@ def _one_face_walk(q0, anchors, normals, lo, hi, target, n, rng):
                     s_lo = max(s_lo, (hi[j] - q[j]) / direction[j])
             s_lo = min(s_lo if math.isfinite(s_lo) else 0.0, 0.0)
             s_hi = max(s_hi if math.isfinite(s_hi) else 0.0, 0.0)
-            q = q + (s_lo + rng.random() * (s_hi - s_lo)) * direction
+            q = q + (s_lo + u * (s_hi - s_lo)) * direction
             q = q - np.einsum("fm,fm->f", q[None, :] - anchors,
                               normals)[target] * nrm
         pts[it] = q
@@ -880,21 +904,12 @@ def test_polyhedron_walk_peak_is_bounded():
 
 class _Draws:
     """A generator stub: standard_normal serves rows in turn, repeating
-    the last, and random returns 0.25; both count their calls, and the
-    two counts are its restorable bit_generator.state."""
+    the last, and random returns 0.25; both count their calls.  It has no
+    bit_generator, so a walk that rewinds it fails."""
 
     def __init__(self, *rows):
         self.rows = [np.array(r, dtype=float) for r in rows]
         self.normals = self.uniforms = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.normals, self.uniforms
-
-    @state.setter
-    def state(self, counts):
-        self.normals, self.uniforms = counts
 
     def standard_normal(self, size=None, out=None):
         row = self.rows[min(self.normals, len(self.rows) - 1)]
@@ -909,81 +924,55 @@ class _Draws:
         return 0.25
 
 
-class TestTangentRetry:
-    """A chain whose draw lies along its normal draws again, alone."""
+class TestDrawAlongTheNormal:
+    """A draw with no tangent part leaves its chain where it is, and the
+    walk takes one normal draw and one uniform a step all the same."""
 
+    # the unit square's lower faces in R^3, in the window [0, 1]^3
+    ANCHORS = np.zeros((2, 3))
     NRM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    SLANT = (0.3, 0.8, -0.5)
+    LO, HI = np.zeros(3), np.ones(3)
+    STARTS = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
-    @staticmethod
-    def first_draws(nrm, chains):
-        draws = [inv._tangent_draws(chain, row, 1)
-                 for chain, row in zip(chains, nrm)]
-        return (np.array([d[0][0] for d in draws]),
-                np.array([d[1][0] for d in draws]))
+    def walk(self, chains, n, faces=(0, 1)):
+        faces = list(faces)
+        return inv._walk_faces(self.STARTS[faces], np.array(faces),
+                               self.ANCHORS, self.NRM, self.LO, self.HI, n,
+                               chains)
 
-    def test_only_the_parallel_chain_draws_again(self):
-        draws = [[(2.0, 0.0, 0.0), (0.3, 0.5, -0.2)], [(0.4, -1.0, 0.7)]]
-        chains = [_Draws(*rows) for rows in draws]
-        direction, found = self.first_draws(self.NRM, chains)
-        assert found.tolist() == [True, True]
-        assert [c.normals for c in chains] == [2, 1]
-        for c, rows in enumerate(draws):
-            alone, ok = self.first_draws(self.NRM[c:c + 1], [_Draws(*rows)])
-            assert ok.tolist() == [True]
-            assert direction[c].tobytes() == alone[0].tobytes()
-
-    def test_a_chain_parallel_at_every_draw_is_not_found(self):
-        chains = [_Draws((-3.0, 0.0, 0.0)), _Draws(self.SLANT)]
-        with np.errstate(invalid="ignore"):
-            direction, found = self.first_draws(self.NRM, chains)
-        assert found.tolist() == [False, True]
-        assert [c.normals for c in chains] == [8, 1]
-        assert [c.uniforms for c in chains] == [0, 1]
-
-    def test_the_walk_leaves_that_chain_at_its_start(self):
-        # the unit square's lower faces in R^3, in the window [0, 1]^3
-        anchors = np.zeros((2, 3))
-        lo, hi = np.zeros(3), np.ones(3)
-        starts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        chains = [_Draws((2.0, 0.0, 0.0)), _Draws(self.SLANT)]
-        walks = inv._walk_faces(starts, np.array([0, 1]), anchors, self.NRM,
-                                lo, hi, 5, chains)
-        assert walks[0].tolist() == [starts[0].tolist()] * 5
-        assert (chains[0].normals, chains[0].uniforms) == (40, 0)
-        alone = _Draws(self.SLANT)
-        expected = inv._walk_faces(starts[1:], np.array([1]), anchors,
-                                   self.NRM, lo, hi, 5, [alone])
+    def test_a_chain_parallel_at_every_draw_stays_at_its_start(self):
+        n = inv._WALK_BLOCK + 5
+        slant = np.random.default_rng(5).standard_normal((n, 3))
+        chains = [_Draws((2.0, 0.0, 0.0)), _Draws(*slant)]
+        walks = self.walk(chains, n)
+        assert walks[0].tolist() == [self.STARTS[0].tolist()] * n
+        assert (chains[0].normals, chains[0].uniforms) == (n, n)
+        alone = _Draws(*slant)
+        expected = self.walk([alone], n, faces=(1,))
         assert walks[1].tobytes() == expected[0].tobytes()
-        assert (chains[1].normals, chains[1].uniforms) == (5, 5)
-        assert not np.array_equal(walks[1][0], starts[1])
+        assert (chains[1].normals, chains[1].uniforms) == (n, n)
+        assert not np.array_equal(walks[1][0], self.STARTS[1])
 
-    # parallel draws in the middle of the first block and at its last
-    # iteration: the chain rewinds, retries that iteration alone and draws
-    # the rest of the block again, as the one-face reference draws it.
-    # Chain 0 draws along its normal again two iterations later: in the
-    # same block, or at the next block's second iteration.
+    # draws along the normal in the middle of the first block and at its
+    # last iteration; chain 0 draws along its normal again three
+    # iterations later, in the same block or in the next one
     @pytest.mark.parametrize("at", [inv._WALK_BLOCK // 2 + 1,
                                     inv._WALK_BLOCK - 1])
-    def test_a_retry_inside_a_block_keeps_the_scalar_draws(self, at):
-        anchors = np.zeros((2, 3))
-        lo, hi = np.zeros(3), np.ones(3)
-        starts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    def test_matches_the_one_face_reference(self, at):
         n = inv._WALK_BLOCK + 20
-        rows = np.random.default_rng(at).standard_normal((2, n + 2, 3))
+        rows = np.random.default_rng(at).standard_normal((2, n, 3))
         rows[0, [at, at + 3]] = (-1.5, 0.0, 0.0)  # along chain 0's normal
         rows[1, at // 2] = (0.0, 0.7, 0.0)  # along chain 1's
         chains = [_Draws(*r) for r in rows]
-        walks = inv._walk_faces(starts, np.array([0, 1]), anchors, self.NRM,
-                                lo, hi, n, chains)
+        walks = self.walk(chains, n)
         for c, chain in enumerate(chains):
             twin = _Draws(*rows[c])
-            expected = _one_face_walk(starts[c], anchors, self.NRM, lo, hi,
-                                      c, n, twin)
+            expected = _one_face_walk(self.STARTS[c], self.ANCHORS, self.NRM,
+                                      self.LO, self.HI, c, n, twin)
             assert walks[c].tobytes() == expected.tobytes()
-            assert chain.state == twin.state
-        assert chains[0].state == (n + 2, n)
-        assert chains[1].state == (n + 1, n)
+            assert ((chain.normals, chain.uniforms)
+                    == (twin.normals, twin.uniforms) == (n, n))
+        assert np.array_equal(walks[0][at], walks[0][at - 1])
 
 
 class TestReportSerialization:
