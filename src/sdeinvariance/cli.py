@@ -8,7 +8,10 @@ Four subcommands:
     convert    show the Stratonovich/Ito drift correction and verdict parity
 
 Exit codes: 0 success (check: region satisfied), 2 check found a
-violation, 1 usage or model errors.
+violation, 1 usage or model errors.  Each command builds every reading it
+runs, its region, its grid of round((t_end - t0) / dt) steps and the name
+of every file it writes before its first model evaluation, and refuses
+each target by _check_targets' one rule, so a bad one loses no run.
 
 Options may also come from a JSON config file (--config).  Its keys are
 the long option names with underscores (n_paths for --n-paths).  Each
@@ -31,7 +34,8 @@ import json
 import os
 import sys as _sys
 from contextlib import nullcontext
-from typing import Callable, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,16 +168,12 @@ def _parse(parser: argparse.ArgumentParser,
 
 
 def _reading(ns: argparse.Namespace, interpretation: Interpretation
-             ) -> Tuple[SdeSystem, ModelInfo]:
-    """One reading of the model and its info.
-
-    A registry name goes to build_model, which rejects one it does not
-    know; a plugin's build() must return (SdeSystem, ModelInfo).
-    """
-    if ns.plugin is None:
-        return build_model(ns.model, sigma=ns.sigma,
-                           interpretation=interpretation)
-    result = ns.plugin(sigma=ns.sigma, interpretation=interpretation)
+             ) -> Tuple[SdeSystem, ModelInfo, Optional[Box]]:
+    """One reading of the model, its info and its region (--box, else the
+    model's; None if neither).  build_model rejects a name it does not
+    know; a plugin's build() must return (SdeSystem, ModelInfo)."""
+    build = ns.plugin or partial(build_model, ns.model)
+    result = build(sigma=ns.sigma, interpretation=interpretation)
     try:
         system, info = result
     except (TypeError, ValueError):
@@ -182,7 +182,7 @@ def _reading(ns: argparse.Namespace, interpretation: Interpretation
         raise UsageError("model build() must return (SdeSystem, ModelInfo)")
     if info.x0.size != system.m:
         raise UsageError(f"model x0 has size {info.x0.size}, not m={system.m}")
-    return system, info
+    return system, info, vars(ns).get("box") or info.box
 
 
 def _check_config(ns: argparse.Namespace) -> CheckConfig:
@@ -191,43 +191,38 @@ def _check_config(ns: argparse.Namespace) -> CheckConfig:
 
 
 def _sim_config(ns: argparse.Namespace, info: ModelInfo) -> SimConfig:
-    """Grid options and seed; the model gives x0 and the default t_end."""
+    """The grid of round((t_end - t0) / dt) steps and the seed; the model
+    gives x0 and the default t_end."""
     t_end = info.horizon if ns.t_end is None else ns.t_end
-    if ns.n_steps is not None and ns.dt is not None:
-        raise UsageError("give either n_steps or dt, not both")
-    n_steps = ns.n_steps
-    if n_steps is None:
-        step = 0.01 if ns.dt is None else ns.dt
-        if not step > 0:
-            raise UsageError("dt must be positive")
-        n_steps = (t_end - ns.t0) / step
-        if not np.isfinite(n_steps):
-            raise UsageError(f"t0, t_end and dt give {n_steps} steps")
-        n_steps = int(round(n_steps))
-        if n_steps < 1:
-            raise UsageError("grid is shorter than one step")
+    if not ns.dt > 0:
+        raise UsageError("dt must be positive")
+    n_steps = (t_end - ns.t0) / ns.dt
+    if not np.isfinite(n_steps):
+        raise UsageError(f"t0, t_end and dt give {n_steps} steps")
+    n_steps = int(round(n_steps))
+    if n_steps < 1:
+        raise UsageError("grid is shorter than one step")
     return SimConfig(grid=TimeGrid(ns.t0, t_end, n_steps), x0=tuple(info.x0),
                      seed=ns.seed)
 
 
-def _check_targets(ns: argparse.Namespace) -> None:
-    """Refuse empty and unwritable targets before any work."""
-    for flag in ("--out", "--plot", "--dump-paths"):
-        if vars(ns).get(flag[2:].replace("-", "_")) == "":
-            raise UsageError(f"{flag} must not be empty")
-    for flag, path in (("--out", ns.out), ("--plot", vars(ns).get("plot"))):
-        folder = os.path.dirname(path or "") or "."
-        if path is not None and not (os.path.isdir(folder)
-                                     and os.access(folder, os.W_OK)):
-            raise UsageError(f"{flag} {path}: no writable directory {folder}")
-    if ns.out is not None and os.path.isdir(ns.out):
-        raise UsageError(f"--out {ns.out} is a directory")
-    near = dump = vars(ns).get("dump_paths")
-    while near is not None and not os.path.lexists(near):
-        near = os.path.dirname(near) or "."  # makedirs makes the rest
-    if near is not None and not (os.path.isdir(near)
-                                 and os.access(near, os.W_OK)):
-        raise UsageError(f"--dump-paths {dump}: no writable directory {near}")
+def _check_targets(flag: str, name: Optional[str], files: Iterable[str] = (),
+                   folder: bool = False) -> None:
+    """Refuse an empty name, a directory (for a folder, its nearest existing
+    ancestor, as makedirs makes the rest) that is missing or not writable,
+    and any of files, the names to be written, that is a directory."""
+    if name is None:
+        return
+    if name == "":
+        raise UsageError(f"{flag} must not be empty")
+    near = name if folder else os.path.dirname(name) or "."
+    while folder and not os.path.lexists(near):
+        near = os.path.dirname(near) or "."
+    if not (os.path.isdir(near) and os.access(near, os.W_OK)):
+        raise UsageError(f"{flag} {name}: no writable directory {near}")
+    for path in files if near == name or not folder else ():
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -239,53 +234,54 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    system, info = _reading(ns, Interpretation(ns.interpretation))
-    box = info.box if ns.box is None else ns.box
+    system, info, box = _reading(ns, Interpretation(ns.interpretation))
     if box is None:
         raise UsageError("model declares no region; pass --box")
+    _check_targets("--out", ns.out, [ns.out])
     report = check_box(system, box, _check_config(ns))
     _write_text(ns.out, report.to_json(indent=2) + "\n")
     return EXIT_OK if report.verdict is Verdict.SATISFIED else EXIT_VIOLATED
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    system, info = _reading(ns, Interpretation(ns.interpretation))
+    system, info, _ = _reading(ns, Interpretation(ns.interpretation))
     cfg = _sim_config(ns, info)
-    for suffix, _ in info.panels if ns.plot is not None else ():
-        if os.path.isdir(f"{ns.plot}-{suffix}.svg"):
-            raise UsageError(f"--plot {ns.plot}-{suffix}.svg is a directory")
+    panels = {f"{ns.plot}-{suffix}.svg": (suffix, cols)
+              for suffix, cols in info.panels if ns.plot is not None}
+    _check_targets("--out", ns.out, [ns.out])
+    _check_targets("--plot", ns.plot, panels)
     noise = WienerGrid.generate(ns.seed, ns.path_id, cfg.grid, system.r)
     traj = simulate(system, cfg, noise)
     labels = system.labels()
     with (open(ns.out, "w") if ns.out else nullcontext(_sys.stdout)) as fh:
         write_trajectory_csv(traj, fh, labels)
-    if ns.plot is not None:
-        for suffix, cols in info.panels:
-            chart = line_chart(
-                traj.t, [(labels[i], traj.states[:, i]) for i in cols],
-                title=f"{system.name} ({suffix})", x_label="t",
-                y_label=", ".join(labels[i] for i in cols))
-            with open(f"{ns.plot}-{suffix}.svg", "w") as fh:
-                fh.write(chart)
+    for name, (suffix, cols) in panels.items():
+        chart = line_chart(
+            traj.t, [(labels[i], traj.states[:, i]) for i in cols],
+            title=f"{system.name} ({suffix})", x_label="t",
+            y_label=", ".join(labels[i] for i in cols))
+        with open(name, "w") as fh:
+            fh.write(chart)
     return EXIT_OK
+
+
+def _dump_name(directory: str, stem: str, pid: int) -> str:
+    return os.path.join(directory, f"{stem}-{pid:05d}.csv")
 
 
 def _path_tee(directory: str, stem: str, times: np.ndarray,
               labels: Sequence[str]) -> Callable[[int, np.ndarray], None]:
-    """run_ensemble's on_block hook for --dump-paths.
-
-    Appends each block's rows for path p to directory/stem-<p:05d>.csv,
-    which the first block creates with its header; one file is open at a
-    time however many paths run.
-    """
+    """run_ensemble's on_block hook for --dump-paths: appends each block's
+    rows for path p to its _dump_name file, which the first block creates
+    with its header; one file is open at a time however many paths run."""
     def tee(start: int, states: np.ndarray) -> None:
         first = start == 0
         if first:
             os.makedirs(directory, exist_ok=True)
         rows = times[start:start + states.shape[1]]
         for pid, path in enumerate(states):
-            name = os.path.join(directory, f"{stem}-{pid:05d}.csv")
-            with open(name, "w" if first else "a", newline="") as fh:
+            with open(_dump_name(directory, stem, pid), "w" if first else "a",
+                      newline="") as fh:
                 write_csv_rows(fh, rows, path, labels if first else None)
     return tee
 
@@ -293,20 +289,23 @@ def _path_tee(directory: str, stem: str, times: np.ndarray,
 def cmd_ensemble(ns: argparse.Namespace) -> int:
     names = (_INTERPRETATIONS if ns.interpretation == "both"
              else (ns.interpretation,))
-    results = {}
+    runs = []
     for nm in names:
-        system, info = _reading(ns, Interpretation(nm))
-        box = info.box if ns.box is None else ns.box
-        cfg = _sim_config(ns, info)
-        tee = None
-        if ns.dump_paths is not None:
-            if ns.n_paths > 64:
-                _sys.stderr.write(
-                    f"warning: dumping {ns.n_paths} path files to "
-                    f"{ns.dump_paths}\n")
-            # the ensemble's own paths: a failed path is frozen, not fatal
-            tee = _path_tee(ns.dump_paths, f"{system.name}-{nm}",
-                            cfg.grid.times(), system.labels())
+        system, info, box = _reading(ns, Interpretation(nm))
+        runs.append((nm, f"{system.name}-{nm}", system, box,
+                     _sim_config(ns, info)))
+    _check_targets("--out", ns.out, [ns.out])
+    _check_targets("--dump-paths", ns.dump_paths, (
+        _dump_name(ns.dump_paths, stem, pid)
+        for _, stem, *_ in runs for pid in range(ns.n_paths)), folder=True)
+    if ns.dump_paths is not None and ns.n_paths > 64:
+        _sys.stderr.write(f"warning: dumping {len(runs) * ns.n_paths} path "
+                          f"files to {ns.dump_paths}\n")
+    results = {}
+    for nm, stem, system, box, cfg in runs:
+        # the ensemble's own paths: a failed path is frozen, not fatal
+        tee = None if ns.dump_paths is None else _path_tee(
+            ns.dump_paths, stem, cfg.grid.times(), system.labels())
         results[nm] = run_ensemble(system, cfg, ns.n_paths, box, tol=ns.tol,
                                    on_block=tee).to_dict()
     payload = results if len(names) > 1 else results[names[0]]
@@ -315,8 +314,8 @@ def cmd_ensemble(ns: argparse.Namespace) -> int:
 
 
 def cmd_convert(ns: argparse.Namespace) -> int:
-    system, info = _reading(ns, Interpretation.STRATONOVICH)
-    box = info.box if ns.box is None else ns.box
+    system, info, box = _reading(ns, Interpretation.STRATONOVICH)
+    _check_targets("--out", ns.out, [ns.out])
     check = _check_config(ns)
     mode = JacobianMode.for_system(system)
     lines = [f"model: {system.name} (stratonovich reading of (f, g))",
@@ -396,8 +395,8 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
                    help="grid start (default %(default)s)")
     p.add_argument("--t-end", type=float,
                    help="grid end (default: model horizon)")
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--dt", type=float, help="step size (default 0.01)")
+    p.add_argument("--dt", type=float, default=0.01,
+                   help="step size (default %(default)s)")
 
 
 def _add_box(p: argparse.ArgumentParser) -> None:
@@ -451,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = _parse(build_parser(), argv)
-        _check_targets(ns)
         return ns.func(ns)
     except (UsageError, ModelEvaluationError, IntegrationError,
             OSError, MemoryError) as exc:

@@ -24,9 +24,12 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b")
 
 
-def _spread(lo: float, hi: float) -> Tuple[float, float]:
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return (-1.0, 1.0)
+def _spread(values: np.ndarray) -> Tuple[float, float]:
+    """Axis limits padding the finite values; (-1, 1) if there are none."""
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        finite = np.zeros(1)
+    lo, hi = float(finite.min()), float(finite.max())
     pad = 0.04 * (hi - lo)
     if hi <= lo:  # a flat series
         pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
@@ -51,12 +54,8 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
     for label, y in ys:
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} length does not match x")
-    x_lo, x_hi = _spread(float(x.min()), float(x.max()))
-    all_y = np.concatenate([y for _, y in ys]) if ys else np.array([0.0])
-    finite = all_y[np.isfinite(all_y)]
-    if finite.size == 0:
-        finite = np.array([0.0])
-    y_lo, y_hi = _spread(float(finite.min()), float(finite.max()))
+    x_lo, x_hi = _spread(x)
+    y_lo, y_hi = _spread(np.concatenate([y for _, y in ys]) if ys else x[:0])
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -113,7 +112,7 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
         color = _PALETTE[s % len(_PALETTE)]
         pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}"
                        for xv, yv in zip(xs, y[idx].tolist())
-                       if math.isfinite(yv))
+                       if math.isfinite(xv) and math.isfinite(yv))
         out.append(f'<polyline fill="none" stroke="{color}" '
                    f'stroke-width="1.5" points="{pts}"/>')
         lx = _MARGIN_L + plot_w - 110

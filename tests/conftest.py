@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from helpers import dispatch_level
 from sdeinvariance import CheckConfig
 
 settings.register_profile(
@@ -13,3 +14,8 @@ settings.load_profile("suite")
 def quick_cfg() -> CheckConfig:
     """Reduced sampling budget; keeps the checker tests fast."""
     return CheckConfig(n_face_samples=256, n_time_samples=4)
+
+
+def pytest_report_header(config):
+    """Name the dispatch level in the log, next to any digest mismatch."""
+    return f"numpy dispatch level: {dispatch_level()}"

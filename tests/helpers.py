@@ -8,6 +8,20 @@ import numpy as np
 
 from sdeinvariance import SdeSystem
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x, which names no X86_V4 level
+    from numpy.core._multiarray_umath import __cpu_features__
+
+
+def dispatch_level() -> str:
+    """numpy's highest enabled x86 SIMD dispatch level, else "baseline".
+
+    np.exp and np.power give different bits at different levels, so a
+    pinned digest holds at the level it was taken at."""
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
+                 if __cpu_features__.get(level)), "baseline")
+
 
 def gbm_system(a: float, b: float, name: str = "gbm", **kwargs) -> SdeSystem:
     """dX = a X dt + b X dW, vectorized, with analytic jacobian."""

@@ -95,11 +95,15 @@ class TestErrors:
         code, out, err = run_cli(capsys)
         assert code == 1
 
-    def test_dt_and_n_steps_conflict(self, capsys):
-        code, out, err = run_cli(capsys, "simulate", "--model", "hh-det",
-                                 "--dt", "0.1", "--n-steps", "10")
-        assert code == 1
-        assert "not both" in err
+    def test_dt_is_the_one_step_option(self, capsys, tmp_path):
+        # the grid is round((t_end - t0) / dt) steps; there is no n_steps
+        assert run_cli(capsys, "simulate", "--model", "hh-det", "--n-steps",
+                       "10") == (
+            1, "", "error: unrecognized arguments: --n-steps 10\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "hh-det", "n_steps": 10}))
+        assert run_cli(capsys, "simulate", "--config", str(cfg)) == (
+            1, "", "error: unknown config keys: n_steps\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--dt", "0"), "dt must be positive"),
@@ -117,8 +121,7 @@ class TestErrors:
     # each grid's first array is larger than any address space, so every
     # case fails before anything is allocated
     @pytest.mark.parametrize("grid", [
-        ("--t-end", "1e300"), ("--t-end", "1e14"),
-        ("--n-steps", str(10 ** 20))])
+        ("--t-end", "1e300"), ("--t-end", "1e14")])
     @pytest.mark.parametrize("command", [
         ("simulate",), ("ensemble", "--n-paths", "2")])
     def test_grids_too_large_to_allocate_are_errors(self, capsys, command,
@@ -698,7 +701,7 @@ class TestConfigAndEnvironment:
         # every accepted key; those of other subcommands, such as n_paths
         # and dump_paths, are accepted by check and ignored
         keys = ("model", "sigma", "interpretation", "seed", "t0", "t_end",
-                "n_steps", "dt", "n_paths", "tol", "box", "out", "plot",
+                "dt", "n_paths", "tol", "box", "out", "plot",
                 "path_id", "samples", "time_samples", "t_max_check",
                 "eps_drift", "eps_diff", "sampler_seed", "dump_paths")
         config = dict.fromkeys(keys)
@@ -1222,3 +1225,52 @@ class TestPluginModels:
         code, out, err = run_cli(capsys, "check", "--model", str(path))
         assert code == 1
         assert "build" in err
+
+
+# plugins whose Stratonovich reading alone is at fault, and the error
+SECOND_READING_FAULTS = {
+    "build": (PLUGIN_SOURCE.replace(
+        "return system, info",
+        "return system if interpretation.value == 'stratonovich' "
+        "else (system, info)"),
+        "model build() must return (SdeSystem, ModelInfo)"),
+    "grid": (PLUGIN_SOURCE.replace(
+        "horizon=3.0",
+        "horizon=3.0 if interpretation.value == 'ito' else 0.001"),
+        "grid is shorter than one step"),
+}
+
+
+class TestBothReadingsSettleFirst:
+    """ensemble --interpretation both builds both readings and their grids,
+    and checks every file it will write, before either run, so a fault of
+    the second reading loses no finished first ensemble."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_ensemble", _refuse_to_run)
+
+    @staticmethod
+    def run(capsys, tmp_path, model):
+        return run_cli(capsys, "ensemble", "--model", model,
+                       "--interpretation", "both", "--n-paths", "4",
+                       "--dump-paths", str(tmp_path / "dump"),
+                       "--out", str(tmp_path / "both.json"))
+
+    def test_a_dump_file_that_is_a_directory(self, capsys, tmp_path):
+        taken = tmp_path / "dump" / "hh-logistic-stratonovich-00001.csv"
+        taken.mkdir(parents=True)
+        assert self.run(capsys, tmp_path, "hh-logistic") == (
+            1, "", f"error: --dump-paths {taken} is a directory\n")
+        assert list((tmp_path / "dump").iterdir()) == [taken]
+        assert not (tmp_path / "both.json").exists()
+
+    @pytest.mark.parametrize("fault", sorted(SECOND_READING_FAULTS))
+    def test_a_fault_of_the_second_reading(self, capsys, tmp_path, fault):
+        source, message = SECOND_READING_FAULTS[fault]
+        model = tmp_path / "half_model.py"
+        model.write_text(source)
+        assert self.run(capsys, tmp_path, str(model)) == (
+            1, "", f"error: {message}\n")
+        assert not (tmp_path / "dump").exists()
+        assert not (tmp_path / "both.json").exists()

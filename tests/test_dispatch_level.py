@@ -18,11 +18,7 @@ import sys
 import pytest
 
 import sdeinvariance
-
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x, which names no X86_V4 level
-    from numpy.core._multiarray_umath import __cpu_features__
+from helpers import dispatch_level
 
 SRC = os.path.dirname(os.path.dirname(sdeinvariance.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -40,7 +36,7 @@ INVARIANCE_TESTS = (
 )
 
 
-@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+@pytest.mark.skipif(dispatch_level() != "X86_V4",
                     reason="numpy reports no AVX-512 level on this host")
 def test_invariance_holds_below_avx512():
     env = dict(os.environ, **BELOW_AVX512, PYTHONPATH=os.pathsep.join(

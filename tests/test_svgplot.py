@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdeinvariance import svgplot
 from sdeinvariance.svgplot import line_chart
 
 
@@ -39,6 +40,21 @@ def test_nonfinite_values_do_not_poison_scaling():
     svg = line_chart(x, [("holey", y)])
     assert svg.startswith("<svg")
     assert "nan" not in svg.lower()  # bad points are dropped, not drawn
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_x_values_are_dropped(bad):
+    # the x axis spans the finite values, and a vertex without one is left
+    # out, so every vertex drawn lies inside the plot rectangle
+    svg = line_chart([0.0, bad, 2.0], [("y", [1.0, 2.0, 3.0])])
+    assert "nan" not in svg and "inf" not in svg
+    line = next(row for row in svg.split("\n") if row.startswith("<polyline"))
+    points = line.split('points="')[1].split('"')[0].split()
+    assert len(points) == 2
+    for point in points:
+        px, py = map(float, point.split(","))
+        assert svgplot._MARGIN_L <= px <= svgplot._WIDTH - svgplot._MARGIN_R
+        assert svgplot._MARGIN_T <= py <= svgplot._HEIGHT - svgplot._MARGIN_B
 
 
 def test_labels_are_escaped():
