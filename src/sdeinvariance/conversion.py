@@ -12,6 +12,8 @@ absorbs the correction.
 
 The Jacobian d g / d x comes either from an analytic callable shipped on
 the system or from scaled central differences of the diffusion field.
+correction_batch holds the dense Jacobian of one row block at a time, and
+rows are independent (SdeSystem.vectorized), so h keeps the batch's bits.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class JacobianMode(enum.Enum):
 JacobianPolicy = JacobianMode
 
 _FD_STEP = 1e-6
+_BLOCK_BYTES = 3 << 16  # the dense (rows, m, r, m) Jacobian of one block
 
 
 def _fd_jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:
@@ -70,18 +73,24 @@ def correction_batch(sys: SdeSystem, t: float, states: Array,
     mode None means JacobianMode.for_system(sys)."""
     states = np.asarray(states, dtype=float)
     mode = mode or JacobianMode.for_system(sys)
-    if mode is JacobianMode.ANALYTIC:
-        jac = jacobian_batch(sys, t, states)
-    else:
-        jac = _fd_jacobian_batch(sys, t, states)
-    if not np.all(np.isfinite(jac)):
-        b, i, k, j = (int(v) for v in np.argwhere(~np.isfinite(jac))[0])
-        raise ModelEvaluationError(
-            f"diffusion jacobian entry ({i}, {k}, {j}) is not finite "
-            f"at t={t}", t=t, x=states[b], index=(i, k, j))
-    g = diffusion_batch(sys, t, states)
-    # h_i = sum_{k,j} J[i, k, j] * g[j, k]
-    return np.einsum("nikj,njk->ni", jac, g)
+    jacobian = (jacobian_batch if mode is JacobianMode.ANALYTIC
+                else _fd_jacobian_batch)
+    rows = max(2, _BLOCK_BYTES // (8 * sys.m * max(sys.r, 1) * sys.m))
+    # no one-row block in a longer batch: einsum sums a lone row otherwise
+    cuts = [0, *range(rows, len(states) - 1, rows), len(states)]
+    h = np.empty((len(states), sys.m))
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = states[lo:hi]
+        jac = jacobian(sys, t, block)
+        if not np.all(np.isfinite(jac)):
+            b, i, k, j = (int(v) for v in np.argwhere(~np.isfinite(jac))[0])
+            raise ModelEvaluationError(
+                f"diffusion jacobian entry ({i}, {k}, {j}) is not finite "
+                f"at t={t}", t=t, x=block[b], index=(i, k, j))
+        # h_i = sum_{k,j} J[i, k, j] * g[j, k]
+        np.einsum("nikj,njk->ni", jac, diffusion_batch(sys, t, block),
+                  out=h[lo:hi])
+    return h
 
 
 def _shifted_drift(sys: SdeSystem, mode: JacobianMode, sign: float):

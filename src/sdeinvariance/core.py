@@ -98,8 +98,9 @@ class SdeSystem:
         diagonal_noise: if True, g[i, k] == 0 whenever i != k, so Wiener
             component k drives coordinate k alone (needs r <= m), and the
             diffusion returns only g[i, i], i < r: shape (r,), or (n, r)
-            for a batch, checked at every evaluation.  diffusion_batch
-            places it in the (n, m, r) matrix that the checkers read.
+            for a batch, checked at every evaluation.  The checkers read
+            it as declared (see diffusion_row); diffusion_batch places it
+            in the dense (n, m, r) matrix.
         autonomous: if True, drift and diffusion do not depend on t, so
             they return the same bits at every time.  The invariance
             checkers then evaluate each face once and replay the result
@@ -197,6 +198,17 @@ def diffusion_batch(sys: SdeSystem, t: float, states: Array) -> Array:
     dense = np.zeros((len(g), sys.m, sys.r))
     dense[:, range(sys.r), range(sys.r)] = g
     return dense
+
+
+def diffusion_row(sys: SdeSystem, t: float, states: Array, i: int) -> Array:
+    """Row i of the diffusion on a (n, m) batch, shape (n, r); for
+    diagonal_noise zeros but column i, built without the (n, m, r) matrix."""
+    g = declared_diffusion_batch(sys, t, states)
+    if not sys.diagonal_noise:
+        return g[:, i, :]
+    row = np.zeros_like(g)
+    row[:, i:i + 1] = g[:, i:i + 1]  # nothing if i >= r
+    return row
 
 
 def jacobian_batch(sys: SdeSystem, t: float, states: Array) -> Array:

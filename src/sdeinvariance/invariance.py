@@ -41,7 +41,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (Array, Box, ModelEvaluationError, Polyhedron, SdeSystem,
-                   UsageError, checked_indices, diffusion_batch, drift_batch)
+                   UsageError, checked_indices, declared_diffusion_batch,
+                   diffusion_row, drift_batch)
 
 _INTERIOR_BUDGET = 4096
 _ANCHOR_TRIES = 64
@@ -355,7 +356,7 @@ def check_box(sys: SdeSystem, box: Box, cfg: CheckConfig = CheckConfig()
             f_row = drift_batch(sys, t, pts)[:, i]
             _require_finite(f_row, f"drift component {i} on face "
                             f"({i}, {side})", t, pts)
-            g_row = diffusion_batch(sys, t, pts)[:, i, :]
+            g_row = diffusion_row(sys, t, pts, i)
             _require_finite(g_row, f"diffusion row {i} on face "
                             f"({i}, {side})", t, pts)
             return (f_row if side == "lower" else -f_row), f_row, g_row
@@ -409,8 +410,8 @@ def check_comparison(sys_a: SdeSystem, sys_b: SdeSystem,
             fb = drift_batch(sys_b, t, y)[:, i]
             _require_finite(fa, f"first drift component {i}", t, x)
             _require_finite(fb, f"second drift component {i}", t, y)
-            ga = diffusion_batch(sys_a, t, x)[:, i, :]
-            gb = diffusion_batch(sys_b, t, y)[:, i, :]
+            ga = diffusion_row(sys_a, t, x, i)
+            gb = diffusion_row(sys_b, t, y, i)
             _require_finite(ga, f"first diffusion row {i}", t, x)
             _require_finite(gb, f"second diffusion row {i}", t, y)
             margin = fa - fb
@@ -652,8 +653,11 @@ def check_polyhedron(sys: SdeSystem, poly: Polyhedron,
         def evaluate(t):
             f_n = drift_batch(sys, t, pts) @ normals[nu]
             _require_finite(f_n, f"drift projection on face {nu}", t, pts)
-            g_n = np.einsum("kmr,m->kr", diffusion_batch(sys, t, pts),
-                            normals[nu])
+            g = declared_diffusion_batch(sys, t, pts)
+            # diagonal g: column j holds g[j, j] alone; an einsum's zero may
+            # carry the other sign, which no report shows (abs, eps_diff)
+            g_n = (g * normals[nu, :sys.r] if sys.diagonal_noise
+                   else np.einsum("kmr,m->kr", g, normals[nu]))
             _require_finite(g_n, f"diffusion projection on face {nu}",
                             t, pts)
             return f_n, f_n, g_n

@@ -22,18 +22,20 @@ _MARGIN_B = 44
 _MAX_POINTS = 2000
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b")
+_MAX = float(np.finfo(float).max)
 
 
 def _spread(values: np.ndarray) -> Tuple[float, float]:
-    """Axis limits padding the finite values; (-1, 1) if there are none."""
-    finite = values[np.isfinite(values)]
+    """Halves, which are exact and keep every span finite, of the axis
+    limits padding the finite values; (-1, 1) if there are none."""
+    finite = values[np.isfinite(values)] / 2
     if finite.size == 0:
         finite = np.zeros(1)
     lo, hi = float(finite.min()), float(finite.max())
     pad = 0.04 * (hi - lo)
     if hi <= lo:  # a flat series
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
-    return (lo - pad, hi + pad)
+        pad = 0.5 if lo == 0.0 else abs(lo) * 0.1
+    return max(lo - pad, -_MAX / 2), min(hi + pad, _MAX / 2)
 
 
 def _decimate(n: int) -> np.ndarray:
@@ -54,17 +56,17 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
     for label, y in ys:
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} length does not match x")
-    x_lo, x_hi = _spread(x)
+    x_lo, x_hi = _spread(x)  # halves, as are px's and py's arithmetic
     y_lo, y_hi = _spread(np.concatenate([y for _, y in ys]) if ys else x[:0])
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (v / 2 - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - v / 2) / (y_hi - y_lo) * plot_h
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">']
@@ -79,8 +81,9 @@ def line_chart(x, series: Sequence[Tuple[str, Sequence[float]]],
                'stroke-width="1"/>')
     for k in range(5):
         frac = k / 4
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
+        # doubled back: an end rounded past _MAX / 2 stays _MAX
+        xv, yv = (min(max(2.0 * (lo + frac * (hi - lo)), -_MAX), _MAX)
+                  for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)))
         xp = _MARGIN_L + frac * plot_w
         yp = _MARGIN_T + plot_h - frac * plot_h
         out.append(f'<line x1="{xp:.2f}" y1="{_MARGIN_T + plot_h}" '

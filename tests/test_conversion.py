@@ -5,8 +5,9 @@ import pytest
 
 from sdeinvariance import (Interpretation, JacobianMode,
                            ModelEvaluationError, SdeSystem, UsageError,
-                           build_model, correction_batch,
+                           build_model, conversion, correction_batch,
                            ito_to_stratonovich, stratonovich_to_ito)
+from sdeinvariance.core import diffusion_batch, jacobian_batch
 from helpers import gbm_system
 
 ANALYTIC = JacobianMode.ANALYTIC
@@ -83,6 +84,63 @@ class TestCorrection:
         # central difference at 0 evaluates sqrt of a negative shift
         with pytest.raises(ModelEvaluationError):
             correction_batch(system, 0.0, [[0.0]], CENTRAL)
+
+
+def mixing_system(m=3, r=2):
+    """Vectorized, non-diagonal: g[i, k] = sum_j W[i, k, j] sin(x_j), with
+    its analytic Jacobian W[i, k, j] cos(x_j); rows never mix."""
+    weights = np.random.default_rng(9).uniform(-1.0, 1.0, (m, r, m))
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        return (weights * np.sin(x)[..., None, None, :]).sum(axis=-1)
+
+    def jacobian(t, x):
+        x = np.asarray(x, dtype=float)
+        return weights * np.cos(x)[..., None, None, :]
+
+    return SdeSystem(m=m, r=r, drift=lambda t, x: np.zeros_like(x),
+                     diffusion=diffusion, diffusion_jacobian=jacobian,
+                     vectorized=True, name="mixing")
+
+
+class TestCorrectionBlocks:
+    """correction_batch works in row blocks and gives the bits of one
+    whole-batch dense einsum, at every batch size around the block."""
+
+    system = mixing_system()
+    block = conversion._BLOCK_BYTES // (8 * 3 * 2 * 3)
+    states = np.random.default_rng(10).uniform(-3.0, 3.0, (3 * block + 2, 3))
+
+    # n = blocks * block + extra: 1, block - 1, block, block + 1 (whose
+    # last row joins the block before it) and 3 * block + 2
+    @pytest.mark.parametrize("mode", [ANALYTIC, CENTRAL])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0),
+                                               (1, 1), (3, 2)])
+    def test_bits_match_the_whole_batch(self, mode, blocks, extra):
+        states = self.states[:blocks * self.block + extra]
+        jac = (jacobian_batch(self.system, 0.5, states) if mode is ANALYTIC
+               else conversion._fd_jacobian_batch(self.system, 0.5, states))
+        whole = np.einsum("nikj,njk->ni", jac,
+                          diffusion_batch(self.system, 0.5, states))
+        h = correction_batch(self.system, 0.5, states, mode)
+        assert h.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("mode, index", [(ANALYTIC, (0, 0, 1)),
+                                             (CENTRAL, (0, 0, 0))])
+    def test_nonfinite_entry_in_the_second_block_names_its_row(self, mode,
+                                                               index):
+        states = self.states.copy()
+        row = self.block + 3
+        states[row, 1] = np.inf
+        states[2 * self.block + 1, 0] = np.inf  # a later block's
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ModelEvaluationError) as err:
+                correction_batch(self.system, 0.5, states, mode)
+        assert err.value.x == tuple(states[row])
+        assert err.value.index == index
+        assert str(err.value) == (f"diffusion jacobian entry {index} "
+                                  "is not finite at t=0.5")
 
 
 class TestRewrites:

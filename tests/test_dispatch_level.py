@@ -4,11 +4,12 @@ np.exp and np.power give different bits at the AVX2 (X86_V3) and
 AVX-512 (X86_V4) levels, so every pinned Hodgkin-Huxley digest holds at
 one level alone.  The invariance properties, the kernels' agreement with
 the frozen reference computed at the same level, the exit search's
-digests at three block widths (their models call neither ufunc), and the
+digests at three block widths (their models call neither ufunc), the
 polyhedron walk's and face anchor's agreement with their scalar
-references must hold at both: the test reruns them in a fresh interpreter
-with the AVX-512 level switched off, since numpy picks its dispatch level
-once, at import.
+references, a diagonal_noise system's agreement with its dense twin and
+the blocked drift correction's with one whole-batch einsum must hold at
+both: the test reruns them in a fresh interpreter with the AVX-512 level
+switched off, since numpy picks its dispatch level once, at import.
 """
 
 import os
@@ -33,6 +34,8 @@ INVARIANCE_TESTS = (
     "test_invariance.py::TestLockstepWalk",
     "test_invariance.py::TestDrawAlongTheNormal",
     "test_invariance.py::test_face_anchor_matches_scalar_first_hit",
+    "test_invariance.py::TestDiagonalNoiseTwin",
+    "test_conversion.py::TestCorrectionBlocks",
 )
 
 
@@ -51,4 +54,4 @@ def test_invariance_holds_below_avx512():
          *INVARIANCE_TESTS],
         capture_output=True, text=True, env=env, cwd=TESTS, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "47 passed" in done.stdout
+    assert "65 passed" in done.stdout

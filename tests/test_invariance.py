@@ -887,9 +887,8 @@ class TestLockstepWalk:
 
 
 # The walk's working buffers stay small beside its (faces, n, m) points,
-# 1 MiB here: structural-cli's traced peak, 2.29 MiB, is the converted
-# model's check, and the walk must stay below it.  This run peaked at
-# 1.42 MiB walking one iteration at a time.
+# 1 MiB here.  This check is structural-cli's traced peak, 1.36 MiB; it
+# peaked at 1.42 MiB walking one iteration at a time.
 def test_polyhedron_walk_peak_is_bounded():
     logistic, _ = build_model("hh-logistic", sigma=0.5)
     poly = Box.unit((0, 1, 2)).as_polyhedron(4)
@@ -900,6 +899,43 @@ def test_polyhedron_walk_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * 2 ** 20
+
+
+def _traced_peak(check):
+    """check's tracemalloc peak, run once before to leave imports out."""
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+PEAK_CFG = CheckConfig(n_face_samples=4096, n_time_samples=2)
+
+
+# The converted model's check holds one block of the drift correction's
+# Jacobian, not the whole face's (n, m, r, m) array: it peaked at 2.29 MiB
+# with the whole face and 0.86 MiB in blocks, beside 0.73 MiB for the
+# model itself.
+def test_converted_check_peak_is_bounded():
+    logistic, _ = build_model("hh-logistic", sigma=0.5)
+    strat, _ = build_model("hh-logistic", sigma=0.5,
+                           interpretation=Interpretation.STRATONOVICH)
+    converted = stratonovich_to_ito(strat)
+    box = Box.unit((0, 1, 2))
+    plain = _traced_peak(lambda: check_box(logistic, box, PEAK_CFG))
+    assert (_traced_peak(lambda: check_box(converted, box, PEAK_CFG))
+            <= 1.25 * plain)
+
+
+# The comparison reads row i of each diagonal diffusion without the dense
+# (n, m, r) matrix: 1.90 MiB dense, 1.28 MiB by rows.
+def test_comparison_peak_is_bounded():
+    logistic, _ = build_model("hh-logistic", sigma=0.5)
+    assert _traced_peak(lambda: check_comparison(
+        logistic, logistic, (0, 1, 2), PEAK_CFG)) < 1.6 * 2 ** 20
 
 
 class _Draws:
@@ -973,6 +1009,76 @@ class TestDrawAlongTheNormal:
             assert ((chain.normals, chain.uniforms)
                     == (twin.normals, twin.uniforms) == (n, n))
         assert np.array_equal(walks[0][at], walks[0][at - 1])
+
+
+def diagonal_twins(scale, broken=False):
+    """One model declared with diagonal_noise and as its dense twin, m = 3
+    and r = 2: g[k, k] = c_k x_k (1 - x_k) + d_k, exactly -0.0 on the
+    faces x_0 in {0, 1}, 0.01 on x_1 = 0 and 1; row 2 has no noise.
+    broken puts inf in g[0, 0] wherever x_1 > 0.5."""
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 - x + 0.8 * (np.roll(x, -1, axis=-1) - 0.5)
+
+    def diagonal(t, x):
+        x = np.asarray(x, dtype=float)[..., :2]
+        g = scale * np.array([-0.7, 0.6]) * x * (1.0 - x) + [0.0, 0.01]
+        if broken:
+            g[..., 0] = np.where(x[..., 1] > 0.5, np.inf, g[..., 0])
+        return g
+
+    def dense(t, x):
+        g = diagonal(t, x)
+        out = np.zeros(g.shape[:-1] + (3, 2))
+        out[..., [0, 1], [0, 1]] = g
+        return out
+
+    return tuple(SdeSystem(m=3, r=2, drift=drift, diffusion=fn,
+                           vectorized=True, diagonal_noise=fn is diagonal)
+                 for fn in (diagonal, dense))
+
+
+def _slanted_cube() -> Polyhedron:
+    halves = Box.unit((0, 1, 2)).as_polyhedron(3).halfspaces
+    return Polyhedron(halves + (Halfspace((0.75, 0.75, 0.0),
+                                          (-1.0, -1.0, 0.0)),))
+
+
+class TestDiagonalNoiseTwin:
+    """The checkers read a diagonal_noise system without its dense matrix
+    and give the report bytes, or the error, of its dense twin."""
+
+    CHECKS = {
+        "box": lambda a, b: check_box(a, Box.unit((0, 1, 2)), QUICK),
+        "comparison": lambda a, b: check_comparison(a, b, (0, 1, 2), QUICK),
+        "polyhedron": lambda a, b: check_polyhedron(a, _slanted_cube(),
+                                                    QUICK),
+    }
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_same_report_bytes(self, name):
+        (diag_a, dense_a), (diag_b, dense_b) = (diagonal_twins(1.0),
+                                                diagonal_twins(1.5))
+        assert diag_a.diagonal_noise and not dense_a.diagonal_noise
+        report = self.CHECKS[name](diag_a, diag_b)
+        assert report.to_json() == self.CHECKS[name](dense_a,
+                                                     dense_b).to_json()
+        kinds = {w.kind for w in report.witnesses}
+        assert "diffusion_nonzero" in kinds
+        if name != "comparison":  # faces where g vanishes exactly
+            assert any(f.max_diffusion_abs == 0.0 for f in report.faces)
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_same_error(self, name):
+        errors = []
+        for k in range(2):
+            a, b = diagonal_twins(1.0, True)[k], diagonal_twins(1.5, True)[k]
+            with pytest.raises(ModelEvaluationError) as err:
+                self.CHECKS[name](a, b)
+            errors.append((str(err.value), err.value.t, err.value.x,
+                           err.value.index))
+        assert errors[0] == errors[1]
+        assert "diffusion" in errors[0][0]
 
 
 class TestReportSerialization:

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,45 @@ def _y_ticks(svg):
 def test_flat_or_empty_series_get_a_padded_axis(y, ticks):
     svg = line_chart(np.array([0.0, 1.0, 2.0]), [("y", y)])
     assert _y_ticks(svg) == ticks
+
+
+def _x_ticks(svg):
+    # the x-axis tick labels, left to right
+    return [float(line.rsplit(">", 2)[-2].split("<")[0])
+            for line in svg.split("\n") if 'text-anchor="middle">' in line
+            and 'font-size="11"' in line]
+
+
+HUGE = sys.float_info.max
+
+
+@pytest.mark.parametrize("x, y", [
+    ([-1e308, 1e308], [0.0, 1.0]),
+    ([-HUGE, HUGE], [0.0, 1.0]),
+    ([0.0, 1.0], [-HUGE, HUGE]),
+    ([-HUGE, 0.0, HUGE], [HUGE, -HUGE, HUGE]),
+    ([-1e307, HUGE], [-1e307, HUGE]),  # ends rounded past HUGE / 2
+    ([HUGE, HUGE], [-HUGE, -HUGE]),
+])
+def test_ranges_out_to_the_largest_float_stay_finite(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the way either
+        svg = line_chart(x, [("y", y)])
+    assert "nan" not in svg and "inf" not in svg
+    line = next(row for row in svg.split("\n") if row.startswith("<polyline"))
+    points = line.split('points="')[1].split('"')[0].split()
+    assert len(points) == len(x)
+    for point in points:
+        px, py = map(float, point.split(","))
+        assert svgplot._MARGIN_L <= px <= svgplot._WIDTH - svgplot._MARGIN_R
+        assert svgplot._MARGIN_T <= py <= svgplot._HEIGHT - svgplot._MARGIN_B
+    # a label such as 1.798e+308 reads back as inf, but it is written out
+    for ticks in (_x_ticks(svg), _y_ticks(svg)):
+        assert len(ticks) == 5 and ticks == sorted(ticks)
+
+
+def test_ordinary_ranges_keep_their_limits():
+    # the halved arithmetic rounds as the whole values would
+    svg = line_chart([0.0, 1.0, 2.0], [("y", [-3.0, 0.5, 7.0])])
+    assert _x_ticks(svg) == [-0.08, 0.46, 1.0, 1.54, 2.08]
+    assert _y_ticks(svg) == [-3.4, -0.7, 2.0, 4.7, 7.4]
